@@ -249,6 +249,13 @@ def _cmd_verify_paper(args):
     return 0
 
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="sl3webs",
@@ -262,7 +269,6 @@ def _build_parser():
         help="parallelism cap (reserved; evaluation is sequential and the "
         "output never depends on this value)",
     )
-    parser.add_argument("--seed", type=int, default=0, metavar="S", help="seed for randomized commands (none currently randomize)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -307,7 +313,7 @@ def _build_parser():
     p.add_argument("web", nargs="?", default=None)
     p.add_argument("order", type=int)
     p.add_argument("--expr", default=None, help="bracket expression instead of a web file")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_non_negative_int, default=DEFAULT_BUDGET)
 
     p = add("verify-paper", _cmd_verify_paper, help="regenerate the catalog and compare to the reference tables")
     p.add_argument("--max-vertices", type=int, default=20)

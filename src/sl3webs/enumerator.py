@@ -251,27 +251,33 @@ def converse_pushing_moves(web, e_fused_a, e_fused_b):
     return results
 
 
+def _prime_layers(top, bottom):
+    """Yield (m, {canonical key: web}) for m = top, top-2, ..., bottom.
+
+    Layer m holds the circular primes of size m plus the simple
+    3-connected pushes of every web in layer m + 2.
+    """
+    above = {}
+    for m in range(top, bottom - 2, -2):
+        found = {canonical_key(w): w for w in circular_primes(m)}
+        for w in above.values():
+            for child in pushing_moves(w):
+                if child.is_simple() and connectivity(child) == 3:
+                    found.setdefault(canonical_key(child), child)
+        yield m, found
+        above = found
+
+
 def all_primes(n, slack=None):
     """All prime webs with n vertices: circular layers n..n+slack closed
     downward under pushing moves, keeping prime intermediates."""
     if n % 2 or n < 0:
-        raise ValueError("webs have an even number of vertices")
+        raise ValueError(f"the vertex count must be even and non-negative, got {n}")
     if slack is None:
         slack = default_slack(n)
     if slack % 2:
         raise ValueError("slack must be even")
-    layer = {}
-    for m in range(n + slack, n - 2, -2):
-        found = {canonical_key(w): w for w in circular_primes(m)}
-        for w in layer.get(m + 2, {}).values():
-            for child in pushing_moves(w):
-                if not child.is_simple():
-                    continue
-                if connectivity(child) != 3:
-                    continue
-                found.setdefault(canonical_key(child), child)
-        layer[m] = found
-    final = layer[n]
+    final = dict(_prime_layers(n + slack, n))[n]
     return [final[k] for k in sorted(final)]
 
 
@@ -303,21 +309,11 @@ def build_catalog(n_max, slack=2):
     """
     if n_max % 2:
         raise ValueError("n_max must be even")
-    top = n_max + slack
-    layer = {}
-    per_size = {}
-    for m in range(top, 6, -2):
-        found = {canonical_key(w): w for w in circular_primes(m)}
-        for w in layer.get(m + 2, {}).values():
-            for child in pushing_moves(w):
-                if not child.is_simple():
-                    continue
-                if connectivity(child) != 3:
-                    continue
-                found.setdefault(canonical_key(child), child)
-        layer[m] = found
-        if m <= n_max:
-            per_size[m] = [found[k] for k in sorted(found)]
+    per_size = {
+        m: [found[k] for k in sorted(found)]
+        for m, found in _prime_layers(n_max + slack, 8)
+        if m <= n_max
+    }
     entries = []
     for m in sorted(per_size):
         for i, w in enumerate(per_size[m], 1):

@@ -415,7 +415,7 @@ def _canonical_data(web, include_reflections):
     out = []
     for comp in cmap.components():
         word, hits = _component_canonical(sigma, theta, comp, rotations)
-        out.append((bytes_of_word(word), hits, comp))
+        out.append((bytes_of_word(word), hits, word))
     return out
 
 
@@ -458,50 +458,18 @@ def automorphism_count(web, include_reflections=True):
 
 
 def canonical_form(web, include_reflections=True):
-    """Relabel to the canonical representative (components key-sorted)."""
-    cmap = web.map
-    sigma, theta = cmap.sigma, cmap.theta
-    n = len(sigma)
-    sigma_inv = [0] * n
-    for d in range(n):
-        sigma_inv[sigma[d]] = d
-    rotations = [sigma, sigma_inv] if include_reflections else [sigma]
-    relabeled = []
-    for comp in cmap.components():
-        best = None
-        for rot in rotations:
-            for root in comp:
-                lab = {root: 0}
-                order = [root]
-                seq = []
-                i = 0
-                while i < len(order):
-                    d = order[i]
-                    for nb in (rot[d], theta[d]):
-                        if nb not in lab:
-                            lab[nb] = len(order)
-                            order.append(nb)
-                        seq.append(lab[nb])
-                    i += 1
-                cand = (seq, rot is not sigma, lab)
-                if best is None or cand[0] < best[0]:
-                    best = cand
-        seq, mirrored, lab = best
-        rot = sigma_inv if mirrored else sigma
-        m = len(comp)
-        csigma = [0] * m
-        ctheta = [0] * m
-        for d in comp:
-            csigma[lab[d]] = lab[rot[d]]
-            ctheta[lab[d]] = lab[theta[d]]
-        relabeled.append((bytes_of_word(seq), csigma, ctheta))
-    relabeled.sort(key=lambda t: t[0])
+    """Relabel to the canonical representative (components key-sorted).
+
+    A component's canonical word lists (label[rot[d]], label[theta[d]]) in
+    label order, so it is the relabeled component's sigma and theta
+    interleaved.
+    """
     sigma_out = []
     theta_out = []
-    for _, cs, ct in relabeled:
+    for _, _, word in sorted(_canonical_data(web, include_reflections), key=lambda t: t[0]):
         off = len(sigma_out)
-        sigma_out.extend(d + off for d in cs)
-        theta_out.extend(d + off for d in ct)
+        sigma_out.extend(l + off for l in word[0::2])
+        theta_out.extend(l + off for l in word[1::2])
     return validate(CombMap(sigma_out, theta_out), web.circles)
 
 
@@ -516,48 +484,40 @@ def disjoint_union(w1, w2):
 # -- connectivity ------------------------------------------------------------
 
 
-def _connected_without(cmap, banned_edges):
-    """Is the map connected after removing the given edges (by min dart)?"""
-    n = cmap.n_darts
-    if n == 0:
-        return True
-    banned = set()
-    for e in banned_edges:
-        banned.add(e)
-        banned.add(cmap.theta[e])
-    start = 0
-    seen = {start}
-    stack = [start]
-    while stack:
-        d = stack.pop()
-        nxt = [cmap.sigma[d]]
-        if d not in banned:
-            nxt.append(cmap.theta[d])
-        for nb in nxt:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == n
+def _edge_cuts(cmap):
+    """Bridges and 2-bonds of a connected genus-0 map, edges named by least dart.
+
+    By planar duality an edge set is a minimal cut iff its dual edges form
+    a cycle: a bridge has the same face on both sides, and a 2-bond is a
+    pair of edges separating the same two distinct faces.
+    """
+    bridges = []
+    by_faces = {}
+    for d, t in cmap.edges():
+        f, g = cmap.face_of(d), cmap.face_of(t)
+        if f == g:
+            bridges.append(d)
+        else:
+            by_faces.setdefault((min(f, g), max(f, g)), []).append(d)
+    bonds = [pair for group in by_faces.values() for pair in itertools.combinations(group, 2)]
+    return bridges, bonds
 
 
 def connectivity(web):
     """min(3, vertex connectivity) of a connected simple web.
 
     Edge and vertex connectivity agree for simple cubic graphs, so this is
-    a bridge scan followed by a 2-edge-cut scan.
+    1 with a bridge, 2 with a 2-bond and 3 otherwise.
     """
     if len(web.map.components()) != 1:
         raise MapError("connectivity needs a connected web")
     if not web.is_simple():
         raise MapError("connectivity is defined on simple webs only")
-    cmap = web.map
-    edge_ids = [d for d, _ in cmap.edges()]
-    for e in edge_ids:
-        if not _connected_without(cmap, (e,)):
-            return 1
-    for e1, e2 in itertools.combinations(edge_ids, 2):
-        if not _connected_without(cmap, (e1, e2)):
-            return 2
+    bridges, bonds = _edge_cuts(web.map)
+    if bridges:
+        return 1
+    if bonds:
+        return 2
     return 3
 
 

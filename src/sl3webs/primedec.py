@@ -15,7 +15,7 @@ primes (circles are not prime by convention).
 
 from __future__ import annotations
 
-from .planarmap import CombMap, MapError, validate
+from .planarmap import CombMap, MapError, _edge_cuts, validate
 from .qlaurent import qint
 from .reducer import apply_bigon, invariant
 
@@ -65,82 +65,21 @@ def _dart_components_without(cmap, banned_edges):
     return comp, n
 
 
-def _tarjan_bridges(cmap, skip_edge):
-    """Bridges of the web minus one edge, as least-dart edge ids.
-
-    Iterative lowlink DFS on the multigraph; the edge used to enter a
-    vertex is ignored as a back edge exactly once, so parallel copies
-    still count.
-    """
-    nv = cmap.n_vertices
-    adj = [[] for _ in range(nv)]
-    for d, t in cmap.edges():
-        if d == skip_edge:
-            continue
-        u, v = cmap.vertex_of(d), cmap.vertex_of(t)
-        adj[u].append((v, d))
-        adj[v].append((u, d))
-    disc = [-1] * nv
-    low = [0] * nv
-    bridges = []
-    timer = 0
-    for root in range(nv):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        # frame: [vertex, entering edge id, entering edge skipped?, iterator]
-        stack = [[root, -1, True, iter(adj[root])]]
-        while stack:
-            frame = stack[-1]
-            v = frame[0]
-            moved = False
-            for u, eid in frame[3]:
-                if eid == frame[1] and not frame[2]:
-                    frame[2] = True
-                    continue
-                if disc[u] == -1:
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    stack.append([u, eid, False, iter(adj[u])])
-                    moved = True
-                    break
-                if disc[u] < low[v]:
-                    low[v] = disc[u]
-            if moved:
-                continue
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                if low[v] < low[pv]:
-                    low[pv] = low[v]
-                if low[v] > disc[pv]:
-                    bridges.append(frame[1])
-    return bridges
-
-
 def find_2_edge_cuts(web):
     """All unordered edge pairs whose removal disconnects the web.
 
     Edges are named by their smaller dart; empty iff the web is
-    3-connected.  For each edge e the bridges of (web - e) are exactly its
-    cut partners, so the scan is O(E * (V + E)).
+    3-connected.  A disconnecting pair is a 2-bond or contains a bridge.
     """
     if len(web.map.components()) != 1:
         raise MapError("cut search needs a connected web")
     cmap = web.map
-    edge_ids = [d for d, _ in cmap.edges()]
-    cuts = set()
-    for e1 in edge_ids:
-        _, n = _dart_components_without(cmap, (e1,))
-        if n > 1:
-            # e1 is itself a bridge; any second edge completes a cut
-            for e2 in edge_ids:
-                if e2 != e1:
-                    cuts.add((min(e1, e2), max(e1, e2)))
-            continue
-        for e2 in _tarjan_bridges(cmap, e1):
-            cuts.add((min(e1, e2), max(e1, e2)))
+    bridges, bonds = _edge_cuts(cmap)
+    cuts = set(bonds)
+    for e1 in bridges:
+        for e2, _ in cmap.edges():
+            if e2 != e1:
+                cuts.add((min(e1, e2), max(e1, e2)))
     return sorted(cuts)
 
 

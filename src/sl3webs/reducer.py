@@ -268,18 +268,10 @@ class LinearCombination:
 
 
 _MEMO = {}
-_MEMO_CAP = None
 
 
 def clear_memo():
     _MEMO.clear()
-
-
-def set_memo_cap(cap):
-    """Entry cap for the shared memo table (None = unbounded); on overflow
-    the engine silently recomputes instead of storing."""
-    global _MEMO_CAP
-    _MEMO_CAP = cap
 
 
 def invariant(web):
@@ -313,8 +305,7 @@ def invariant(web):
     else:
         child_a, child_b = apply_square(web, red.site)
         value = invariant(child_a) + invariant(child_b)
-    if _MEMO_CAP is None or len(_MEMO) < _MEMO_CAP:
-        _MEMO[key] = value
+    _MEMO[key] = value
     return result * value
 
 

@@ -12,6 +12,7 @@ published count of 8 circular webs appears to miscount one web.
 import json
 import random
 import time
+import zlib
 
 import pytest
 
@@ -141,7 +142,7 @@ class TestCriterion5Confluence:
         for entry in _catalog():
             expect = entry.invariant
             for run in range(100):
-                rng = random.Random(hash((entry.name, run)))
+                rng = random.Random(zlib.crc32(f"{entry.name}:{run}".encode()))
                 assert invariant_random_order(entry.web, rng) == expect, (entry.name, run)
         elapsed = time.time() - t0
         print(f"ACCEPTANCE 5: PASS (100 randomized orders x 15 webs, {elapsed:.1f}s)")

@@ -106,6 +106,11 @@ class TestEnumerateCommand:
         rc, out, _ = run(capsys, "enumerate", "--vertices", "16", "--circular-only", "--count")
         assert rc == 0 and out.strip() == "2"
 
+    def test_negative_vertices_message(self, capsys):
+        rc, _, err = run(capsys, "enumerate", "--vertices", "-4", "--count")
+        assert rc == 1
+        assert "even and non-negative" in err and "-4" in err
+
 
 class TestSymmetryCommands:
     def test_check(self, capsys, webdir):
@@ -126,6 +131,12 @@ class TestSymmetryCommands:
         )
         obj = json.loads(out)
         assert rc == 0 and obj["outcome"] == "found"
+
+    def test_root_negative_budget_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["symmetry-root", "--expr", "[2]^2[3]", "2", "--budget", "-5"])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
 
     def test_root_from_web(self, capsys, webdir):
         rc, out, _ = run(capsys, "symmetry-root", webdir["hexprism"], "3")

@@ -9,7 +9,7 @@ from sl3webs.planarmap import (
     NonPlanarEmbedding,
     NotBipartite,
     NotCubic,
-    _connected_without,
+    _edge_cuts,
     automorphism_count,
     canonical_form,
     canonical_key,
@@ -17,6 +17,7 @@ from sl3webs.planarmap import (
     connectivity,
     disjoint_union,
     edge_3_coloring,
+    from_rotations,
     is_circular,
     isomorphic,
     mirror,
@@ -229,16 +230,17 @@ class TestConnectivity:
             connectivity(digon_prism_web())
 
     def test_bridge_detection_helper(self):
-        # two non-bipartite gadgets joined by a bridge (not a Web; the
-        # underlying cut scan must still see the bridge)
-        # gadget: a-b doubled, a-c, b-c, c-(bridge)
-        sigma = [1, 2, 0, 4, 5, 3, 8, 6, 7,  10, 11, 9, 13, 14, 12, 17, 15, 16]
-        # darts: a0:0,1,2 b0:3,4,5 c0:6,7,8 | a1:9.. b1:12.. c1:15..
-        theta = [3, 4, 6, 0, 1, 7, 2, 5, 17, 12, 13, 15, 9, 10, 16, 11, 14, 8]
-        m = CombMap(sigma, theta)
-        bridge = 8
-        assert not _connected_without(m, (bridge,))
-        assert _connected_without(m, (0,))
+        # two K4s, one edge of each subdivided, the subdivision vertices
+        # joined by the bridge 4-9 (cubic and genus 0, but not a Web)
+        m = from_rotations(
+            [[4, 2, 3], [4, 3, 2], [0, 1, 3], [0, 2, 1], [0, 1, 9],
+             [9, 7, 8], [9, 8, 7], [5, 6, 8], [5, 7, 6], [5, 6, 4]]
+        )
+        assert [g for g, _ in m.genus_by_component()] == [0]
+        bridge = next(d for d, t in m.edges() if {m.vertex_of(d), m.vertex_of(t)} == {4, 9})
+        bridges, _ = _edge_cuts(m)
+        assert bridges == [bridge]
+        assert 0 not in bridges
 
 
 class TestPolygonalDecompositions:

@@ -65,20 +65,39 @@ class TestFindCuts:
     def test_matches_naive_pair_scan(self):
         import itertools
 
+        from sl3webs.enumerator import build_catalog
         from sl3webs.primedec import _dart_components_without
 
-        for w in (
+        def disconnects(w, edges):
+            return _dart_components_without(w.map, edges)[1] > 1
+
+        primes = [e.web for e in build_catalog(20)]
+        rng = random.Random(20261018)
+        sums = []
+        for _ in range(30):
+            w = rng.choice(primes)
+            for _ in range(rng.randrange(1, 4)):
+                other = rng.choice(primes)
+                w = connected_sum(w, rng.randrange(w.map.n_darts),
+                                  other, rng.randrange(other.map.n_darts))
+            sums.append(w)
+        for w in [
+            theta_web(),
+            digon_prism_web(),
             cube_web(),
             cube_sum_cube(),
             connected_sum(cube_sum_cube(), 5, hex_prism_web(), 3),
-        ):
+        ] + sums:
             edge_ids = [d for d, _ in w.map.edges()]
-            naive = sorted(
-                (e1, e2)
-                for e1, e2 in itertools.combinations(edge_ids, 2)
-                if _dart_components_without(w.map, (e1, e2))[1] > 1
-            )
+            pairs = list(itertools.combinations(edge_ids, 2))
+            naive = sorted(p for p in pairs if disconnects(w, p))
             assert find_2_edge_cuts(w) == naive
+            if w.is_simple():
+                if any(disconnects(w, (e,)) for e in edge_ids):
+                    expect = 1
+                else:
+                    expect = 2 if naive else 3
+                assert connectivity(w) == expect
 
 
 class TestSplit:
