@@ -56,6 +56,7 @@ from .reducer import (
     find_reducible,
     invariant,
     invariant_trace,
+    reduce_at,
 )
 from .symmetry import RootSearchResult, check_quotient, dth_root_search, symmetry_report
 

@@ -29,6 +29,12 @@ from .planarmap import (
 from .reducer import _drop_and_rewire, invariant
 
 
+def _check_size(name, value):
+    """Vertex counts and slacks are even and non-negative."""
+    if value < 0 or value % 2:
+        raise ValueError(f"{name} must be even and non-negative, got {value}")
+
+
 def default_slack(n):
     """Smallest even integer >= n/8 (each level needs two more polygons)."""
     s = -(-n // 8)
@@ -167,6 +173,7 @@ _CIRCULAR_CACHE = {}
 
 def circular_primes(n):
     """All circular prime webs with n vertices, canonically deduplicated."""
+    _check_size("the vertex count", n)
     if n in _CIRCULAR_CACHE:
         return list(_CIRCULAR_CACHE[n])
     found = {}
@@ -271,12 +278,10 @@ def _prime_layers(top, bottom):
 def all_primes(n, slack=None):
     """All prime webs with n vertices: circular layers n..n+slack closed
     downward under pushing moves, keeping prime intermediates."""
-    if n % 2 or n < 0:
-        raise ValueError(f"the vertex count must be even and non-negative, got {n}")
+    _check_size("the vertex count", n)
     if slack is None:
         slack = default_slack(n)
-    if slack % 2:
-        raise ValueError("slack must be even")
+    _check_size("the slack", slack)
     final = dict(_prime_layers(n + slack, n))[n]
     return [final[k] for k in sorted(final)]
 
@@ -307,8 +312,8 @@ def build_catalog(n_max, slack=2):
     The default top slack of 2 is the known bound f(20) = 22 for the
     reference range.  Names are <n/2>_<i> with i ordered by canonical key.
     """
-    if n_max % 2:
-        raise ValueError("n_max must be even")
+    _check_size("the maximum vertex count", n_max)
+    _check_size("the slack", slack)
     per_size = {
         m: [found[k] for k in sorted(found)]
         for m, found in _prime_layers(n_max + slack, 8)

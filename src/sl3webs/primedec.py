@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .planarmap import CombMap, MapError, _edge_cuts, validate
 from .qlaurent import qint
-from .reducer import apply_bigon, invariant
+from .reducer import apply_bigon, find_all_reducibles, invariant
 
 
 class Decomposition:
@@ -124,14 +124,10 @@ def simplify(web):
     """
     l = 0
     while True:
-        bigon = None
-        for face in web.map.faces():
-            if len(face) == 2:
-                bigon = face[0]
-                break
-        if bigon is None:
+        bigons = [red.site for red in find_all_reducibles(web) if red.kind == "bigon"]
+        if not bigons:
             return web, l
-        web, _ = apply_bigon(web, bigon)
+        web, _ = apply_bigon(web, bigons[0])
         l += 1
 
 

@@ -12,6 +12,8 @@ which is sound because the invariant is mirror-invariant.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .planarmap import CombMap, MapError, canonical_key, validate
 from .qlaurent import HalfLaurent, qint
 
@@ -19,26 +21,17 @@ CIRCLE_FACTOR = qint(3)
 BIGON_FACTOR = -qint(2)
 
 
-class Reducible:
+class Reducible(NamedTuple):
     """A reduction site: a circle, or a dart on a bigon/square face."""
 
-    __slots__ = ("kind", "site")
-
-    def __init__(self, kind, site=None):
-        if kind not in ("circle", "bigon", "square"):
-            raise ValueError(f"unknown relation kind {kind!r}")
-        self.kind = kind
-        self.site = site
+    kind: str
+    site: int | None = None
 
     def __repr__(self):
         return f"Reducible({self.kind}, site={self.site})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Reducible)
-            and self.kind == other.kind
-            and self.site == other.site
-        )
+
+_PRIORITY = ("circle", "bigon", "square")
 
 
 def find_reducible(web):
@@ -46,26 +39,16 @@ def find_reducible(web):
 
     Returns None exactly when the web is empty.
     """
-    if web.circles > 0:
-        return Reducible("circle")
-    if web.map.n_darts == 0:
-        return None
-    bigon = None
-    square = None
-    for face in web.map.faces():
-        if len(face) == 2 and bigon is None:
-            bigon = face[0]
-        elif len(face) == 4 and square is None:
-            square = face[0]
-    if bigon is not None:
-        return Reducible("bigon", bigon)
-    if square is not None:
-        return Reducible("square", square)
-    raise MapError("no reducible face; input was not a valid closed web")
+    sites = find_all_reducibles(web)
+    if sites:
+        return min(sites, key=lambda red: _PRIORITY.index(red.kind))
+    if web.map.n_darts:
+        raise MapError("no reducible face; input was not a valid closed web")
+    return None
 
 
 def find_all_reducibles(web):
-    """Every applicable site, for randomized-order evaluation."""
+    """Every applicable site: the circle first, then faces by least dart."""
     out = []
     if web.circles > 0:
         out.append(Reducible("circle"))
@@ -209,6 +192,19 @@ def apply_square(web, site):
     return child_a, child_b
 
 
+def reduce_at(web, red):
+    """Apply the relation at one site: [(child, factor), ...], whose
+    weighted sum of invariants is the invariant of `web`."""
+    if red.kind == "circle":
+        return [apply_circle(web)]
+    if red.kind == "bigon":
+        return [apply_bigon(web, red.site)]
+    if red.kind == "square":
+        one = HalfLaurent.one()
+        return [(child, one) for child in apply_square(web, red.site)]
+    raise ValueError(f"unknown relation kind {red.kind!r}")
+
+
 class LinearCombination:
     """The engine's working state: weighted webs plus a scalar accumulator.
 
@@ -242,16 +238,7 @@ class LinearCombination:
         if red is None:
             self.accumulator = self.accumulator + coeff
             return
-        if red.kind == "circle":
-            child, factor = apply_circle(web)
-            self.terms.append((child, coeff * factor))
-        elif red.kind == "bigon":
-            child, factor = apply_bigon(web, red.site)
-            self.terms.append((child, coeff * factor))
-        else:
-            child_a, child_b = apply_square(web, red.site)
-            self.terms.append((child_a, coeff))
-            self.terms.append((child_b, coeff))
+        self.terms.extend((child, coeff * factor) for child, factor in reduce_at(web, red))
 
     def reduce_fully(self):
         while self.terms:
@@ -299,12 +286,8 @@ def invariant(web):
     red = find_reducible(web)
     if red is None:
         value = HalfLaurent.one()
-    elif red.kind == "bigon":
-        child, factor = apply_bigon(web, red.site)
-        value = factor * invariant(child)
     else:
-        child_a, child_b = apply_square(web, red.site)
-        value = invariant(child_a) + invariant(child_b)
+        value = sum(factor * invariant(child) for child, factor in reduce_at(web, red))
     _MEMO[key] = value
     return result * value
 
@@ -318,14 +301,7 @@ def invariant_random_order(web, rng):
             raise MapError("stuck on a nonempty web")
         return HalfLaurent.one()
     red = sites[rng.randrange(len(sites))]
-    if red.kind == "circle":
-        child, factor = apply_circle(web)
-        return factor * invariant_random_order(child, rng)
-    if red.kind == "bigon":
-        child, factor = apply_bigon(web, red.site)
-        return factor * invariant_random_order(child, rng)
-    child_a, child_b = apply_square(web, red.site)
-    return invariant_random_order(child_a, rng) + invariant_random_order(child_b, rng)
+    return sum(factor * invariant_random_order(child, rng) for child, factor in reduce_at(web, red))
 
 
 def invariant_trace(web):
@@ -337,36 +313,18 @@ def invariant_trace(web):
     red = find_reducible(web)
     if red is None:
         return HalfLaurent.one(), {"relation": "empty", "value": "1"}
-    if red.kind == "circle":
-        child, factor = apply_circle(web)
+    total = HalfLaurent.zero()
+    children = []
+    pairs = reduce_at(web, red)
+    for child, factor in pairs:
         val, sub = invariant_trace(child)
-        total = factor * val
-        node = {
-            "relation": "circle",
-            "site": None,
-            "factor": factor.to_json_obj(),
-            "children": [sub],
-        }
-    elif red.kind == "bigon":
-        child, factor = apply_bigon(web, red.site)
-        val, sub = invariant_trace(child)
-        total = factor * val
-        node = {
-            "relation": "bigon",
-            "site": red.site,
-            "factor": factor.to_json_obj(),
-            "children": [sub],
-        }
-    else:
-        child_a, child_b = apply_square(web, red.site)
-        va, sa = invariant_trace(child_a)
-        vb, sb = invariant_trace(child_b)
-        total = va + vb
-        node = {
-            "relation": "square",
-            "site": red.site,
-            "factor": HalfLaurent.one().to_json_obj(),
-            "children": [sa, sb],
-        }
-    node["value"] = total.pretty()
+        total = total + factor * val
+        children.append(sub)
+    node = {
+        "relation": red.kind,
+        "site": red.site,
+        "factor": pairs[0][1].to_json_obj(),  # both square children carry 1
+        "children": children,
+        "value": total.pretty(),
+    }
     return total, node

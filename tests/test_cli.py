@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+import sl3webs
 from sl3webs.cli import main, verify_paper
 from sl3webs.planarmap import serialize_web
 from sl3webs.qlaurent import parse_qexpr
@@ -111,6 +113,16 @@ class TestEnumerateCommand:
         assert rc == 1
         assert "even and non-negative" in err and "-4" in err
 
+    def test_negative_slack_message(self, capsys):
+        rc, _, err = run(capsys, "enumerate", "--vertices", "8", "--slack", "-2")
+        assert rc == 1
+        assert "slack must be even and non-negative, got -2" in err
+
+    def test_negative_vertices_circular_only_message(self, capsys):
+        rc, _, err = run(capsys, "enumerate", "--vertices", "-4", "--circular-only")
+        assert rc == 1
+        assert "vertex count must be even and non-negative, got -4" in err
+
 
 class TestSymmetryCommands:
     def test_check(self, capsys, webdir):
@@ -152,6 +164,12 @@ class TestCatalogCommand:
         assert [l["name"] for l in lines] == ["4_1", "6_1"]
         assert lines[1]["descriptions"] == [[4, 4, 4], [4, 4, 4], [6, 6]]
 
+    def test_bad_slack_messages(self, capsys):
+        for slack in ("-4", "1"):
+            rc, out, err = run(capsys, "catalog", "--max-vertices", "12", "--slack", slack)
+            assert rc == 1 and out == ""
+            assert f"slack must be even and non-negative, got {slack}" in err
+
 
 class TestVerifyPaper:
     def test_report_small(self):
@@ -166,15 +184,22 @@ class TestVerifyPaper:
         assert rc == 0 and out.strip() == "1"
 
 
+def _child_env(hash_seed):
+    """A child interpreter's environment: the hash seed, and the package
+    from where this interpreter imported it."""
+    src = os.path.dirname(os.path.dirname(sl3webs.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+
+
 class TestCrossProcessDeterminism:
     def test_canon_stable_under_hash_randomization(self, webdir):
-        import os
         import subprocess
         import sys
 
         outs = []
         for seed in ("0", "31337"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = _child_env(seed)
             proc = subprocess.run(
                 [sys.executable, "-m", "sl3webs.cli", "canon", webdir["hexprism"]],
                 capture_output=True,
@@ -186,13 +211,12 @@ class TestCrossProcessDeterminism:
         assert outs[0] == outs[1]
 
     def test_catalog_stable_under_hash_randomization(self, webdir):
-        import os
         import subprocess
         import sys
 
         outs = []
         for seed in ("1", "99991"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = _child_env(seed)
             proc = subprocess.run(
                 [sys.executable, "-m", "sl3webs.cli", "catalog", "--max-vertices", "12"],
                 capture_output=True,

@@ -4,6 +4,7 @@ import pytest
 
 from sl3webs.planarmap import (
     CombMap,
+    MAX_CIRCLES,
     FormatError,
     MapError,
     NonPlanarEmbedding,
@@ -374,6 +375,28 @@ class TestFormats:
         with pytest.raises(FormatError) as exc:
             parse_map("1: 2 3 4\nnot a line\n")
         assert exc.value.line == 2
+
+    def test_darts_header_must_match_rotations(self):
+        # a huge header is refused before anything of its size is allocated
+        for header in ("1000000000000", "8", "-6"):
+            with pytest.raises(FormatError) as exc:
+                parse_map(THETA_DART.replace("darts: 6", f"darts: {header}"))
+            assert exc.value.line == 1 and header in str(exc.value)
+
+    def test_non_integer_header_line_number(self):
+        for text in (THETA_DART + "circles: abc\n", "darts: x\n", "1: 2\n2: 1\ncircles: abc\n"):
+            with pytest.raises(FormatError) as exc:
+                parse_map(text)
+            assert exc.value.line == text.count("\n")
+
+    def test_circle_count_limit(self):
+        for prefix in ("darts: 0\n", ""):
+            _, circles = parse_map(f"{prefix}circles: {MAX_CIRCLES}\n")
+            assert circles == MAX_CIRCLES
+            for bad in (MAX_CIRCLES + 1, 8000, -1):
+                with pytest.raises(FormatError) as exc:
+                    parse_map(f"{prefix}circles: {bad}\n")
+                assert str(bad) in str(exc.value)
 
 
 class TestEuler:

@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 
@@ -6,6 +7,7 @@ from sl3webs.planarmap import CombMap, MapError, disjoint_union, mirror, validat
 from sl3webs.qlaurent import HalfLaurent, parse_qexpr, qint
 from sl3webs.reducer import (
     LinearCombination,
+    Reducible,
     apply_bigon,
     apply_circle,
     apply_square,
@@ -14,6 +16,7 @@ from sl3webs.reducer import (
     invariant,
     invariant_random_order,
     invariant_trace,
+    reduce_at,
 )
 from webfixtures import cube_web, digon_prism_web, hex_prism_web, theta_web
 
@@ -157,7 +160,7 @@ class TestConfluence:
         for name, w in webs.items():
             expect = invariant(w)
             for run in range(30):
-                rng = random.Random((name, run).__hash__())
+                rng = random.Random(zlib.crc32(f"{name}:{run}".encode()))
                 assert invariant_random_order(w, rng) == expect
 
     def test_disjoint_union_random_order(self):
@@ -166,6 +169,22 @@ class TestConfluence:
         for run in range(10):
             rng = random.Random(run)
             assert invariant_random_order(w, rng) == expect
+
+
+class TestReduceAt:
+    def test_weighted_children_sum_to_parent(self):
+        # at every site, not just the priority one
+        webs = (cube_web(), theta_web(), hex_prism_web(), digon_prism_web())
+        for w in webs + (cube_web().with_circles(1),):
+            sites = find_all_reducibles(w)
+            assert sites
+            for red in sites:
+                total = sum(f * invariant(c) for c, f in reduce_at(w, red))
+                assert total == invariant(w)
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError):
+            reduce_at(cube_web(), Reducible("hexagon", 0))
 
 
 class TestProgress:
@@ -181,13 +200,7 @@ class TestProgress:
             steps += 1
             assert steps < 10000
             before = (w.n_vertices, w.circles)
-            if red.kind == "circle":
-                children = [apply_circle(w)[0]]
-            elif red.kind == "bigon":
-                children = [apply_bigon(w, red.site)[0]]
-            else:
-                children = list(apply_square(w, red.site))
-            for c in children:
+            for c, _ in reduce_at(w, red):
                 assert (c.n_vertices, c.circles) < before
                 stack.append(c)
 
