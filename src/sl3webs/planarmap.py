@@ -74,7 +74,9 @@ def _orbits(perm, darts=None):
 class CombMap:
     """A dart-based rotation system; immutable after construction."""
 
-    __slots__ = ("sigma", "theta", "_vertices", "_vertex_of", "_faces", "_face_of")
+    __slots__ = (
+        "sigma", "theta", "_vertices", "_vertex_of", "_faces", "_face_of", "_components"
+    )
 
     def __init__(self, sigma, theta):
         sigma = tuple(sigma)
@@ -96,6 +98,7 @@ class CombMap:
         self._vertex_of = None
         self._faces = None
         self._face_of = None
+        self._components = None
 
     @property
     def n_darts(self):
@@ -146,24 +149,26 @@ class CombMap:
 
     def components(self):
         """Connected components as sorted dart tuples."""
-        n = self.n_darts
-        seen = [False] * n
-        comps = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            comp = []
-            stack = [start]
-            seen[start] = True
-            while stack:
-                d = stack.pop()
-                comp.append(d)
-                for nb in (self.sigma[d], self.theta[d]):
-                    if not seen[nb]:
-                        seen[nb] = True
-                        stack.append(nb)
-            comps.append(tuple(sorted(comp)))
-        return comps
+        if self._components is None:
+            n = self.n_darts
+            seen = [False] * n
+            comps = []
+            for start in range(n):
+                if seen[start]:
+                    continue
+                comp = []
+                stack = [start]
+                seen[start] = True
+                while stack:
+                    d = stack.pop()
+                    comp.append(d)
+                    for nb in (self.sigma[d], self.theta[d]):
+                        if not seen[nb]:
+                            seen[nb] = True
+                            stack.append(nb)
+                comps.append(tuple(sorted(comp)))
+            self._components = tuple(comps)
+        return self._components
 
     def genus_by_component(self):
         """(genus, witness dart) per component via V - E + F = 2 - 2g."""
@@ -349,57 +354,76 @@ def mirror(web):
 # -- canonical form ----------------------------------------------------------
 
 
-def _component_canonical(sigma, theta, comp, rotations):
-    """Least BFS-labeling sequence over all roots and given rotations.
+def _component_canonical(theta, comp, rotations):
+    """Least BFS-labeling word over the roots of the least local class.
 
-    For each root dart and rotation (sigma, or its inverse when reflections
-    are included), darts are labeled in discovery order; the emitted word is
-    (label[rot[d]], label[theta[d]]) for darts in label order.  The minimum
-    word is a complete isomorphism invariant of the rooted component, so its
-    minimum over roots is one for the component.
+    `rotations` pairs each rotation rot (sigma, or also its inverse when
+    reflections are included) with the length of the rot-face at each
+    dart, faces being the orbits of rot o theta.  For a root dart and a
+    rotation, darts are labeled in discovery order; the emitted word is
+    (label[rot[d]], label[theta[d]]) for darts in label order, a complete
+    isomorphism invariant of the rooted component.
+
+    Only the (rotation, root) pairs of least local class are tried, the
+    class being the face lengths at (d, theta d, rot d, theta rot d).  An
+    isomorphism, mirror or not, carries faces to faces of the matching
+    rotation, so it preserves the class: the least class is an invariant
+    of the component, and the least word over its pairs is still a
+    complete one.  The automorphisms act freely on the pairs and preserve
+    the class, so the number of pairs attaining the least word is the
+    group order.
     """
-    n_total = len(theta)
+    roots = []
+    least = None
+    for rot, flen in rotations:
+        for d in comp:
+            r = rot[d]
+            cls = (flen[d], flen[theta[d]], flen[r], flen[theta[r]])
+            if least is None or cls < least:
+                least = cls
+                roots = [(rot, d)]
+            elif cls == least:
+                roots.append((rot, d))
     best = None
     best_hits = 0
-    lab = [-1] * n_total
-    for rot in rotations:
-        for root in comp:
-            for d in comp:
-                lab[d] = -1
-            lab[root] = 0
-            order = [root]
-            seq = []
-            state = 1 if best is None else 0  # 0 undecided, 1 strictly better
-            pos = 0
-            i = 0
-            abandoned = False
-            while i < len(order):
-                d = order[i]
-                for nb in (rot[d], theta[d]):
-                    l = lab[nb]
-                    if l < 0:
-                        l = len(order)
-                        lab[nb] = l
-                        order.append(nb)
-                    if state == 0:
-                        b = best[pos]
-                        if l > b:
-                            abandoned = True
-                            break
-                        if l < b:
-                            state = 1
-                    seq.append(l)
-                    pos += 1
-                if abandoned:
-                    break
-                i += 1
+    lab = [-1] * len(theta)
+    for rot, root in roots:
+        for d in comp:
+            lab[d] = -1
+        lab[root] = 0
+        order = [root]
+        seq = []
+        state = 1 if best is None else 0  # 0 undecided, 1 strictly better
+        pos = 0
+        i = 0
+        abandoned = False
+        while i < len(order):
+            d = order[i]
+            for nb in (rot[d], theta[d]):
+                l = lab[nb]
+                if l < 0:
+                    l = len(order)
+                    lab[nb] = l
+                    order.append(nb)
+                if state == 0:
+                    b = best[pos]
+                    if l > b:
+                        abandoned = True
+                        break
+                    if l < b:
+                        state = 1
+                seq.append(l)
+                pos += 1
             if abandoned:
-                continue
-            if state == 1:
-                best = seq
-                best_hits = 1
-            else:
-                best_hits += 1
+                break
+            i += 1
+        if abandoned:
+            continue
+        if state == 1:
+            best = seq
+            best_hits = 1
+        else:
+            best_hits += 1
     return best, best_hits
 
 
@@ -408,13 +432,21 @@ def _canonical_data(web, include_reflections):
     sigma = cmap.sigma
     theta = cmap.theta
     n = len(sigma)
-    sigma_inv = [0] * n
-    for d in range(n):
-        sigma_inv[sigma[d]] = d
-    rotations = [sigma, sigma_inv] if include_reflections else [sigma]
+    flen = [0] * n
+    for face in cmap.faces():
+        for d in face:
+            flen[d] = len(face)
+    rotations = [(sigma, flen)]
+    if include_reflections:
+        sigma_inv = [0] * n
+        for d in range(n):
+            sigma_inv[sigma[d]] = d
+        # the sigma^-1 face of d is theta of the sigma face of theta d,
+        # since (sigma^-1 theta)^-1 = theta (sigma theta) theta
+        rotations.append((sigma_inv, [flen[t] for t in theta]))
     out = []
     for comp in cmap.components():
-        word, hits = _component_canonical(sigma, theta, comp, rotations)
+        word, hits = _component_canonical(theta, comp, rotations)
         out.append((bytes_of_word(word), hits, word))
     return out
 
@@ -758,7 +790,9 @@ def _parse_dart(lines):
             circles = _parse_header(ln, no)
             continue
         if ln.startswith("v"):
-            head, body = ln.split(":", 1)
+            if ":" not in ln:
+                raise FormatError("expected 'v N: darts'", no)
+            body = ln.split(":", 1)[1]
             rotations.append((_parse_int_list(body, no), no))
             continue
         if ln.startswith("e:"):

@@ -254,8 +254,9 @@ def dth_root_search(p, d, budget=DEFAULT_BUDGET, support_limit=None):
     tested_total = 0
     for m in factors:
         target_m = tuple(c % m for c in target_full.coeffs)
+        remaining = budget - tested_total
         witness, tested, exhausted = _search_component(
-            d, m, target_m, d, budget - tested_total, support
+            d, m, target_m, d, remaining, support
         )
         tested_total += tested
         if witness is not None:
@@ -273,8 +274,9 @@ def dth_root_search(p, d, budget=DEFAULT_BUDGET, support_limit=None):
             "budget_exhausted",
             None,
             tested_total,
-            f"mod-{m} component space {m}^{support} exceeds the remaining "
-            f"budget; raise --budget to continue",
+            f"mod-{m} component space {m}^{support} (about {float(m**support):.1e} "
+            f"candidates) exceeds the remaining budget of {remaining} "
+            f"candidates",
         )
     coeffs = []
     for pos in range(W):

@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from sl3webs.planarmap import (
     serialize_web,
     validate,
 )
+from sl3webs.reducer import find_all_reducibles, reduce_at
 from webfixtures import (
     cube_web,
     digon_prism_web,
@@ -40,6 +42,12 @@ from webfixtures import (
     theta_web,
     triangle_prism_web_map,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+
+
+def fixture_web(name):
+    return parse_web((FIXTURES / f"{name}.dart").read_text())
 
 
 def _invert(perm):
@@ -150,6 +158,19 @@ class TestCanonicalKey:
             for _ in range(5):
                 assert canonical_key(random_relabel(w, rng)) == k
 
+    @pytest.mark.parametrize(
+        "name",
+        ["omni_tetrahedron", "omni_cube", "omni_dodecahedron", "omni_prism5", "omni_antiprism4"],
+    )
+    def test_fixture_relabel_and_mirror_invariance(self, name):
+        w = fixture_web(name)
+        assert canonical_key(mirror(w), True) == canonical_key(w, True)
+        rng = random.Random(29)
+        for _ in range(5):
+            relabeled = random_relabel(w, rng)
+            for refl in (True, False):
+                assert canonical_key(relabeled, refl) == canonical_key(w, refl)
+
     def test_mirror_invariance_with_reflections(self):
         for w in (cube_web(), theta_web(), hex_prism_web()):
             assert canonical_key(mirror(w), True) == canonical_key(w, True)
@@ -167,6 +188,37 @@ class TestCanonicalKey:
                 for refl in (True, False):
                     brute = brute_force_isomorphisms(a, b, refl) > 0
                     assert (canonical_key(a, refl) == canonical_key(b, refl)) == brute
+
+    def test_matches_brute_force_iso_mid_reduction(self):
+        # connected children of every reduction site: multi-edges and
+        # uneven face lengths, so the least local class is a strict subset
+        # of the darts and differs between the two rotations
+        webs = [cube_web(), hex_prism_web(), digon_prism_web()]
+        names = ["prime_8_1", "prime_8_2"] + [f"prime_10_{i}" for i in range(1, 9)]
+        webs += [fixture_web(name) for name in names]
+        children = [
+            child
+            for w in webs
+            for red in find_all_reducibles(w)
+            for child, _ in reduce_at(w, red)
+            if len(child.map.components()) == 1
+        ]
+        assert len(children) > 150
+        # face lengths are an isomorphism invariant (mirror included), so
+        # webs with different ones need no brute-force search
+        faces = [sorted(len(f) for f in c.map.faces()) for c in children]
+        for i, a in enumerate(children):
+            for j in range(i, len(children)):
+                b = children[j]
+                for refl in (True, False):
+                    brute = faces[i] == faces[j] and brute_force_isomorphisms(a, b, refl) > 0
+                    assert (canonical_key(a, refl) == canonical_key(b, refl)) == brute
+        rng = random.Random(17)
+        for c in children:
+            assert canonical_key(mirror(c), True) == canonical_key(c, True)
+            relabeled = random_relabel(c, rng)
+            for refl in (True, False):
+                assert canonical_key(relabeled, refl) == canonical_key(c, refl)
 
     def test_circle_count_in_key(self):
         w = cube_web()
@@ -201,6 +253,21 @@ class TestAutomorphisms:
         w = hex_prism_web()
         assert automorphism_count(w, False) == brute_force_isomorphisms(w, w, False) == 12
         assert automorphism_count(w, True) == 24
+
+    @pytest.mark.parametrize(
+        "name, plain, refl",
+        [
+            ("omni_tetrahedron", 24, 48),
+            ("omni_cube", 24, 48),
+            ("omni_dodecahedron", 60, 120),
+            ("omni_prism5", 10, 20),
+            ("omni_antiprism4", 8, 16),
+        ],
+    )
+    def test_omnitruncated_fixtures(self, name, plain, refl):
+        w = fixture_web(name)
+        assert automorphism_count(w, False) == plain
+        assert automorphism_count(w, True) == refl
 
     def test_divides_four_e(self):
         for w in (cube_web(), theta_web(), hex_prism_web(), digon_prism_web()):
@@ -375,6 +442,11 @@ class TestFormats:
         with pytest.raises(FormatError) as exc:
             parse_map("1: 2 3 4\nnot a line\n")
         assert exc.value.line == 2
+
+    def test_rotation_line_without_colon(self):
+        with pytest.raises(FormatError) as exc:
+            parse_map(THETA_DART.replace("v 1: 0 2 4", "v 1 0 2 4"))
+        assert exc.value.line == 2 and "expected 'v N: darts'" in str(exc.value)
 
     def test_darts_header_must_match_rotations(self):
         # a huge header is refused before anything of its size is allocated

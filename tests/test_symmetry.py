@@ -84,6 +84,9 @@ class TestRootSearch:
         res = dth_root_search(qint(2), 5, budget=1000)
         assert res.outcome == "budget_exhausted"
         assert res.searched <= 1000
+        # the detail names the component space and the budget left for it
+        assert "5^20" in res.detail and "1000" in res.detail
+        assert "raise --budget" not in res.detail
 
     def test_searched_counts(self):
         res = dth_root_search(P61, 2)
