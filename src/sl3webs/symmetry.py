@@ -9,6 +9,13 @@ are scanned smallest first, so an obstruction in a small component settles
 the question without touching the big one.  Every witness is re-verified
 exactly before being reported, and running out of budget is reported as
 such, never as non-existence.
+
+The mod-2 components of d = 2 and d = 6 (the 2^24-element ring of the
+order-6 question) are scanned bit-packed and table-driven: squaring is
+additive in characteristic 2, so with d = 2^a + 2^b and a candidate split
+into high and low bits h + l, x^d = h^d + l^d + C_h(l) with C_h linear in
+l.  Each candidate's power is then a few XORs of table entries, and every
+candidate is still tested, in increasing order.
 """
 
 from __future__ import annotations
@@ -171,12 +178,13 @@ def _search_component_generic(d, m, target, exponent, budget, support):
     return None, tested, True
 
 
-def _search_component_mod2(d, target, exponent, budget, support):
-    """Bit-packed scan of a mod-2 component (fast path for 2^24 spaces).
+def _mod2_product(d):
+    """The product of the bit-packed mod-2 component ring, on uint64 arrays.
 
     Bit i holds the coefficient at window position i (half-exponent
     i - 2d); products convolve to bits 0..8d-2 and fold back into the
-    window bits 2d..6d-1 exactly as the generic path does.
+    window bits 2d..6d-1 exactly as the generic path does.  Operands
+    broadcast against each other.
     """
     W = 4 * d
     gen = ideal_generator(d)
@@ -184,10 +192,9 @@ def _search_component_mod2(d, target, exponent, budget, support):
     for k, c in gen.items():
         if c % 2:
             H |= 1 << (k + 2 * d)
-    tgt = np.uint64(sum((c % 2) << i for i, c in enumerate(target)))
 
     def redmul(a, b):
-        z = np.zeros_like(a)
+        z = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
         for i in range(W):
             mask = (a >> np.uint64(i)) & np.uint64(1)
             z ^= (b << np.uint64(i)) * mask
@@ -199,38 +206,104 @@ def _search_component_mod2(d, target, exponent, budget, support):
             z ^= np.uint64(H << j) * mask
         return (z >> np.uint64(2 * d)) & np.uint64((1 << W) - 1)
 
-    def powvec(b, e):
-        result = np.full_like(b, np.uint64(1 << (2 * d)))
-        base = b
-        while e:
-            if e & 1:
-                result = redmul(result, base)
-            base = redmul(base, base)
-            e >>= 1
-        return result
+    return redmul
 
+
+def _mod2_powers(d, exponent, support, count):
+    """Yield (start, x^e for ids start, start+1, ...) over ids [0, count).
+
+    Id x is the element with bit i at window position i, supported on the
+    low `support` bits; e is `exponent`, which must be 2^a + 2^b with
+    a >= b.  Blocks start at multiples of 2^20 and hold at most 2^20 ids,
+    as rows h (the bits above the lowest min(12, support)) by columns l
+    (the lowest bits): x^e = h^e + l^e + C_h(l), where doubling the
+    images of C_h on the basis bits of l gives C_h(l) for every l as
+    XORs (see `_search_component_mod2`).  The ring product runs on the
+    tables (2^12 low powers, the block's rows and their basis images),
+    never on single candidates.
+    """
+    a = (exponent - 1).bit_length() - 1
+    rest = exponent - (1 << a)
+    assert rest & (rest - 1) == 0, "exponent must have at most two bits set"
+    b = rest.bit_length() - 1
+    redmul = _mod2_product(d)
+
+    def frobenius(x, k):
+        for _ in range(k):
+            x = redmul(x, x)
+        return x
+
+    lo = min(12, support)
+    L = 1 << lo
+    low = np.arange(L, dtype=np.uint64)
+    low_powers = redmul(frobenius(low, a), frobenius(low, b))
+    basis = np.uint64(1) << np.arange(lo, dtype=np.uint64)
+    basis_a, basis_b = frobenius(basis, a), frobenius(basis, b)
+    block = 1 << 20
+    for start in range(0, count, block):
+        stop = min(count, start + block)
+        rows = -(-(stop - start) // L)
+        high = np.arange(start >> lo, (start >> lo) + rows, dtype=np.uint64) << np.uint64(lo)
+        high_a, high_b = frobenius(high, a), frobenius(high, b)
+        cross = redmul(high_a[:, None], basis_b[None, :]) ^ redmul(
+            high_b[:, None], basis_a[None, :]
+        )
+        table = np.empty((rows, L), dtype=np.uint64)
+        table[:, 0] = 0
+        for j in range(lo):
+            table[:, 1 << j : 2 << j] = table[:, : 1 << j] ^ cross[:, j : j + 1]
+        table ^= low_powers[None, :]
+        table ^= redmul(high_a, high_b)[:, None]
+        yield start, table.ravel()[: stop - start]
+
+
+def _search_component_mod2(d, target, exponent, budget, support):
+    """Bit-packed scan of a mod-2 component (d = 2, and the 2^24 space of d = 6).
+
+    Every candidate id in [0, min(2^support, budget)) is tested, in
+    increasing order, so a hit is the least witness in that encoding; a
+    hit reports the end of its 2^20-id block, or of the budget if that
+    comes first, as the tested count.
+
+    The powers are exact.  The component ring is commutative of
+    characteristic 2, so the Frobenius map F(x) = x^2 is additive and F^a,
+    F^b are GF(2)-linear.  With e = 2^a + 2^b (d = 2 is 1 + 1, d = 6 is
+    4 + 2) and x = h + l,
+
+        x^e = F^a(h + l) F^b(h + l) = h^e + l^e + C_h(l),
+        C_h(l) = F^a(h) F^b(l) + F^b(h) F^a(l),
+
+    and C_h is GF(2)-linear in l, so its values on the basis bits of l
+    determine it on their whole span.  (For a = b the two cross terms
+    cancel, as they should: squaring is additive.)  `_mod2_powers` builds
+    the powers from these identities with the ring product `_mod2_product`.
+    """
+    W = 4 * d
+    tgt = np.uint64(sum((c % 2) << i for i, c in enumerate(target)))
     space = 1 << support
-    tested = 0
-    chunk = 1 << 20
-    start = 0
-    while start < space:
-        if tested >= budget:
-            return None, tested, False
-        stop = min(space, start + chunk, start + (budget - tested))
-        b = np.arange(start, stop, dtype=np.uint64)
-        hits = np.nonzero(powvec(b, exponent) == tgt)[0]
-        tested += stop - start
+    count = min(space, max(budget, 0))
+    for start, powers in _mod2_powers(d, exponent, support, count):
+        hits = np.flatnonzero(powers == tgt)
         if hits.size:
-            w = int(b[hits[0]])
-            return tuple((w >> i) & 1 for i in range(W)), tested, True
-        start = stop
-    return None, tested, True
+            w = start + int(hits[0])
+            return tuple((w >> i) & 1 for i in range(W)), start + powers.size, True
+    return None, count, count == space
 
 
 def _search_component(d, m, target, exponent, budget, support):
     if m == 2 and 8 * d - 2 <= 63:
         return _search_component_mod2(d, target, exponent, budget, support)
     return _search_component_generic(d, m, target, exponent, budget, support)
+
+
+def _approx(n):
+    """`n` as "%.1e" would print float(n), also beyond the float range."""
+    # imported here: every CLI start imports this module, and only a
+    # budget_exhausted detail needs it
+    from decimal import Decimal
+
+    mantissa, exp = f"{Decimal(n):.1e}".split("e")
+    return f"{mantissa}e{int(exp):+03d}"
 
 
 def dth_root_search(p, d, budget=DEFAULT_BUDGET, support_limit=None):
@@ -274,7 +347,7 @@ def dth_root_search(p, d, budget=DEFAULT_BUDGET, support_limit=None):
             "budget_exhausted",
             None,
             tested_total,
-            f"mod-{m} component space {m}^{support} (about {float(m**support):.1e} "
+            f"mod-{m} component space {m}^{support} (about {_approx(m**support)} "
             f"candidates) exceeds the remaining budget of {remaining} "
             f"candidates",
         )
@@ -318,7 +391,8 @@ def symmetry_report(web, candidates, budget=DEFAULT_BUDGET):
             continue
         p_q = invariant(quotient)
         entry["quotient_invariant"] = p_q.to_json_obj()
-        entry["power_residue"] = mod_reduce(p_q**d, d).to_poly().to_json_obj()
-        entry["congruent"] = check_quotient(p_g, p_q, d)
+        power_residue = mod_reduce(p_q**d, d)
+        entry["power_residue"] = power_residue.to_poly().to_json_obj()
+        entry["congruent"] = power_residue == mod_reduce(p_g, d)
         report["candidates"].append(entry)
     return report

@@ -150,6 +150,13 @@ class TestSymmetryCommands:
         assert exc.value.code == 2
         assert "non-negative" in capsys.readouterr().err
 
+    def test_root_budget_exhausted_beyond_float_range(self, capsys):
+        # 47^188 candidates overflow a float; the detail must still print
+        rc, out, _ = run(capsys, "symmetry-root", "--expr", "[2]", "47", "--budget", "10")
+        obj = json.loads(out)
+        assert rc == 0 and obj["outcome"] == "budget_exhausted"
+        assert "47^188" in obj["detail"]
+
     def test_root_from_web(self, capsys, webdir):
         rc, out, _ = run(capsys, "symmetry-root", webdir["hexprism"], "3")
         obj = json.loads(out)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from sl3webs.qlaurent import (
@@ -12,7 +13,11 @@ from sl3webs.qlaurent import (
 )
 from sl3webs.reducer import invariant
 from sl3webs.symmetry import (
+    _ComponentRing,
+    _ids_to_digits,
+    _mod2_powers,
     _search_component_generic,
+    _search_component_mod2,
     check_quotient,
     dth_root_search,
     symmetry_report,
@@ -88,6 +93,14 @@ class TestRootSearch:
         assert "5^20" in res.detail and "1000" in res.detail
         assert "raise --budget" not in res.detail
 
+    def test_budget_exhausted_beyond_float_range(self):
+        # 47^188 exceeds the float range; the detail takes its size from the integer
+        res = dth_root_search(qint(2), 47, budget=10)
+        assert res.outcome == "budget_exhausted"
+        assert res.searched == 10
+        assert "47^188" in res.detail and "10" in res.detail
+        assert "2.3e+314" in res.detail
+
     def test_searched_counts(self):
         res = dth_root_search(P61, 2)
         assert 1 <= res.searched <= 256
@@ -132,6 +145,50 @@ class TestCrtConsistency:
             res = dth_root_search(target, 6, support_limit=support)
             assert res.outcome == "found"
             assert verify_witness(target, 6, res.witness)
+
+
+class TestMod2Kernel:
+    """The table-driven mod-2 scan against the coefficient-vector ring code."""
+
+    BUDGETS = (10**7, 1000, 4097)  # the last two end inside a block
+
+    def _agree(self, d, target, support):
+        for budget in self.BUDGETS:
+            kernel = _search_component_mod2(d, target, d, budget, support)
+            generic = _search_component_generic(d, 2, target, d, budget, support)
+            assert kernel == generic, (d, target, support, budget)
+        return kernel[0] is not None
+
+    def test_square_roots_all_targets(self):
+        found = sum(
+            self._agree(2, tuple((t >> i) & 1 for i in range(8)), 8) for t in range(256)
+        )
+        assert 0 < found < 256
+
+    @pytest.mark.parametrize("support", [3, 10, 14])
+    def test_sixth_roots(self, support):
+        rng = random.Random(1000 + support)
+        targets = [tuple(rng.randrange(2) for _ in range(24)) for _ in range(4)]
+        for _ in range(4):
+            # alpha^6 with alpha inside the support, computed in IdealResidue
+            alpha = [rng.randrange(2) for _ in range(support)] + [0] * (24 - support)
+            targets.append(tuple(c % 2 for c in (IdealResidue(6, alpha) ** 6).coeffs))
+        found = sum(self._agree(6, t, support) for t in targets)
+        assert found >= 4
+
+    def test_sixth_powers_sampled_over_full_space(self):
+        # 2^16 seeded ids of the 2^24 space, against the generic ring's pow
+        ids = np.sort(np.random.default_rng(24).choice(1 << 24, size=1 << 16, replace=False))
+        kernel = np.empty(ids.size, dtype=np.uint64)
+        for start, powers in _mod2_powers(6, 6, 24, 1 << 24):
+            inside = (ids >= start) & (ids < start + powers.size)
+            kernel[inside] = powers[ids[inside] - start]
+        ring = _ComponentRing(6, 2)
+        weights = np.uint64(1) << np.arange(24, dtype=np.uint64)
+        for lo in range(0, ids.size, 1 << 13):
+            chunk = ids[lo : lo + (1 << 13)]
+            powered = ring.pow(_ids_to_digits(chunk, 2, 24, 24), 6).astype(np.uint64)
+            assert np.array_equal((powered * weights).sum(axis=1), kernel[lo : lo + chunk.size])
 
 
 class TestSymmetryReport:
