@@ -40,9 +40,9 @@ class NotCubic(MapError):
 
 
 class NotBipartite(MapError):
-    def __init__(self, cycle):
-        super().__init__(f"odd cycle through vertices {list(cycle)}")
-        self.cycle = tuple(cycle)
+    def __init__(self, face):
+        super().__init__(f"odd face through vertices {list(face)}")
+        self.face = tuple(face)
 
 
 class NonPlanarEmbedding(MapError):
@@ -248,18 +248,16 @@ def from_rotations(neighbors):
 class Web:
     """A validated cubic bipartite genus-0 map with a circle counter.
 
-    Construct through :func:`validate`; `parts` holds the 2-coloring
-    (per-vertex, 0/1, color 0 on each component's least-dart vertex).
+    Construct through :func:`validate`.
     """
 
-    __slots__ = ("map", "circles", "parts", "_key_plain", "_key_refl")
+    __slots__ = ("map", "circles", "_key_plain", "_key_refl")
 
-    def __init__(self, cmap, circles, parts, _checked=False):
+    def __init__(self, cmap, circles, _checked=False):
         if not _checked:
             raise MapError("Webs must be built by validate()")
         self.map = cmap
         self.circles = circles
-        self.parts = parts
         self._key_plain = None
         self._key_refl = None
 
@@ -287,45 +285,10 @@ class Web:
     def with_circles(self, circles):
         if circles < 0:
             raise MapError("negative circle count")
-        return Web(self.map, circles, self.parts, _checked=True)
+        return Web(self.map, circles, _checked=True)
 
     def __repr__(self):
         return f"Web(V={self.n_vertices}, E={self.n_edges}, circles={self.circles})"
-
-
-def _two_color(cmap):
-    """BFS 2-coloring of vertices; returns colors or raises NotBipartite."""
-    nv = cmap.n_vertices
-    colors = [-1] * nv
-    vertices = cmap.vertices()
-    parent = [-1] * nv
-    for start in range(nv):
-        if colors[start] != -1:
-            continue
-        colors[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for d in vertices[v]:
-                u = cmap.vertex_of(cmap.theta[d])
-                if colors[u] == -1:
-                    colors[u] = 1 - colors[v]
-                    parent[u] = v
-                    queue.append(u)
-                elif colors[u] == colors[v]:
-                    # walk both parent chains for an odd-cycle witness
-                    pa, pb = v, u
-                    seen_a = []
-                    while pa != -1:
-                        seen_a.append(pa)
-                        pa = parent[pa]
-                    chain = []
-                    while pb not in seen_a:
-                        chain.append(pb)
-                        pb = parent[pb]
-                    cyc = seen_a[: seen_a.index(pb) + 1] + list(reversed(chain))
-                    raise NotBipartite(cyc)
-    return tuple(colors)
 
 
 def validate(cmap, circles=0):
@@ -338,8 +301,12 @@ def validate(cmap, circles=0):
     for genus, dart in cmap.genus_by_component():
         if genus != 0:
             raise NonPlanarEmbedding(genus, dart)
-    parts = _two_color(cmap)
-    return Web(cmap, circles, parts, _checked=True)
+    # a plane map is bipartite iff every face is even: the face boundaries
+    # span the cycle space, so an odd cycle forces an odd face
+    for face in cmap.faces():
+        if len(face) % 2:
+            raise NotBipartite([cmap.vertex_of(d) for d in face])
+    return Web(cmap, circles, _checked=True)
 
 
 def mirror(web):

@@ -88,53 +88,66 @@ def _crt_pair(a1, m1, a2, m2):
 
 
 class _ComponentRing:
-    """Z_m[x^(±1)]/([3]^d - [3]) with the 4d-coefficient window, as flat
-    vectors; multiplication convolves then folds both window overflows
-    against the generator (extreme coefficients 1)."""
+    """Z_m[x^(±1)]/([3]^d - [3]) with the 4d-coefficient window.
+
+    Inside the ring, arrays are column-major: row i of a (W, n) array holds
+    window position i (half-exponent i - 2d) of all n candidates, so every
+    step is one numpy operation on whole rows.  A product accumulates the
+    W shifted row products in a (2W - 1)-row buffer and reduces mod m once
+    (int64 holds W m^2).  The generator's extreme coefficients are 1, so
+    each overflow row, taken from the outside in, is folded into the rows
+    of the other generator terms with one operation against arrays of
+    their offsets and coefficients.  The window is returned as a fresh
+    array by the final reduction, not as a view, which would keep the
+    whole (2W - 1)-row buffer alive for as long as the product is held.
+    """
 
     def __init__(self, d, m):
         self.d = d
         self.m = m
         self.W = 4 * d
         gen = ideal_generator(d)
-        self.gitems = [(k, c % m) for k, c in gen.items() if c % m]
+        terms = sorted((k, c % m) for k, c in gen.items() if c % m)
+        keys = np.array([k for k, _ in terms], dtype=np.int64)
+        coeffs = np.array([c for _, c in terms], dtype=np.int64)[:, None]
+        # a row above the window folds into the rows of every term but the
+        # top one, a row below it into those of every term but the bottom one
+        self.down, self.down_coeffs = keys[:-1] - 2 * d, coeffs[:-1]
+        self.up, self.up_coeffs = keys[1:] + 2 * d, coeffs[1:]
 
     def mul(self, A, B):
+        """Product of (W, n) arrays with entries in [0, m)."""
         d, m, W = self.d, self.m, self.W
-        n = A.shape[0]
-        P = np.zeros((n, 2 * W - 1), dtype=np.int64)
+        P = np.zeros((2 * W - 1, A.shape[1]), dtype=np.int64)
         for i in range(W):
-            col = A[:, i]
-            if not col.any():
-                continue
-            P[:, i : i + W] = (P[:, i : i + W] + col[:, None] * B) % m
-        for h in range(4 * d - 2, 2 * d - 1, -1):
-            c = P[:, h + 4 * d].copy()
-            if not c.any():
-                continue
-            for gk, gc in self.gitems:
-                jj = gk + h + 2 * d
-                P[:, jj] = (P[:, jj] - c * gc) % m
-        for h in range(-4 * d, -2 * d):
-            c = P[:, h + 4 * d].copy()
-            if not c.any():
-                continue
-            for gk, gc in self.gitems:
-                jj = gk + h + 6 * d
-                P[:, jj] = (P[:, jj] - c * gc) % m
-        return P[:, 2 * d : 6 * d]
+            row = A[i]
+            if row.any():
+                P[i : i + W] += row * B
+        P %= m
+        for r in range(2 * W - 2, 6 * d - 1, -1):
+            P[r + self.down] -= self.down_coeffs * (P[r] % m)
+        for r in range(2 * d):
+            P[r + self.up] -= self.up_coeffs * (P[r] % m)
+        return P[2 * d : 6 * d] % m
 
     def pow(self, A, e):
-        n = A.shape[0]
-        result = np.zeros((n, self.W), dtype=np.int64)
-        result[:, 2 * self.d] = 1  # the constant monomial q^0
-        base = A
+        """A^e for every row of the (candidates, W) array A, as (candidates, W).
+
+        Square-and-multiply from the lowest set bit of e, with no final
+        squaring: x^3 costs two products.
+        """
+        base = np.remainder(A.T, self.m, order="C")
+        result = None
         while e:
             if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = base if result is None else self.mul(result, base)
             e >>= 1
-        return result
+            if e:
+                base = self.mul(base, base)
+        if result is None:
+            result = np.zeros_like(base)
+            result[2 * self.d] = 1  # the constant monomial q^0
+        return result.T
 
 
 def _ids_to_digits(ids, m, W, support):

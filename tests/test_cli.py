@@ -144,6 +144,23 @@ class TestSymmetryCommands:
         obj = json.loads(out)
         assert rc == 0 and obj["outcome"] == "found"
 
+    def test_root_generic_scan_found(self, capsys):
+        # d = 3 has no mod-2 component: the generic ring scan finds the
+        # witness in its first 2^14 chunk
+        rc, out, _ = run(capsys, "symmetry-root", "--expr", "[2]^4[3]+2[2]^2[3]", "3")
+        obj = json.loads(out)
+        assert rc == 0 and obj["outcome"] == "found"
+        assert obj["searched"] == 16384
+        assert obj["witness"] == {"-4": "2", "0": "1"}
+
+    def test_root_generic_scan_budget_exhausted(self, capsys):
+        rc, out, _ = run(
+            capsys, "symmetry-root", "--expr", "[2]^4[3]+2[2]^2[3]", "5", "--budget", "20000"
+        )
+        obj = json.loads(out)
+        assert rc == 0 and obj["outcome"] == "budget_exhausted"
+        assert obj["searched"] == 20000
+
     def test_root_negative_budget_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["symmetry-root", "--expr", "[2]^2[3]", "2", "--budget", "-5"])

@@ -16,6 +16,7 @@ from sl3webs.symmetry import (
     _ComponentRing,
     _ids_to_digits,
     _mod2_powers,
+    _prime_power_factors,
     _search_component_generic,
     _search_component_mod2,
     check_quotient,
@@ -189,6 +190,32 @@ class TestMod2Kernel:
             chunk = ids[lo : lo + (1 << 13)]
             powered = ring.pow(_ids_to_digits(chunk, 2, 24, 24), 6).astype(np.uint64)
             assert np.array_equal((powered * weights).sum(axis=1), kernel[lo : lo + chunk.size])
+
+
+class TestComponentRingOracle:
+    """The component ring against IdealResidue products reduced mod m: the
+    dict-based polynomial code shares nothing with the ring's arrays."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 9, 10, 12, 47])
+    def test_products_and_powers(self, d):
+        rng = random.Random(600 + d)
+        for m in _prime_power_factors(d):
+            ring = _ComponentRing(d, m)
+            A, B = (
+                np.array(
+                    [[rng.randrange(m) for _ in range(4 * d)] for _ in range(6)], dtype=np.int64
+                )
+                for _ in range(2)
+            )
+
+            def expect(x):
+                return [c % m for c in x.coeffs]
+
+            for a, b, ab in zip(A, B, ring.mul(A.T, B.T).T):
+                assert expect(IdealResidue(d, a) * IdealResidue(d, b)) == ab.tolist(), (d, m)
+            for e in (0, 1, 2, d):
+                for a, ae in zip(A, ring.pow(A, e)):
+                    assert expect(IdealResidue(d, a) ** e) == ae.tolist(), (d, m, e)
 
 
 class TestSymmetryReport:
