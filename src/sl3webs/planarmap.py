@@ -150,34 +150,53 @@ class CombMap:
     def components(self):
         """Connected components as sorted dart tuples."""
         if self._components is None:
-            n = self.n_darts
-            seen = [False] * n
+            sigma, theta = self.sigma, self.theta
+            seen = [False] * len(sigma)
             comps = []
-            for start in range(n):
+            for start in range(len(sigma)):
                 if seen[start]:
                     continue
-                comp = []
-                stack = [start]
                 seen[start] = True
-                while stack:
-                    d = stack.pop()
-                    comp.append(d)
-                    for nb in (self.sigma[d], self.theta[d]):
-                        if not seen[nb]:
-                            seen[nb] = True
-                            stack.append(nb)
-                comps.append(tuple(sorted(comp)))
+                comp = [start]
+                # the list grows while it is iterated, so it is its own queue
+                for d in comp:
+                    x = sigma[d]
+                    if not seen[x]:
+                        seen[x] = True
+                        comp.append(x)
+                    x = theta[d]
+                    if not seen[x]:
+                        seen[x] = True
+                        comp.append(x)
+                comp.sort()
+                comps.append(tuple(comp))
             self._components = tuple(comps)
         return self._components
 
     def genus_by_component(self):
-        """(genus, witness dart) per component via V - E + F = 2 - 2g."""
+        """(genus, witness dart) per component via V - E + F = 2 - 2g.
+
+        Vertex and face orbits are counted per component, each by the
+        component of its first dart; a connected map needs no count.
+        """
+        comps = self.components()
+        if len(comps) == 1:
+            vcount = [len(self.vertices())]
+            fcount = [len(self.faces())]
+        else:
+            comp_of = [0] * self.n_darts
+            for i, comp in enumerate(comps):
+                for d in comp:
+                    comp_of[d] = i
+            vcount = [0] * len(comps)
+            fcount = [0] * len(comps)
+            for orbit in self.vertices():
+                vcount[comp_of[orbit[0]]] += 1
+            for orbit in self.faces():
+                fcount[comp_of[orbit[0]]] += 1
         out = []
-        for comp in self.components():
-            v = len({self.vertex_of(d) for d in comp})
-            f = len({self.face_of(d) for d in comp})
-            e = len(comp) // 2
-            euler = v - e + f
+        for comp, v, f in zip(comps, vcount, fcount):
+            euler = v - len(comp) // 2 + f
             if euler % 2:
                 raise MapError("non-integral genus; corrupt map")
             out.append(((2 - euler) // 2, comp[0]))
@@ -324,10 +343,11 @@ def mirror(web):
 def _component_canonical(theta, comp, rotations):
     """Least BFS-labeling word over the roots of the least local class.
 
-    `rotations` pairs each rotation rot (sigma, or also its inverse when
-    reflections are included) with the length of the rot-face at each
-    dart, faces being the orbits of rot o theta.  For a root dart and a
-    rotation, darts are labeled in discovery order; the emitted word is
+    `rotations` holds triples (rot, flen, ftheta): a rotation (sigma, or
+    also its inverse when reflections are included), the length of the
+    rot-face at each dart, faces being the orbits of rot o theta, and that
+    length at theta of each dart.  For a root dart and a rotation, darts
+    are labeled in discovery order; the emitted word is
     (label[rot[d]], label[theta[d]]) for darts in label order, a complete
     isomorphism invariant of the rooted component.
 
@@ -339,14 +359,21 @@ def _component_canonical(theta, comp, rotations):
     complete one.  The automorphisms act freely on the pairs and preserve
     the class, so the number of pairs attaining the least word is the
     group order.
+
+    Each root runs in two phases.  While its word equals the best word's
+    prefix it compares every label pair and is abandoned at the first
+    larger one; a tie over the whole word is one more hit.  Once its word
+    falls strictly below (and for the first root) it labels the rest with
+    no comparisons and becomes the best.  Between roots only the darts
+    the previous root labeled (`order`) are reset.
     """
     roots = []
-    least = None
-    for rot, flen in rotations:
+    least = (len(theta) + 1,)  # above every class: face lengths are <= n
+    for rot, flen, ftheta in rotations:
         for d in comp:
             r = rot[d]
-            cls = (flen[d], flen[theta[d]], flen[r], flen[theta[r]])
-            if least is None or cls < least:
+            cls = (flen[d], ftheta[d], flen[r], ftheta[r])
+            if cls < least:
                 least = cls
                 roots = [(rot, d)]
             elif cls == least:
@@ -354,43 +381,71 @@ def _component_canonical(theta, comp, rotations):
     best = None
     best_hits = 0
     lab = [-1] * len(theta)
+    order = ()
     for rot, root in roots:
-        for d in comp:
+        for d in order:
             lab[d] = -1
         lab[root] = 0
         order = [root]
-        seq = []
-        state = 1 if best is None else 0  # 0 undecided, 1 strictly better
-        pos = 0
-        i = 0
-        abandoned = False
-        while i < len(order):
-            d = order[i]
-            for nb in (rot[d], theta[d]):
-                l = lab[nb]
-                if l < 0:
-                    l = len(order)
-                    lab[nb] = l
-                    order.append(nb)
-                if state == 0:
-                    b = best[pos]
-                    if l > b:
-                        abandoned = True
-                        break
-                    if l < b:
-                        state = 1
-                seq.append(l)
-                pos += 1
-            if abandoned:
-                break
-            i += 1
-        if abandoned:
-            continue
-        if state == 1:
-            best = seq
-            best_hits = 1
+        push = order.append
+        nxt = 1
+        darts = iter(order)  # the BFS queue: order grows while it is read
+        if best is None:
+            word = []
         else:
-            best_hits += 1
+            # compare phase: the word so far equals best's prefix
+            word = None
+            for d, b, c in zip(darts, best_rot, best_theta):
+                x = rot[d]
+                l = lab[x]
+                if l < 0:
+                    l = lab[x] = nxt
+                    nxt += 1
+                    push(x)
+                x = theta[d]
+                m = lab[x]
+                if m < 0:
+                    m = lab[x] = nxt
+                    nxt += 1
+                    push(x)
+                if l == b:
+                    if m == c:
+                        continue
+                    if m > c:
+                        break
+                elif l > b:
+                    break
+                # strictly below from here on; lab[d] is d's position
+                word = best[: 2 * lab[d]]
+                word.append(l)
+                word.append(m)
+                break
+            else:
+                best_hits += 1
+                continue
+            if word is None:
+                continue
+        # free-run phase: label the rest, compare nothing
+        emit = word.append
+        for d in darts:
+            x = rot[d]
+            l = lab[x]
+            if l < 0:
+                l = lab[x] = nxt
+                nxt += 1
+                push(x)
+            x = theta[d]
+            m = lab[x]
+            if m < 0:
+                m = lab[x] = nxt
+                nxt += 1
+                push(x)
+            emit(l)
+            emit(m)
+        best = word
+        best_rot = word[0::2]
+        best_theta = word[1::2]
+        best_hits = 1
     return best, best_hits
 
 
@@ -398,19 +453,19 @@ def _canonical_data(web, include_reflections):
     cmap = web.map
     sigma = cmap.sigma
     theta = cmap.theta
-    n = len(sigma)
-    flen = [0] * n
+    flen = [0] * len(sigma)
     for face in cmap.faces():
+        k = len(face)
         for d in face:
-            flen[d] = len(face)
-    rotations = [(sigma, flen)]
+            flen[d] = k
+    ftheta = [flen[t] for t in theta]
+    rotations = [(sigma, flen, ftheta)]
     if include_reflections:
-        sigma_inv = [0] * n
-        for d in range(n):
-            sigma_inv[sigma[d]] = d
-        # the sigma^-1 face of d is theta of the sigma face of theta d,
-        # since (sigma^-1 theta)^-1 = theta (sigma theta) theta
-        rotations.append((sigma_inv, [flen[t] for t in theta]))
+        # webs are cubic, so sigma^-1 = sigma o sigma; the sigma^-1 face of
+        # d is theta of the sigma face of theta d, since
+        # (sigma^-1 theta)^-1 = theta (sigma theta) theta, so its face
+        # lengths at d and at theta d are ftheta[d] and flen[d]
+        rotations.append(([sigma[s] for s in sigma], ftheta, flen))
     out = []
     for comp in cmap.components():
         word, hits = _component_canonical(theta, comp, rotations)

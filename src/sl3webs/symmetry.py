@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .planarmap import automorphism_count
+from .planarmap import MapError, automorphism_count
 from .qlaurent import IdealResidue, ideal_generator, mod_reduce, congruent_mod
 from .reducer import invariant
 
@@ -160,6 +160,16 @@ def _ids_to_digits(ids, m, W, support):
     return digits
 
 
+def _chunk_size(W):
+    """Candidates per chunk of the generic scan: 2^14, fewer for wide windows.
+
+    A product's (2W - 1)-row int64 buffer spans the whole chunk, so the
+    chunk shrinks with W to keep it within 32 MiB; every d <= 32 keeps
+    2^14 candidates.
+    """
+    return min(1 << 14, (32 << 20) // (8 * (2 * W - 1)))
+
+
 def _search_component_generic(d, m, target, exponent, budget, support):
     """Scan candidates with coefficients on the low `support` positions.
 
@@ -172,7 +182,7 @@ def _search_component_generic(d, m, target, exponent, budget, support):
     space = m**support
     target_arr = np.array(target, dtype=np.int64) % m
     tested = 0
-    chunk = 1 << 14
+    chunk = _chunk_size(ring.W)
     start = 0
     while start < space:
         if tested >= budget:
@@ -330,7 +340,7 @@ def dth_root_search(p, d, budget=DEFAULT_BUDGET, support_limit=None):
     low window positions (testing hook for small composite cases).
     """
     if d < 2:
-        raise ValueError("modulus must be at least 2")
+        raise ValueError(f"the order d must be at least 2, got {d}")
     W = 4 * d
     support = W if support_limit is None else min(support_limit, W)
     target_full = mod_reduce(p, d)
@@ -385,6 +395,12 @@ def symmetry_report(web, candidates, budget=DEFAULT_BUDGET):
     is necessary-style evidence only, never a proof of symmetry (the
     criterion's fundamental-domain hypothesis is not machine-checked).
     """
+    n_comps = len(web.map.components())
+    if n_comps != 1:
+        raise MapError(
+            f"the web must be connected and have vertices, got {web.n_vertices} "
+            f"vertices in {n_comps} components"
+        )
     p_g = invariant(web)
     report = {
         "invariant": p_g.to_json_obj(),

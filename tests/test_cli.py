@@ -5,7 +5,7 @@ import pytest
 
 import sl3webs
 from sl3webs.cli import main, verify_paper
-from sl3webs.planarmap import serialize_web
+from sl3webs.planarmap import CombMap, disjoint_union, serialize_web, validate
 from sl3webs.qlaurent import parse_qexpr
 from webfixtures import cube_web, digon_prism_web, hex_prism_web, theta_web
 
@@ -173,6 +173,27 @@ class TestSymmetryCommands:
         obj = json.loads(out)
         assert rc == 0 and obj["outcome"] == "budget_exhausted"
         assert "47^188" in obj["detail"]
+
+    def test_root_order_below_two_message(self, capsys):
+        rc, _, err = run(capsys, "symmetry-root", "--expr", "[2]", "-3")
+        assert rc == 1
+        assert "the order d must be at least 2, got -3" in err
+
+    @pytest.mark.parametrize(
+        "web, described",
+        [
+            (validate(CombMap([], []), 2), "got 0 vertices in 0 components"),
+            (disjoint_union(cube_web(), theta_web()), "got 10 vertices in 2 components"),
+        ],
+        ids=["circles_only", "disconnected"],
+    )
+    def test_check_needs_connected_web_with_vertices(self, capsys, webdir, tmp_path, web, described):
+        path = tmp_path / "bad.web"
+        path.write_text(serialize_web(web, "dart"))
+        rc, _, err = run(capsys, "symmetry-check", str(path), webdir["digon"], "3")
+        assert rc == 1
+        assert f"the web must be connected and have vertices, {described}" in err
+        assert "automorphism_count" not in err
 
     def test_root_from_web(self, capsys, webdir):
         rc, out, _ = run(capsys, "symmetry-root", webdir["hexprism"], "3")

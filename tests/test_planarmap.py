@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 import random
 
@@ -128,6 +129,23 @@ class TestValidate:
         assert w.n_vertices == 2
         assert not w.is_simple()
 
+    def test_genus_per_component_of_disjoint_union(self):
+        # a planar cube beside the genus-1 K4: each component keeps its
+        # own genus and witness, and validate names a dart of the K4
+        cube, k4 = cube_web().map, k4_twisted_map()
+        off = cube.n_darts
+        m = CombMap(
+            list(cube.sigma) + [d + off for d in k4.sigma],
+            list(cube.theta) + [d + off for d in k4.theta],
+        )
+        genera = m.genus_by_component()
+        assert [g for g, _ in genera] == [0, 1]
+        assert [dart in comp for (_, dart), comp in zip(genera, m.components())] == [True, True]
+        with pytest.raises(NonPlanarEmbedding) as exc:
+            validate(m)
+        assert exc.value.genus == 1
+        assert exc.value.dart in m.components()[1]
+
 
 class TestFaces:
     def test_cube_faces(self):
@@ -235,6 +253,41 @@ class TestCanonicalKey:
     def test_disjoint_union_key_order_independent(self):
         a, b = cube_web(), hex_prism_web()
         assert canonical_key(disjoint_union(a, b)) == canonical_key(disjoint_union(b, a))
+
+
+# sha256 of the keys and of the canonical forms below; a change to the
+# canonical labeling that moves any byte must update these on purpose
+KEY_DIGEST = "900ace15877e817fc247157a20e370e5888f4cbff86f74ddb56a2240e6cfd273"
+FORM_DIGEST = "493554726fb48e14d6182c30383ba2b9cd3200f6e531314f3f189e670df77a5f"
+PINNED_OMNI = ("omni_tetrahedron", "omni_cube", "omni_dodecahedron", "omni_prism5", "omni_antiprism4")
+
+
+class TestPinnedCanonicalBytes:
+    def test_key_bytes(self):
+        # every fixture and every child of every reduction site, under
+        # both reflection settings
+        h = hashlib.sha256()
+        count = 0
+        for path in sorted(FIXTURES.glob("*.dart")):
+            for refl in (True, False):
+                w = parse_web(path.read_text())
+                h.update(canonical_key(w, refl))
+                count += 1
+                for red in find_all_reducibles(w):
+                    for child, _ in reduce_at(w, red):
+                        h.update(canonical_key(child, refl))
+                        count += 1
+        assert count == 924
+        assert h.hexdigest() == KEY_DIGEST
+
+    def test_canonical_form_and_automorphisms(self):
+        h = hashlib.sha256()
+        for name in PINNED_OMNI:
+            w = fixture_web(name)
+            for refl in (True, False):
+                c = canonical_form(w, refl)
+                h.update(repr((c.map.sigma, c.map.theta, automorphism_count(w, refl))).encode())
+        assert h.hexdigest() == FORM_DIGEST
 
 
 class TestAutomorphisms:

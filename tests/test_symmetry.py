@@ -14,6 +14,7 @@ from sl3webs.qlaurent import (
 from sl3webs.reducer import invariant
 from sl3webs.symmetry import (
     _ComponentRing,
+    _chunk_size,
     _ids_to_digits,
     _mod2_powers,
     _prime_power_factors,
@@ -105,6 +106,28 @@ class TestRootSearch:
     def test_searched_counts(self):
         res = dth_root_search(P61, 2)
         assert 1 <= res.searched <= 256
+
+    def test_chunk_keeps_product_buffer_within_32_mib(self):
+        for d in range(2, 33):
+            assert _chunk_size(4 * d) == 1 << 14
+        for d in (33, 47, 200, 500, 5000):
+            W = 4 * d
+            chunk = _chunk_size(W)
+            assert 1 <= chunk < 1 << 14
+            assert (2 * W - 1) * chunk * 8 <= 32 << 20
+
+    def test_generic_scan_uses_the_chunk_rule(self, monkeypatch):
+        # powers are stubbed to zero (no hit): only the chunking is exercised
+        sizes = []
+
+        def no_power(self, A, e):
+            sizes.append(A.shape[0])
+            return np.zeros_like(A)
+
+        monkeypatch.setattr(_ComponentRing, "pow", no_power)
+        res = dth_root_search(qint(2), 47, budget=20000)
+        assert res.outcome == "budget_exhausted" and res.searched == 20000
+        assert sizes == [_chunk_size(188), 20000 - _chunk_size(188)]
 
 
 class TestCrtConsistency:
