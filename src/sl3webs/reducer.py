@@ -7,14 +7,19 @@ two planar smoothings with unit coefficients.  Every nonempty web admits a
 move (all faces are even, so Euler's formula forces a face of degree <= 4)
 and every move strictly shrinks (vertices, circles), so reduction
 terminates.  Values are memoized on reflection-inclusive canonical keys,
-which is sound because the invariant is mirror-invariant.
+which is sound because the invariant is mirror-invariant.  The memo is
+bucketed by a cheap shape of the map (its faces, each by the lengths of
+its neighbouring faces), itself invariant under relabelling and mirroring:
+a web whose shape bucket is empty is a certain miss and is stored unkeyed,
+and canonical keys are computed only when a probe shares a bucket.
 """
 
 from __future__ import annotations
 
+import array
 from typing import NamedTuple
 
-from .planarmap import CombMap, MapError, canonical_key, validate
+from .planarmap import CombMap, MapError, Web, canonical_key, validate
 from .qlaurent import HalfLaurent, qint
 
 CIRCLE_FACTOR = qint(3)
@@ -64,25 +69,31 @@ def _drop_and_rewire(web, drop_vertices, new_pairs, extra_circles):
     """Remove whole vertex orbits, re-pair the named surviving darts.
 
     `new_pairs` lists (d, d') theta pairs for surviving darts whose former
-    partners are dropped.  Dart labels are compacted preserving order.
+    partners are dropped.  Dart labels are compacted preserving order: the
+    survivors are the runs between the sorted dropped darts, and a dropped
+    dart maps to -1.
     """
     cmap = web.map
-    dropped = set()
-    for v in drop_vertices:
-        dropped.update(cmap.vertices()[v])
-    survivors = [d for d in range(cmap.n_darts) if d not in dropped]
-    old2new = {d: i for i, d in enumerate(survivors)}
-    repaired = {}
-    for a, b in new_pairs:
-        repaired[a] = b
-        repaired[b] = a
-    sigma = [old2new[cmap.sigma[d]] for d in survivors]
+    verts = cmap.vertices()
+    dropped = sorted({d for v in drop_vertices for d in verts[v]})
+    old2new = []
+    sigma = []
     theta = []
-    for d in survivors:
-        t = repaired.get(d, cmap.theta[d])
-        if t in dropped:
-            raise MapError(f"dart {d} left dangling by surgery")
-        theta.append(old2new[t])
+    start = 0
+    # the sentinel n_darts closes the last run; its -1 in old2new is never read
+    for k, d in enumerate(dropped + [cmap.n_darts]):
+        old2new.extend(range(start - k, d - k))
+        old2new.append(-1)
+        sigma += cmap.sigma[start:d]
+        theta += cmap.theta[start:d]
+        start = d + 1
+    for a, b in new_pairs:
+        theta[old2new[a]] = b
+        theta[old2new[b]] = a
+    sigma = list(map(old2new.__getitem__, sigma))
+    theta = list(map(old2new.__getitem__, theta))
+    if -1 in theta:
+        raise MapError(f"dart {old2new.index(theta.index(-1))} left dangling by surgery")
     return validate(CombMap(sigma, theta), web.circles + extra_circles)
 
 
@@ -254,11 +265,62 @@ class LinearCombination:
         return total
 
 
+# shape -> entries of that shape, in insertion order
 _MEMO = {}
+
+
+class _Entry:
+    """A memoized value with the canonical key of its web, or, until a
+    probe of the same shape needs that key, the web's map as `_pack`ed
+    bytes."""
+
+    __slots__ = ("key", "blob", "value")
+
+    def __init__(self, key, blob, value):
+        self.key = key
+        self.blob = blob
+        self.value = value
 
 
 def clear_memo():
     _MEMO.clear()
+
+
+def _shape(cmap):
+    """Hash of the sorted faces, each given by the sorted lengths of the
+    faces across its edges.
+
+    Equal for isomorphic maps, mirror images included; it hashes ints and
+    tuples only, so it does not depend on PYTHONHASHSEED.  A collision only
+    costs canonical keys, never a wrong value.
+    """
+    faces = cmap.faces()
+    flen = [0] * cmap.n_darts
+    for face in faces:
+        k = len(face)
+        for d in face:
+            flen[d] = k
+    theta = cmap.theta
+    return hash(tuple(sorted(tuple(sorted([flen[theta[d]] for d in face])) for face in faces)))
+
+
+def _pack(cmap):
+    return array.array("i", cmap.sigma + cmap.theta).tobytes()
+
+
+def _unpack(blob):
+    """The web `_pack` stored; its map was validated when first built."""
+    darts = array.array("i")
+    darts.frombytes(blob)
+    n = len(darts) // 2
+    return Web(CombMap(darts[:n], darts[n:]), 0, _checked=True)
+
+
+def _reduce(web):
+    red = find_reducible(web)
+    if red is None:
+        return HalfLaurent.one()
+    return sum(factor * invariant(child) for child, factor in reduce_at(web, red))
 
 
 def invariant(web):
@@ -279,16 +341,22 @@ def invariant(web):
             sub, _ = web.map.restrict(comp)
             result = result * invariant(validate(sub))
         return result
+    shape = _shape(web.map)
+    bucket = _MEMO.get(shape)
+    if bucket is None:
+        # no stored web has this shape, so none is isomorphic: skip the key
+        value = _reduce(web)
+        _MEMO.setdefault(shape, []).append(_Entry(None, _pack(web.map), value))
+        return result * value
     key = canonical_key(web, include_reflections=True)
-    cached = _MEMO.get(key)
-    if cached is not None:
-        return result * cached
-    red = find_reducible(web)
-    if red is None:
-        value = HalfLaurent.one()
-    else:
-        value = sum(factor * invariant(child) for child, factor in reduce_at(web, red))
-    _MEMO[key] = value
+    for entry in bucket:
+        if entry.key is None:
+            entry.key = canonical_key(_unpack(entry.blob), include_reflections=True)
+            entry.blob = None
+        if entry.key == key:
+            return result * entry.value
+    value = _reduce(web)
+    bucket.append(_Entry(key, None, value))
     return result * value
 
 

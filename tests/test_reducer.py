@@ -1,9 +1,12 @@
+import json
+import pathlib
 import random
 import zlib
 
 import pytest
 
-from sl3webs.planarmap import CombMap, MapError, disjoint_union, mirror, validate
+from sl3webs import reducer
+from sl3webs.planarmap import CombMap, MapError, disjoint_union, mirror, parse_web, validate
 from sl3webs.qlaurent import HalfLaurent, parse_qexpr, qint
 from sl3webs.reducer import (
     LinearCombination,
@@ -11,6 +14,7 @@ from sl3webs.reducer import (
     apply_bigon,
     apply_circle,
     apply_square,
+    clear_memo,
     find_all_reducibles,
     find_reducible,
     invariant,
@@ -20,9 +24,20 @@ from sl3webs.reducer import (
 )
 from webfixtures import cube_web, digon_prism_web, hex_prism_web, theta_web
 
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+
 
 def empty_web(circles=0):
     return validate(CombMap((), ()), circles)
+
+
+def fixture_web(name):
+    return parse_web((FIXTURES / f"{name}.dart").read_text())
+
+
+def pinned_solid(name):
+    pinned = json.loads((FIXTURES / "pinned.json").read_text())["solids"][name]["invariant"]
+    return HalfLaurent({int(e): int(c) for e, c in pinned.items()})
 
 
 class TestFindReducible:
@@ -87,6 +102,17 @@ class TestApplyBigon:
             apply_bigon(w, 0)
 
 
+class TestDropAndRewire:
+    def test_dangling_dart_named(self):
+        # drop the vertex of dart 0 and re-pair nothing: the least surviving
+        # dart whose partner was dropped is left dangling
+        w = cube_web()
+        gone = set(w.map.vertices()[0])
+        dangling = min(d for d in range(w.map.n_darts) if d not in gone and w.map.theta[d] in gone)
+        with pytest.raises(MapError, match=f"^dart {dangling} left dangling"):
+            reducer._drop_and_rewire(w, (0,), (), 0)
+
+
 class TestApplySquare:
     def test_cube_children(self):
         w = cube_web()
@@ -147,6 +173,59 @@ class TestInvariant:
     def test_palindromic_values(self):
         for w in (cube_web(), theta_web(), hex_prism_web()):
             assert invariant(w).is_palindromic()
+
+
+@pytest.fixture
+def empty_memo():
+    clear_memo()
+    yield
+    clear_memo()
+
+
+def relabelled_mirror(web, seed):
+    perm = list(range(web.map.n_darts))
+    random.Random(seed).shuffle(perm)
+    return validate(mirror(web).map.relabel(perm), web.circles)
+
+
+class TestMemo:
+    def test_relabelled_mirror_is_a_hit(self, empty_memo, monkeypatch):
+        for name in ("prime_9_1", "prime_10_4", "omni_tetrahedron"):
+            w = fixture_web(name)
+            value = invariant(w)
+            calls = []
+            monkeypatch.setattr(reducer, "find_reducible", lambda web: calls.append(web))
+            assert invariant(relabelled_mirror(w, zlib.crc32(name.encode()))) == value
+            assert calls == []
+            monkeypatch.undo()
+
+    def test_one_shape_bucket(self, empty_memo, monkeypatch):
+        # every web shares one bucket: entries are keyed lazily and scanned
+        monkeypatch.setattr(reducer, "_shape", lambda cmap: 0)
+        assert invariant(cube_web()) == parse_qexpr("2[2]^2[3]")
+        assert invariant(hex_prism_web()) == parse_qexpr("[2]^4[3]+2[2]^2[3]")
+        for name in ("omni_tetrahedron", "omni_cube", "omni_dodecahedron", "omni_prism5", "omni_antiprism4"):
+            assert invariant(fixture_web(name)) == pinned_solid(name)
+
+    def test_keys_only_on_shared_buckets(self, empty_memo, monkeypatch):
+        probes = []
+        keys = []
+        engine = reducer.invariant
+        key = reducer.canonical_key
+
+        def counted_invariant(web):
+            if len(web.map.components()) == 1:
+                probes.append(web)
+            return engine(web)
+
+        def counted_key(web, include_reflections=True):
+            keys.append(web)
+            return key(web, include_reflections)
+
+        monkeypatch.setattr(reducer, "invariant", counted_invariant)
+        monkeypatch.setattr(reducer, "canonical_key", counted_key)
+        assert reducer.invariant(fixture_web("omni_tetrahedron")) == pinned_solid("omni_tetrahedron")
+        assert 0 < len(keys) < len(probes)
 
 
 class TestConfluence:
