@@ -9,6 +9,7 @@ DART format; --format chooses the output serialization only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import defaultdict
@@ -256,7 +257,9 @@ def _non_negative_int(text):
     return value
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built once: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="sl3webs",
         description="Quantum sl(3) invariants of cubic bipartite planar graphs",

@@ -16,6 +16,8 @@ chord diagrams independently and cross-checks the enumeration.
 
 from __future__ import annotations
 
+import bisect
+
 from .planarmap import (
     CombMap,
     MapError,
@@ -120,24 +122,31 @@ def _side_index(plate):
 
 def normal_chord_diagrams(plate):
     """All non-crossing perfect matchings of the plate boundary with no
-    chord inside one side; the count equals dim_inv(plate)."""
-    total = sum(plate)
+    chord inside one side; the count equals dim_inv(plate).
+
+    The matchings of each interval [lo, hi) are memoized per plate, so an
+    interval that admits none is ruled out once.  A matching of [lo, hi)
+    is the chord (lo, q), then a matching of (lo, q), then one of
+    (q, hi): every diagram comes out as a sorted chord tuple, ordered by
+    q, then by the inner matching, then by the outer one.
+    """
     side = _side_index(plate)
-    out = []
+    return list(_matchings(side, 0, len(side), {}))
 
-    def rec(lo, hi, acc):
-        if lo == hi:
-            yield acc
-            return
-        for q in range(lo + 1, hi, 2):
-            if side[q] == side[lo]:
-                continue
-            for left in rec(lo + 1, q, acc):
-                yield from rec(q + 1, hi, left + ((lo, q),))
 
-    for match in rec(0, total, ()):
-        out.append(tuple(sorted(match)))
-    return out
+def _matchings(side, lo, hi, memo):
+    if lo == hi:
+        return ((),)
+    found = memo.get((lo, hi))
+    if found is None:
+        found = memo[lo, hi] = tuple(
+            ((lo, q),) + inner + outer
+            for q in range(lo + 1, hi, 2)
+            if side[q] != side[lo]
+            for inner in _matchings(side, lo + 1, q, memo)
+            for outer in _matchings(side, q + 1, hi, memo)
+        )
+    return found
 
 
 def assemble_web(plate, diagram):
@@ -179,8 +188,9 @@ def circular_primes(n):
     found = {}
     for plate in even_partitions(n):
         for diagram in normal_chord_diagrams(plate):
+            # simple by construction: from_rotations rejects repeated neighbours
             web = assemble_web(plate, diagram)
-            if len(web.map.components()) != 1 or not web.is_simple():
+            if len(web.map.components()) != 1:
                 continue
             if connectivity(web) != 3:
                 continue
@@ -193,24 +203,44 @@ def circular_primes(n):
 def pushing_moves_with_sites(web):
     """Apply the pushing move at every edge; -2 vertices per result.
 
-    At an edge the two endpoints vanish, their remaining same-side
+    At an edge u-v the two endpoints vanish, their remaining same-side
     strands fuse pairwise (the planar, color-respecting reconnection),
-    leaving two fresh edges.  Returns (child, (dart of fused edge 1,
-    dart of fused edge 2)) per valid site; invalid embeddings are
+    leaving two fresh edges A-B and C-D.  Returns (child, (dart of fused
+    edge 1, dart of fused edge 2)) per site whose child is a simple web;
+    sites with parallel edges at u or v and invalid embeddings are
     discarded.
+
+    Simplicity is decided from the parent's adjacency before any surgery.
+    The child keeps the parent's edges away from u and v and gains A-B
+    and C-D, so it is simple iff every parallel pair of the parent
+    touches u or v, and neither new edge parallels a parent edge
+    (which survives, as A, B, C, D are not u or v) or the other new edge.
+    A and C neighbour u, B and D neighbour v, so in a bipartite web no
+    edge is a loop and A-B can only repeat C-D as (A, B) = (C, D).
     """
     cmap = web.map
     sigma, theta = cmap.sigma, cmap.theta
+    vof = cmap.vertex_table()
+    adjacent = set()
+    parallel = set()  # ordered vertex pairs joined by two or more edges
+    for d, t in enumerate(theta):
+        pair = (vof[d], vof[t])
+        if pair in adjacent:
+            parallel.add(pair)
+        adjacent.add(pair)
     out = []
     for d, t in cmap.edges():
-        u, v = cmap.vertex_of(d), cmap.vertex_of(t)
-        if u == v:
+        u, v = vof[d], vof[t]
+        if any(u not in p and v not in p for p in parallel):
             continue
         s1, s2 = sigma[d], sigma[sigma[d]]
         t1, t2 = sigma[t], sigma[sigma[t]]
         ends = (theta[s1], theta[t2], theta[s2], theta[t1])
-        if len({cmap.vertex_of(e) for e in ends} & {u, v}) > 0:
-            continue  # parallel edges at the site (non-simple web)
+        va, vb, vc, vd = (vof[x] for x in ends)
+        if {va, vb, vc, vd} & {u, v}:
+            continue  # parallel edges at the site
+        if (va, vb) in adjacent or (vc, vd) in adjacent or (va, vb) == (vc, vd):
+            continue
         pairs = ((ends[0], ends[1]), (ends[2], ends[3]))
         try:
             child = _drop_and_rewire(web, (u, v), pairs, 0)
@@ -218,12 +248,8 @@ def pushing_moves_with_sites(web):
             continue
         # locate the fused edges after compaction
         dropped = sorted(cmap.vertices()[u] + cmap.vertices()[v])
-
-        def new_id(old):
-            shift = sum(1 for x in dropped if x < old)
-            return old - shift
-
-        out.append((child, (new_id(ends[0]), new_id(ends[2]))))
+        sites = tuple(x - bisect.bisect_left(dropped, x) for x in (ends[0], ends[2]))
+        out.append((child, sites))
     return out
 
 
@@ -261,15 +287,15 @@ def converse_pushing_moves(web, e_fused_a, e_fused_b):
 def _prime_layers(top, bottom):
     """Yield (m, {canonical key: web}) for m = top, top-2, ..., bottom.
 
-    Layer m holds the circular primes of size m plus the simple
-    3-connected pushes of every web in layer m + 2.
+    Layer m holds the circular primes of size m plus the 3-connected
+    pushes of every web in layer m + 2 (pushes are simple already).
     """
     above = {}
     for m in range(top, bottom - 2, -2):
         found = {canonical_key(w): w for w in circular_primes(m)}
         for w in above.values():
             for child in pushing_moves(w):
-                if child.is_simple() and connectivity(child) == 3:
+                if connectivity(child) == 3:
                     found.setdefault(canonical_key(child), child)
         yield m, found
         above = found

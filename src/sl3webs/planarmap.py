@@ -117,14 +117,18 @@ class CombMap:
     def n_vertices(self):
         return len(self.vertices())
 
-    def vertex_of(self, dart):
+    def vertex_table(self):
+        """The list dart -> index of its vertex orbit (cached)."""
         if self._vertex_of is None:
             vof = [0] * self.n_darts
             for i, orbit in enumerate(self.vertices()):
                 for d in orbit:
                     vof[d] = i
             self._vertex_of = vof
-        return self._vertex_of[dart]
+        return self._vertex_of
+
+    def vertex_of(self, dart):
+        return self.vertex_table()[dart]
 
     def faces(self):
         """Face cycles: orbits of dart -> sigma[theta[dart]]."""
@@ -292,14 +296,16 @@ class Web:
         return self.map.n_darts == 0 and self.circles == 0
 
     def is_simple(self):
-        seen = set()
-        for d, t in self.map.edges():
-            pair = (self.map.vertex_of(d), self.map.vertex_of(t))
-            pair = (min(pair), max(pair))
-            if pair[0] == pair[1] or pair in seen:
-                return False
-            seen.add(pair)
-        return True
+        """No two edges join the same pair of vertices.
+
+        A web is bipartite, so it has no loop, and cubic, so the darts d,
+        sigma d, sigma^2 d of a vertex lead to three distinct vertices iff
+        every dart's far end differs from its sigma-successor's.
+        """
+        cmap = self.map
+        vof = cmap.vertex_table()
+        far = [vof[t] for t in cmap.theta]
+        return all(far[d] != far[s] for d, s in enumerate(cmap.sigma))
 
     def with_circles(self, circles):
         if circles < 0:

@@ -229,6 +229,27 @@ class TestVerifyPaper:
         assert rc == 0 and out.strip() == "1"
 
 
+class TestParserReuse:
+    def test_calls_in_a_row_match_fresh_calls(self, capsys, webdir):
+        # the parser is built once per process; no call may see the
+        # subcommand or flags of the call before it
+        from sl3webs.cli import _build_parser
+
+        calls = [
+            ("invariant", "--pretty", webdir["cube"]),
+            ("decompose", webdir["hexprism"]),
+            ("invariant", webdir["cube"]),
+        ]
+        in_a_row = [run(capsys, *argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert in_a_row == fresh
+        assert in_a_row[0][1] != in_a_row[2][1]
+        assert all(rc == 0 for rc, _, _ in in_a_row)
+
+
 def _child_env(hash_seed):
     """A child interpreter's environment: the hash seed, and the package
     from where this interpreter imported it."""

@@ -1,6 +1,10 @@
+import hashlib
+import itertools
+
 import pytest
 
 from sl3webs.enumerator import (
+    _prime_layers,
     all_primes,
     assemble_web,
     build_catalog,
@@ -16,6 +20,7 @@ from sl3webs.enumerator import (
 )
 from sl3webs.planarmap import (
     CombMap,
+    MapError,
     canonical_key,
     circular_witness,
     connectivity,
@@ -25,9 +30,15 @@ from sl3webs.planarmap import (
     validate,
 )
 from sl3webs.qlaurent import parse_qexpr
-from sl3webs.reducer import invariant
+from sl3webs.reducer import _drop_and_rewire, find_all_reducibles, invariant, reduce_at
 from test_planarmap import brute_force_isomorphisms
-from webfixtures import cube_web, hex_prism_web
+from webfixtures import (
+    cube_web,
+    digon_expand,
+    digon_prism_web,
+    hex_prism_web,
+    simple_by_vertex_pairs,
+)
 
 
 class TestEvenPartitions:
@@ -96,6 +107,39 @@ class TestNormalChordDiagrams:
         diags = normal_chord_diagrams((8, 8))
         assert len(diags) == 1
         assert diags[0] == tuple((i, 15 - i) for i in range(8))
+
+    def test_pinned_content_and_order_up_to_28_points(self):
+        # the order decides which representative `enumerate` prints
+        digest = hashlib.sha256()
+        for n in range(8, 30, 2):
+            for plate in even_partitions(n):
+                digest.update(repr(normal_chord_diagrams(plate)).encode())
+        assert digest.hexdigest() == "95714f51a44a2cc594c34104990c658f6e5fa8e8f1832bddf737e2f326b63f4d"
+
+    def test_brute_force_up_to_16_points(self):
+        # every non-crossing perfect matching is a balanced bracket word:
+        # pick the opening positions, pair each closer with the last open
+        checked = 0
+        for n in range(8, 18, 2):
+            for plate in even_partitions(n):
+                side = [i for i, a in enumerate(plate) for _ in range(a)]
+                expected = set()
+                for opens in itertools.combinations(range(n), n // 2):
+                    stack, chords = [], []
+                    for p in range(n):
+                        if p in opens:
+                            stack.append(p)
+                        elif stack:
+                            chords.append((stack.pop(), p))
+                        else:
+                            break
+                    if len(chords) == n // 2 and all(side[p] != side[q] for p, q in chords):
+                        expected.add(tuple(sorted(chords)))
+                diagrams = normal_chord_diagrams(plate)
+                assert len(set(diagrams)) == len(diagrams)
+                assert set(diagrams) == expected, plate
+                checked += len(expected)
+        assert checked >= 10
 
     def test_count_equals_dimension_up_to_24_points(self):
         # independent counting oracle: recursion vs exhaustive enumeration
@@ -294,15 +338,74 @@ class TestPushingMoves:
             assert descs == [(4, 4, 6, 6)] * 3
 
     def test_converse_roundtrip(self):
-        w = circular_primes(16)[0]
-        pushed = pushing_moves_with_sites(w)
-        assert pushed
-        hits = 0
-        for child, (e1, e2) in pushed[:6]:
-            back = converse_pushing_moves(child, e1, e2)
-            if any(isomorphic(b, w) for b in back):
-                hits += 1
-        assert hits == len(pushed[:6])
+        checked = 0
+        for w in circular_primes(16) + circular_primes(18):
+            for child, (e1, e2) in pushing_moves_with_sites(w):
+                back = converse_pushing_moves(child, e1, e2)
+                assert any(isomorphic(b, w) for b in back)
+                checked += 1
+        assert checked == 15
+
+
+def pushes_built_then_filtered(web):
+    """Oracle for pushing_moves_with_sites: build the child at every site
+    that has no parallel edge at u or v, keep the simple ones, and locate
+    the fused edges by counting the dropped darts below them."""
+    cmap = web.map
+    sigma, theta = cmap.sigma, cmap.theta
+    out = []
+    for d, t in cmap.edges():
+        u, v = cmap.vertex_of(d), cmap.vertex_of(t)
+        if u == v:
+            continue
+        s1, s2 = sigma[d], sigma[sigma[d]]
+        t1, t2 = sigma[t], sigma[sigma[t]]
+        ends = (theta[s1], theta[t2], theta[s2], theta[t1])
+        if {cmap.vertex_of(e) for e in ends} & {u, v}:
+            continue
+        try:
+            child = _drop_and_rewire(web, (u, v), ((ends[0], ends[1]), (ends[2], ends[3])), 0)
+        except MapError:
+            continue
+        if not simple_by_vertex_pairs(child):
+            continue
+        dropped = cmap.vertices()[u] + cmap.vertices()[v]
+        sites = tuple(e - sum(1 for x in dropped if x < e) for e in (ends[0], ends[2]))
+        out.append((child.map, sites))
+    return out
+
+
+class TestPushSimplicity:
+    """pushing_moves_with_sites keeps exactly the sites whose child, built
+    and then checked, is simple."""
+
+    @staticmethod
+    def assert_exact(webs):
+        kept = 0
+        for w in webs:
+            got = [(child.map, sites) for child, sites in pushing_moves_with_sites(w)]
+            assert got == pushes_built_then_filtered(w)
+            kept += len(got)
+        return kept
+
+    def test_prime_layers(self):
+        webs = [w for _, found in _prime_layers(26, 8) for w in found.values()]
+        assert len(webs) == 82
+        # a prime has no parallel pair: only the new-edge rules decide here
+        assert self.assert_exact(webs) == 660
+
+    def test_non_simple_parents(self):
+        parents = [digon_prism_web()]
+        for w in [cube_web(), hex_prism_web(), digon_prism_web()] + all_primes(20, 2):
+            for red in find_all_reducibles(w):
+                parents += [c for c, _ in reduce_at(w, red) if not c.is_simple()]
+        # x - u1 = u2 - w1 = w2 - y: the push at u2 - w1 joins u1 and w2 twice
+        for w in (cube_web(), hex_prism_web()):
+            parents.append(digon_expand(digon_expand(w, 0), w.map.n_darts + 3))
+        assert len(parents) == 97
+        # a parallel pair away from the site survives into the child;
+        # one at u or v is dropped with them, leaving simple children
+        assert self.assert_exact(parents) == 88
 
 
 class TestAllPrimes:

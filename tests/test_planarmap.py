@@ -39,6 +39,7 @@ from webfixtures import (
     hex_prism_web,
     k4_planar_map,
     k4_twisted_map,
+    simple_by_vertex_pairs,
     theta_map,
     theta_web,
     triangle_prism_web_map,
@@ -145,6 +146,19 @@ class TestValidate:
             validate(m)
         assert exc.value.genus == 1
         assert exc.value.dart in m.components()[1]
+
+
+class TestIsSimple:
+    def test_matches_vertex_pair_oracle(self):
+        webs = [fixture_web(path.stem) for path in sorted(FIXTURES.glob("*.dart"))]
+        assert len(webs) == 22
+        for w in (cube_web(), hex_prism_web(), digon_prism_web()):
+            webs += [child for red in find_all_reducibles(w) for child, _ in reduce_at(w, red)]
+        webs += [validate(CombMap((), ())), theta_web()]
+        verdicts = [w.is_simple() for w in webs]
+        assert verdicts == [simple_by_vertex_pairs(w) for w in webs]
+        # both verdicts occur, multi-edge children among the non-simple ones
+        assert verdicts.count(False) >= 20 and verdicts.count(True) >= 22
 
 
 class TestFaces:

@@ -117,3 +117,16 @@ def digon_expand(web, edge_dart):
         except MapError as exc:
             last = exc
     raise last
+
+
+def simple_by_vertex_pairs(web):
+    """Oracle for Web.is_simple: no edge joins a vertex to itself and no
+    two edges join the same vertex pair, read off the edge list."""
+    cmap = web.map
+    seen = set()
+    for d, t in cmap.edges():
+        pair = tuple(sorted((cmap.vertex_of(d), cmap.vertex_of(t))))
+        if pair[0] == pair[1] or pair in seen:
+            return False
+        seen.add(pair)
+    return True
