@@ -323,8 +323,16 @@ class TestPushingMoves:
         assert pushing_moves(validate(CombMap((), ()))) == []
 
     def test_drop_two_vertices(self):
-        for child in pushing_moves(hex_prism_web()):
-            assert child.n_vertices == 10
+        # every edge of the hexagonal prism lies on a square face, so each
+        # push joins two vertices that are already adjacent
+        assert pushing_moves(hex_prism_web()) == []
+        checked = 0
+        for w in circular_primes(16) + circular_primes(18):
+            for child in pushing_moves(w):
+                assert child.n_vertices == w.n_vertices - 2
+                assert child.map.n_darts == w.map.n_darts - 6
+                checked += 1
+        assert checked == 15
 
     def test_nontrivial_from_22(self):
         noncirc = [
