@@ -264,14 +264,6 @@ def _build_parser():
         prog="sl3webs",
         description="Quantum sl(3) invariants of cubic bipartite planar graphs",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parallelism cap (reserved; evaluation is sequential and the "
-        "output never depends on this value)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -328,8 +320,6 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.fn(args)
     except (MapError, QExprError, ValueError, OSError) as exc:

@@ -138,14 +138,18 @@ class CombMap:
             self._faces = _orbits(phi)
         return self._faces
 
-    def face_of(self, dart):
+    def face_table(self):
+        """The list dart -> index of its face orbit (cached)."""
         if self._face_of is None:
             fof = [0] * self.n_darts
             for i, orbit in enumerate(self.faces()):
                 for d in orbit:
                     fof[d] = i
             self._face_of = fof
-        return self._face_of[dart]
+        return self._face_of
+
+    def face_of(self, dart):
+        return self.face_table()[dart]
 
     def edges(self):
         """Edges as (d, theta[d]) with d < theta[d], sorted."""
@@ -219,13 +223,13 @@ class CombMap:
     def restrict(self, darts):
         """Submap on a dart subset closed under sigma and theta.
 
-        Returns (map, old_to_new dict); relabeling preserves dart order.
+        Relabeling preserves dart order.
         """
         darts = sorted(darts)
         old_to_new = {d: i for i, d in enumerate(darts)}
         sigma = [old_to_new[self.sigma[d]] for d in darts]
         theta = [old_to_new[self.theta[d]] for d in darts]
-        return CombMap(sigma, theta), old_to_new
+        return CombMap(sigma, theta)
 
     def __eq__(self, other):
         return (
@@ -455,15 +459,21 @@ def _component_canonical(theta, comp, rotations):
     return best, best_hits
 
 
-def _canonical_data(web, include_reflections):
-    cmap = web.map
-    sigma = cmap.sigma
-    theta = cmap.theta
-    flen = [0] * len(sigma)
+def face_lengths(cmap):
+    """The list dart -> length of its face."""
+    flen = [0] * cmap.n_darts
     for face in cmap.faces():
         k = len(face)
         for d in face:
             flen[d] = k
+    return flen
+
+
+def _canonical_data(web, include_reflections):
+    cmap = web.map
+    sigma = cmap.sigma
+    theta = cmap.theta
+    flen = face_lengths(cmap)
     ftheta = [flen[t] for t in theta]
     rotations = [(sigma, flen, ftheta)]
     if include_reflections:
@@ -544,41 +554,35 @@ def disjoint_union(w1, w2):
 # -- connectivity ------------------------------------------------------------
 
 
-def _edge_cuts(cmap):
-    """Bridges and 2-bonds of a connected genus-0 map, edges named by least dart.
+def _bonds(cmap):
+    """The 2-bonds of a connected web, sorted, edges named by least dart.
 
-    By planar duality an edge set is a minimal cut iff its dual edges form
-    a cycle: a bridge has the same face on both sides, and a 2-bond is a
-    pair of edges separating the same two distinct faces.
+    A web has no bridge.  Every edge joins the two colour classes, so
+    were an edge a bridge, the side X holding its end of class a would
+    have 3|X_a| - 1 edge ends in X_a and 3|X_b| in X_b; both count the
+    edges inside X, yet they differ mod 3.  By planar duality an
+    edge set is a minimal cut iff its dual edges form a cycle, so a
+    2-bond is a pair of edges separating the same two faces.
     """
-    bridges = []
+    fof = cmap.face_table()
     by_faces = {}
     for d, t in cmap.edges():
-        f, g = cmap.face_of(d), cmap.face_of(t)
-        if f == g:
-            bridges.append(d)
-        else:
-            by_faces.setdefault((min(f, g), max(f, g)), []).append(d)
-    bonds = [pair for group in by_faces.values() for pair in itertools.combinations(group, 2)]
-    return bridges, bonds
+        f, g = fof[d], fof[t]
+        by_faces.setdefault((f, g) if f < g else (g, f), []).append(d)
+    return sorted(pair for group in by_faces.values() for pair in itertools.combinations(group, 2))
 
 
 def connectivity(web):
     """min(3, vertex connectivity) of a connected simple web.
 
-    Edge and vertex connectivity agree for simple cubic graphs, so this is
-    1 with a bridge, 2 with a 2-bond and 3 otherwise.
+    Edge and vertex connectivity agree for simple cubic graphs, and a web
+    has no bridge, so this is 2 with a 2-bond and 3 otherwise.
     """
     if len(web.map.components()) != 1:
         raise MapError("connectivity needs a connected web")
     if not web.is_simple():
         raise MapError("connectivity is defined on simple webs only")
-    bridges, bonds = _edge_cuts(web.map)
-    if bridges:
-        return 1
-    if bonds:
-        return 2
-    return 3
+    return 2 if _bonds(web.map) else 3
 
 
 # -- polygonal decompositions ------------------------------------------------

@@ -15,7 +15,7 @@ primes (circles are not prime by convention).
 
 from __future__ import annotations
 
-from .planarmap import CombMap, MapError, _edge_cuts, validate
+from .planarmap import CombMap, MapError, _bonds, validate
 from .qlaurent import qint
 from .reducer import apply_bigon, find_all_reducibles, invariant
 
@@ -39,80 +39,43 @@ class Decomposition:
         return f"Decomposition(k={self.k}, l={self.l}, sizes={sizes})"
 
 
-def _dart_components_without(cmap, banned_edges):
-    """Dart components when theta may not be crossed on the banned edges."""
-    banned = set()
-    for e in banned_edges:
-        banned.add(e)
-        banned.add(cmap.theta[e])
-    comp = [-1] * cmap.n_darts
-    n = 0
-    for start in range(cmap.n_darts):
-        if comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = n
-        while stack:
-            d = stack.pop()
-            nxt = [cmap.sigma[d]]
-            if d not in banned:
-                nxt.append(cmap.theta[d])
-            for nb in nxt:
-                if comp[nb] < 0:
-                    comp[nb] = n
-                    stack.append(nb)
-        n += 1
-    return comp, n
-
-
 def find_2_edge_cuts(web):
     """All unordered edge pairs whose removal disconnects the web.
 
     Edges are named by their smaller dart; empty iff the web is
-    3-connected.  A disconnecting pair is a 2-bond or contains a bridge.
+    3-connected.  A web has no bridge, so these are its 2-bonds.
     """
     if len(web.map.components()) != 1:
         raise MapError("cut search needs a connected web")
-    cmap = web.map
-    bridges, bonds = _edge_cuts(cmap)
-    cuts = set(bonds)
-    for e1 in bridges:
-        for e2, _ in cmap.edges():
-            if e2 != e1:
-                cuts.add((min(e1, e2), max(e1, e2)))
-    return sorted(cuts)
+    return _bonds(web.map)
 
 
 def split(web, cut):
     """Cut at a disconnecting edge pair; each side is closed by a new edge.
 
     The new edge reuses the cut darts in their rotation slots (the slot
-    vacated by the deleted edge), which keeps genus 0.  Returns the side
-    containing dart 0 first.
+    vacated by the deleted edge), which keeps genus 0.  A face crosses a
+    2-bond once each way, so the dart of e2 on a1's side is the one whose
+    face differs from a1's.  Returns the side containing a1 first.
     """
     if web.circles:
         raise MapError("split acts on webs without circles")
     cmap = web.map
     e1, e2 = cut
-    comp, n = _dart_components_without(cmap, (e1, e2))
-    if n != 2:
-        raise MapError("cut does not disconnect into two sides")
     a1, b1 = e1, cmap.theta[e1]
     a2, b2 = e2, cmap.theta[e2]
-    if comp[a1] == comp[b1] or comp[a2] == comp[b2]:
-        raise MapError("cut edge has both endpoints on one side")
-    if comp[a2] != comp[a1]:
+    fof = cmap.face_table()
+    if fof[a2] == fof[a1]:
         a2, b2 = b2, a2
     theta = list(cmap.theta)
     theta[a1], theta[a2] = a2, a1
     theta[b1], theta[b2] = b2, b1
     rewired = CombMap(cmap.sigma, theta)
-    sides = []
-    for cid in (comp[a1], comp[b1]):
-        darts = [d for d in range(cmap.n_darts) if comp[d] == cid]
-        sub, _ = rewired.restrict(darts)
-        sides.append(validate(sub))
-    return sides[0], sides[1]
+    comps = rewired.components()
+    if len(comps) != 2 or (a1 in comps[0]) == (b1 in comps[0]):
+        raise MapError("cut does not split the web into two sides")
+    side_a, side_b = comps if a1 in comps[0] else comps[::-1]
+    return validate(rewired.restrict(side_a)), validate(rewired.restrict(side_b))
 
 
 def simplify(web):

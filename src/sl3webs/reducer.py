@@ -19,7 +19,7 @@ from __future__ import annotations
 import array
 from typing import NamedTuple
 
-from .planarmap import CombMap, MapError, Web, canonical_key, validate
+from .planarmap import CombMap, MapError, Web, canonical_key, face_lengths, validate
 from .qlaurent import HalfLaurent, qint
 
 CIRCLE_FACTOR = qint(3)
@@ -294,14 +294,9 @@ def _shape(cmap):
     tuples only, so it does not depend on PYTHONHASHSEED.  A collision only
     costs canonical keys, never a wrong value.
     """
-    faces = cmap.faces()
-    flen = [0] * cmap.n_darts
-    for face in faces:
-        k = len(face)
-        for d in face:
-            flen[d] = k
+    flen = face_lengths(cmap)
     theta = cmap.theta
-    return hash(tuple(sorted(tuple(sorted([flen[theta[d]] for d in face])) for face in faces)))
+    return hash(tuple(sorted(tuple(sorted([flen[theta[d]] for d in face])) for face in cmap.faces())))
 
 
 def _pack(cmap):
@@ -338,8 +333,7 @@ def invariant(web):
         return result
     if len(comps) > 1:
         for comp in comps:
-            sub, _ = web.map.restrict(comp)
-            result = result * invariant(validate(sub))
+            result = result * invariant(validate(web.map.restrict(comp)))
         return result
     shape = _shape(web.map)
     bucket = _MEMO.get(shape)

@@ -224,9 +224,11 @@ class TestVerifyPaper:
         assert report["summary"]["exact_invariants"] == 3
         assert report["unlisted_webs"] == []
 
-    def test_threads_flag_accepted(self, capsys):
-        rc, out, _ = run(capsys, "--threads", "4", "enumerate", "--vertices", "8", "--count")
-        assert rc == 0 and out.strip() == "1"
+    def test_threads_flag_rejected(self):
+        # evaluation is sequential; there is no parallelism knob to set
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "4", "enumerate", "--vertices", "8", "--count"])
+        assert exc.value.code == 2
 
 
 class TestParserReuse:

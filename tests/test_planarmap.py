@@ -12,7 +12,6 @@ from sl3webs.planarmap import (
     NonPlanarEmbedding,
     NotBipartite,
     NotCubic,
-    _edge_cuts,
     automorphism_count,
     canonical_form,
     canonical_key,
@@ -20,7 +19,6 @@ from sl3webs.planarmap import (
     connectivity,
     disjoint_union,
     edge_3_coloring,
-    from_rotations,
     is_circular,
     isomorphic,
     mirror,
@@ -363,19 +361,6 @@ class TestConnectivity:
             connectivity(theta_web())
         with pytest.raises(MapError):
             connectivity(digon_prism_web())
-
-    def test_bridge_detection_helper(self):
-        # two K4s, one edge of each subdivided, the subdivision vertices
-        # joined by the bridge 4-9 (cubic and genus 0, but not a Web)
-        m = from_rotations(
-            [[4, 2, 3], [4, 3, 2], [0, 1, 3], [0, 2, 1], [0, 1, 9],
-             [9, 7, 8], [9, 8, 7], [5, 6, 8], [5, 7, 6], [5, 6, 4]]
-        )
-        assert [g for g, _ in m.genus_by_component()] == [0]
-        bridge = next(d for d, t in m.edges() if {m.vertex_of(d), m.vertex_of(t)} == {4, 9})
-        bridges, _ = _edge_cuts(m)
-        assert bridges == [bridge]
-        assert 0 not in bridges
 
 
 class TestPolygonalDecompositions:

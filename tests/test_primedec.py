@@ -1,8 +1,18 @@
+import hashlib
+import itertools
 import random
 
 import pytest
 
-from sl3webs.planarmap import MapError, canonical_key, connectivity, isomorphic
+from sl3webs.enumerator import build_catalog
+from sl3webs.planarmap import (
+    MapError,
+    canonical_key,
+    connectivity,
+    disjoint_union,
+    isomorphic,
+    serialize_web,
+)
 from sl3webs.primedec import (
     connected_sum,
     decompose,
@@ -18,6 +28,24 @@ from webfixtures import cube_web, digon_prism_web, hex_prism_web, theta_web
 
 def cube_sum_cube(ea=0, eb=0):
     return connected_sum(cube_web(), ea, cube_web(), eb)
+
+
+def random_sums(seed, count):
+    """Connected sums of 2-4 catalog primes at random darts."""
+    primes = [e.web for e in build_catalog(20)]
+    rng = random.Random(seed)
+    sums = []
+    for _ in range(count):
+        w = rng.choice(primes)
+        for _ in range(rng.randrange(1, 4)):
+            other = rng.choice(primes)
+            w = connected_sum(w, rng.randrange(w.map.n_darts),
+                              other, rng.randrange(other.map.n_darts))
+        sums.append(w)
+    return sums
+
+
+SIDES_SHA256 = "54eb01ed9a83bb6216210a6191e3043d3abdf3d1cc315e462aac9727480233dd"
 
 
 class TestConnectedSum:
@@ -63,41 +91,46 @@ class TestFindCuts:
         assert len(find_2_edge_cuts(w)) >= 2
 
     def test_matches_naive_pair_scan(self):
-        import itertools
-
-        from sl3webs.enumerator import build_catalog
-        from sl3webs.primedec import _dart_components_without
-
         def disconnects(w, edges):
-            return _dart_components_without(w.map, edges)[1] > 1
+            # plain vertex BFS that never crosses a banned edge
+            sigma, theta = w.map.sigma, w.map.theta
+            banned = set(edges) | {theta[e] for e in edges}
+            vertex = {}
+            for d in range(len(sigma)):
+                x = d
+                while x not in vertex:
+                    vertex[x] = d
+                    x = sigma[x]
+            adj = {v: [] for v in vertex.values()}
+            for d in range(len(sigma)):
+                if d not in banned:
+                    adj[vertex[d]].append(vertex[theta[d]])
+            seen = {vertex[0]}
+            queue = [vertex[0]]
+            for v in queue:
+                for u in adj[v]:
+                    if u not in seen:
+                        seen.add(u)
+                        queue.append(u)
+            return len(seen) < len(adj)
 
-        primes = [e.web for e in build_catalog(20)]
-        rng = random.Random(20261018)
-        sums = []
-        for _ in range(30):
-            w = rng.choice(primes)
-            for _ in range(rng.randrange(1, 4)):
-                other = rng.choice(primes)
-                w = connected_sum(w, rng.randrange(w.map.n_darts),
-                                  other, rng.randrange(other.map.n_darts))
-            sums.append(w)
-        for w in [
+        webs = [
             theta_web(),
             digon_prism_web(),
             cube_web(),
             cube_sum_cube(),
             connected_sum(cube_sum_cube(), 5, hex_prism_web(), 3),
-        ] + sums:
+        ] + random_sums(20261018, 30)
+        assert len(webs) == 35
+        for w in webs:
             edge_ids = [d for d, _ in w.map.edges()]
+            # a web has no bridge
+            assert not any(disconnects(w, (e,)) for e in edge_ids)
             pairs = list(itertools.combinations(edge_ids, 2))
             naive = sorted(p for p in pairs if disconnects(w, p))
             assert find_2_edge_cuts(w) == naive
             if w.is_simple():
-                if any(disconnects(w, (e,)) for e in edge_ids):
-                    expect = 1
-                else:
-                    expect = 2 if naive else 3
-                assert connectivity(w) == expect
+                assert connectivity(w) == (2 if naive else 3)
 
 
 class TestSplit:
@@ -129,6 +162,43 @@ class TestSplit:
     def test_non_cut_rejected(self):
         with pytest.raises(MapError):
             split(cube_web(), (0, 2))
+
+    def test_non_bond_pairs_of_a_sum_rejected(self):
+        w = connected_sum(cube_sum_cube(), 5, hex_prism_web(), 3)
+        bonds = set(find_2_edge_cuts(w))
+        edge_ids = [d for d, _ in w.map.edges()]
+        pairs = [p for p in itertools.combinations(edge_ids, 2) if p not in bonds]
+        assert pairs and bonds
+        for cut in pairs:
+            with pytest.raises(MapError):
+                split(w, cut)
+
+    def test_disjoint_union_rejected(self):
+        w = disjoint_union(cube_web(), cube_web())
+        first, second = w.map.components()
+        edge_ids = [d for d, _ in w.map.edges()]
+        same = [(e1, e2) for e1, e2 in itertools.combinations(edge_ids, 2)
+                if (e1 in first) == (e2 in first)]
+        across = [(e1, e2) for e1 in edge_ids if e1 in first
+                  for e2 in edge_ids if e2 in second]
+        assert len(same) == 2 * 66 and len(across) == 12 * 12
+        for cut in same + across:
+            with pytest.raises(MapError):
+                split(w, cut)
+
+    def test_sides_and_decompositions_pinned(self):
+        # sha256 over the serialized sides of every cut of seeded sums of
+        # catalog primes, then over their decompositions
+        h = hashlib.sha256()
+        for w in random_sums(20261019, 12):
+            for cut in find_2_edge_cuts(w):
+                for side in split(w, cut):
+                    h.update(serialize_web(side).encode())
+            dec = decompose(w)
+            h.update(f"l={dec.l} collapsed={dec.collapsed_circles}\n".encode())
+            for p in dec.primes:
+                h.update(serialize_web(p).encode())
+        assert h.hexdigest() == SIDES_SHA256
 
 
 class TestSimplify:
