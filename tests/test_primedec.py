@@ -12,6 +12,7 @@ from sl3webs.planarmap import (
     disjoint_union,
     isomorphic,
     serialize_web,
+    validate,
 )
 from sl3webs.primedec import (
     connected_sum,
@@ -45,7 +46,7 @@ def random_sums(seed, count):
     return sums
 
 
-SIDES_SHA256 = "54eb01ed9a83bb6216210a6191e3043d3abdf3d1cc315e462aac9727480233dd"
+SIDES_SHA256 = "240a6ef725181a047dc4ca2367ea6a61421c62f374b2723d007d8252dcb39412"
 
 
 class TestConnectedSum:
@@ -120,8 +121,12 @@ class TestFindCuts:
             cube_web(),
             cube_sum_cube(),
             connected_sum(cube_sum_cube(), 5, hex_prism_web(), 3),
+            # a cube summed at the fresh edge of cube # cube leaves three
+            # edges between the same two faces, whose pairs do not come
+            # out of the face-pair scan in sorted order
+            connected_sum(connected_sum(cube_sum_cube(), 0, cube_web(), 0), 1, cube_web(), 0),
         ] + random_sums(20261018, 30)
-        assert len(webs) == 35
+        assert len(webs) == 36
         for w in webs:
             edge_ids = [d for d, _ in w.map.edges()]
             # a web has no bridge
@@ -188,9 +193,17 @@ class TestSplit:
 
     def test_sides_and_decompositions_pinned(self):
         # sha256 over the serialized sides of every cut of seeded sums of
-        # catalog primes, then over their decompositions
-        h = hashlib.sha256()
+        # catalog primes, then over their decompositions; each sum comes
+        # again with its darts shuffled, so that dart 0 is not always on
+        # the side of the cut's first edge
+        rng = random.Random(7)
+        webs = []
         for w in random_sums(20261019, 12):
+            perm = list(range(w.map.n_darts))
+            rng.shuffle(perm)
+            webs += [w, validate(w.map.relabel(perm))]
+        h = hashlib.sha256()
+        for w in webs:
             for cut in find_2_edge_cuts(w):
                 for side in split(w, cut):
                     h.update(serialize_web(side).encode())
