@@ -48,7 +48,6 @@ from .qlaurent import (
     qint,
 )
 from .reducer import (
-    LinearCombination,
     Reducible,
     apply_bigon,
     apply_circle,

@@ -52,13 +52,12 @@ class NonPlanarEmbedding(MapError):
         self.dart = dart
 
 
-def _orbits(perm, darts=None):
+def _orbits(perm):
     """Cycles of a permutation, each started at its least element."""
     n = len(perm)
     seen = [False] * n
-    pool = range(n) if darts is None else sorted(darts)
     out = []
-    for start in pool:
+    for start in range(n):
         if seen[start]:
             continue
         cyc = []

@@ -3,7 +3,9 @@
 Evaluates the quantum sl(3) invariant of a closed web by applying the three
 local relations until nothing is left: a vertexless circle contributes [3],
 a bigon face contracts with factor -[2], and a square face splits into its
-two planar smoothings with unit coefficients.  Every nonempty web admits a
+two planar smoothings with unit coefficients.  Both face relations remove
+the face's vertices and join its outside legs along arcs inside the face;
+the bigon is the smoothing with one arc.  Every nonempty web admits a
 move (all faces are even, so Euler's formula forces a face of degree <= 4)
 and every move strictly shrinks (vertices, circles), so reduction
 terminates.  Values are memoized on reflection-inclusive canonical keys,
@@ -97,47 +99,32 @@ def _drop_and_rewire(web, drop_vertices, new_pairs, extra_circles):
     return validate(CombMap(sigma, theta), web.circles + extra_circles)
 
 
-def apply_circle(web, site=None):
+def apply_circle(web):
     """Remove one vertexless circle; factor [3]."""
     if web.circles < 1:
         raise MapError("no circle to remove")
     return web.with_circles(web.circles - 1), CIRCLE_FACTOR
 
 
-def _face_from(web, site):
-    faces = web.map.faces()
-    return faces[web.map.face_of(site)]
+def _disk(web, site, kind, size):
+    """The vertices of the face through `site` and its outside legs.
 
-
-def apply_bigon(web, site):
-    """Contract a degree-2 face; factor -[2].
-
-    The two bigon vertices disappear and their outside edges splice into
-    one; if those outside edges coincide (theta graph), a circle appears.
+    Walking the face cycle d_0..d_(size-1), vertex k carries the leg
+    sigma(d_k): its rotation runs theta(d_(k-1)) -> d_k -> sigma(d_k), and
+    the first two lie on edges of the face.
     """
-    face = _face_from(web, site)
-    if len(face) != 2:
-        raise MapError(f"dart {site} does not lie on a bigon face")
     cmap = web.map
-    d1, d2 = face
-    u = cmap.vertex_of(d1)
-    v = cmap.vertex_of(d2)
-    if u == v:
-        raise MapError("bigon face with a single vertex; not a valid web")
-    u_darts = set(cmap.vertices()[u])
-    v_darts = set(cmap.vertices()[v])
-    x = (u_darts - {d1, cmap.theta[d2]}).pop()
-    y = (v_darts - {d2, cmap.theta[d1]}).pop()
-    if cmap.theta[x] == y:
-        # third parallel edge: the whole component closes into a circle
-        new = _drop_and_rewire(web, (u, v), (), 1)
-    else:
-        new = _drop_and_rewire(web, (u, v), ((cmap.theta[x], cmap.theta[y]),), 0)
-    return new, BIGON_FACTOR
+    face = cmap.faces()[cmap.face_of(site)]
+    if len(face) != size:
+        raise MapError(f"dart {site} does not lie on a {kind} face")
+    verts = tuple(cmap.vertex_of(d) for d in face)
+    if len(set(verts)) != size:
+        raise MapError(f"{kind} face with repeated vertices; not a cubic web")
+    return verts, tuple(cmap.sigma[d] for d in face)
 
 
 def _smooth(web, verts, legs, arcs):
-    """Remove the square vertices, joining legs along the given arcs.
+    """Remove a face's vertices, joining its legs along the given arcs.
 
     Strand chains alternate arc hops and edge hops through legs; chains
     with free ends become new edges, closed chains become circles.
@@ -183,21 +170,24 @@ def _smooth(web, verts, legs, arcs):
     return _drop_and_rewire(web, verts, new_pairs, circles)
 
 
+def apply_bigon(web, site):
+    """Contract a degree-2 face; factor -[2].
+
+    The one-arc smoothing: the two bigon vertices disappear and their legs
+    join, so the outside edges splice into one, or close into a circle
+    when they are one edge (theta graph).
+    """
+    verts, (a, b) = _disk(web, site, "bigon", 2)
+    return _smooth(web, verts, (a, b), ((a, b),)), BIGON_FACTOR
+
+
 def apply_square(web, site):
     """Split a degree-4 face into its two planar smoothings.
 
-    Walking the face cycle d0..d3, vertex k carries the outside leg
-    sigma(d_k); one smoothing joins legs (0,1) and (2,3), the other (1,2)
-    and (3,0).  Both children lose exactly the four square vertices.
+    One smoothing joins legs (0,1) and (2,3), the other (1,2) and (3,0).
+    Both children lose exactly the four square vertices.
     """
-    face = _face_from(web, site)
-    if len(face) != 4:
-        raise MapError(f"dart {site} does not lie on a square face")
-    cmap = web.map
-    verts = tuple(cmap.vertex_of(d) for d in face)
-    if len(set(verts)) != 4:
-        raise MapError("square face with repeated vertices; not a cubic web")
-    legs = tuple(cmap.sigma[d] for d in face)
+    verts, legs = _disk(web, site, "square", 4)
     child_a = _smooth(web, verts, legs, ((legs[0], legs[1]), (legs[2], legs[3])))
     child_b = _smooth(web, verts, legs, ((legs[1], legs[2]), (legs[3], legs[0])))
     return child_a, child_b
@@ -214,55 +204,6 @@ def reduce_at(web, red):
         one = HalfLaurent.one()
         return [(child, one) for child in apply_square(web, red.site)]
     raise ValueError(f"unknown relation kind {red.kind!r}")
-
-
-class LinearCombination:
-    """The engine's working state: weighted webs plus a scalar accumulator.
-
-    Represents sum(coeff * P(web)) + accumulator; every step rewrites one
-    term by a relation and preserves the represented element, so reducing
-    to an empty term list leaves P of the starting web in the accumulator.
-    """
-
-    __slots__ = ("terms", "accumulator")
-
-    def __init__(self, terms=(), accumulator=None):
-        self.terms = list(terms)
-        self.accumulator = HalfLaurent.zero() if accumulator is None else accumulator
-
-    @classmethod
-    def start(cls, web):
-        return cls([(web, HalfLaurent.one())])
-
-    def is_done(self):
-        return not self.terms
-
-    def value(self):
-        if self.terms:
-            raise MapError("reduction is not finished")
-        return self.accumulator
-
-    def step(self, index=0, site=None):
-        """Rewrite one term (default: the first, at its priority site)."""
-        web, coeff = self.terms.pop(index)
-        red = find_reducible(web) if site is None else site
-        if red is None:
-            self.accumulator = self.accumulator + coeff
-            return
-        self.terms.extend((child, coeff * factor) for child, factor in reduce_at(web, red))
-
-    def reduce_fully(self):
-        while self.terms:
-            self.step()
-        return self.accumulator
-
-    def represented_value(self):
-        """Evaluate the current state with the memoized engine (testing
-        hook for the conservation invariant)."""
-        total = self.accumulator
-        for web, coeff in self.terms:
-            total = total + coeff * invariant(web)
-        return total
 
 
 # shape -> entries of that shape, in insertion order

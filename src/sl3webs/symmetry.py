@@ -387,7 +387,7 @@ def dth_root_search(p, d, budget=DEFAULT_BUDGET, support_limit=None):
     return RootSearchResult("found", candidate, tested_total, "verified witness")
 
 
-def symmetry_report(web, candidates, budget=DEFAULT_BUDGET):
+def symmetry_report(web, candidates):
     """Congruence evidence for symmetry candidates (quotient web, order d).
 
     For each candidate the quotient invariant is computed by the engine

@@ -94,6 +94,3 @@ TABLE_ROWS = [
         "10_8", "8[2]^4[3]", [[4, 4, 6, 6], [4, 4, 6, 6], [4, 4, 6, 6]], False
     ),
 ]
-
-UNAMBIGUOUS_ROW_NAMES = tuple(r.name for r in TABLE_ROWS if not r.suspect)
-SUSPECT_ROW_NAMES = tuple(r.name for r in TABLE_ROWS if r.suspect)

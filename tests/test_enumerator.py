@@ -470,6 +470,18 @@ class TestCatalog:
         keys = {canonical_key(e.web) for e in family}
         assert len(keys) == len(family)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "build_catalog closes downward from n_max + 2, all_primes from "
+            "n + default_slack(n) = n + 4 at 24 vertices; the catalog misses "
+            "a 24-vertex prime (31 against 32), see ROADMAP open item 1"
+        ),
+    )
+    def test_catalog_agrees_with_all_primes_at_24(self):
+        at_24 = [e for e in build_catalog(24) if e.vertex_count == 24]
+        assert len(at_24) == len(all_primes(24))
+
 
 class TestNonIsomorphicSumsShareInvariant:
     def test_sums_of_16_vertex_prime(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import random
@@ -6,10 +7,17 @@ import zlib
 import pytest
 
 from sl3webs import reducer
-from sl3webs.planarmap import CombMap, MapError, disjoint_union, mirror, parse_web, validate
+from sl3webs.planarmap import (
+    CombMap,
+    MapError,
+    disjoint_union,
+    mirror,
+    parse_web,
+    serialize_web,
+    validate,
+)
 from sl3webs.qlaurent import HalfLaurent, parse_qexpr, qint
 from sl3webs.reducer import (
-    LinearCombination,
     Reducible,
     apply_bigon,
     apply_circle,
@@ -129,6 +137,12 @@ class TestApplySquare:
                 a, b = apply_square(w, red.site)
                 assert a.n_vertices == w.n_vertices - 4
                 assert b.n_vertices == w.n_vertices - 4
+
+    def test_not_a_square(self):
+        w = hex_prism_web()
+        hexagon = next(face for face in w.map.faces() if len(face) == 6)
+        with pytest.raises(MapError, match=f"^dart {hexagon[0]} does not lie on a square face"):
+            apply_square(w, hexagon[0])
 
     def test_standalone_square_closure_circles(self):
         # digon prism = square closed by two arcs; smoothing along the arcs
@@ -265,6 +279,30 @@ class TestReduceAt:
         with pytest.raises(ValueError):
             reduce_at(cube_web(), Reducible("hexagon", 0))
 
+    def test_children_pinned(self):
+        # the exact dart labels of every child, not only its isomorphism
+        # class: a change of dart order shows here and nowhere else
+        digest = hashlib.sha256()
+
+        def record(child):
+            digest.update(f"{serialize_web(child)}circles {child.circles}\n".encode())
+
+        webs = (cube_web(), theta_web(), hex_prism_web(), digon_prism_web())
+        for w in webs + (cube_web().with_circles(1),):
+            for red in find_all_reducibles(w):
+                for child, _ in reduce_at(w, red):
+                    record(child)
+        for path in sorted(FIXTURES.glob("prime_*.dart")):
+            w = parse_web(path.read_text())
+            for red in find_all_reducibles(w):
+                if red.kind != "square":
+                    continue
+                for child in apply_square(w, red.site):
+                    for sub in find_all_reducibles(child):
+                        if sub.kind == "bigon":
+                            record(apply_bigon(child, sub.site)[0])
+        assert digest.hexdigest() == "513859338bc0bc421c21bef97d366058af4692f2ad8113be02143e04b310b7e2"
+
 
 class TestProgress:
     def test_strict_decrease(self):
@@ -333,27 +371,26 @@ class TestColoringCountSpecialization:
             assert invariant(w).eval_at_one() == sign * count_edge_colorings(w)
 
 
-class TestLinearCombination:
-    def test_full_reduction_matches_engine(self):
-        for w in (cube_web(), theta_web(), hex_prism_web(), digon_prism_web()):
-            lc = LinearCombination.start(w)
-            assert lc.reduce_fully() == invariant(w)
-            assert lc.is_done() and lc.value() == invariant(w)
-
+class TestConservation:
     def test_every_step_preserves_the_element(self):
+        # the work list plus the accumulator represent
+        # sum(coeff * P(web)) + accumulator, which every rewrite of one
+        # term by its children keeps equal to P of the starting web
         rng = random.Random(33)
-        for w in (cube_web(), hex_prism_web()):
-            lc = LinearCombination.start(w)
+        for w in (cube_web(), theta_web(), hex_prism_web(), digon_prism_web()):
             expect = invariant(w)
-            while not lc.is_done():
-                assert lc.represented_value() == expect
-                lc.step(rng.randrange(len(lc.terms)))
-            assert lc.value() == expect
-
-    def test_value_before_done_raises(self):
-        lc = LinearCombination.start(cube_web())
-        with pytest.raises(MapError):
-            lc.value()
+            terms = [(w, HalfLaurent.one())]
+            accumulator = HalfLaurent.zero()
+            while terms:
+                web, coeff = terms.pop(rng.randrange(len(terms)))
+                red = find_reducible(web)
+                if red is None:
+                    accumulator = accumulator + coeff
+                else:
+                    terms += [(child, coeff * factor) for child, factor in reduce_at(web, red)]
+                total = sum((coeff * invariant(web) for web, coeff in terms), accumulator)
+                assert total == expect
+            assert accumulator == expect
 
 
 class TestTrace:
