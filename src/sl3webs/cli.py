@@ -14,7 +14,7 @@ import json
 import sys
 from collections import defaultdict
 
-from .enumerator import all_primes, build_catalog, circular_primes, default_slack
+from .enumerator import all_primes, build_catalog, circular_primes
 from .planarmap import (
     MapError,
     canonical_form,
@@ -77,14 +77,12 @@ def _cmd_decompose(args):
 
 def _cmd_enumerate(args):
     n = args.vertices
-    slack = args.slack if args.slack is not None else default_slack(n)
-    webs = circular_primes(n) if args.circular_only else all_primes(n, slack)
+    webs = circular_primes(n) if args.circular_only else all_primes(n)
     if args.count:
         _emit(len(webs), str(len(webs)), args.pretty)
         return 0
     obj = {
         "vertices": n,
-        "slack": None if args.circular_only else slack,
         "circular_only": args.circular_only,
         "count": len(webs),
         "webs": [serialize_web(w, args.format) for w in webs],
@@ -94,7 +92,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_catalog(args):
-    entries = build_catalog(args.max_vertices, args.slack if args.slack is not None else 2)
+    entries = build_catalog(args.max_vertices)
     for e in entries:
         obj = {
             "name": e.name,
@@ -158,7 +156,7 @@ def _cmd_symmetry_root(args):
     return 0
 
 
-def verify_paper(n_max=20, slack=2):
+def verify_paper(n_max=20):
     """Regenerate the catalog and compare against the reference tables.
 
     Rows are matched by structural fingerprint (size, descriptions,
@@ -166,7 +164,7 @@ def verify_paper(n_max=20, slack=2):
     typographically suspect rows are reported with computed values, never
     hard-failed.
     """
-    entries = build_catalog(n_max, slack)
+    entries = build_catalog(n_max)
     rows = [r for r in TABLE_ROWS if r.vertex_count <= n_max]
     sizes = {n: 0 for n in range(8, n_max + 1, 2)}
     for e in entries:
@@ -210,7 +208,6 @@ def verify_paper(n_max=20, slack=2):
     exact_rows = [d["row"] for d in row_reports if d["invariant_exact"] and not d["suspect"]]
     return {
         "max_vertices": n_max,
-        "slack": slack,
         "size_histogram": sizes,
         "rows": row_reports,
         "unlisted_webs": unlisted,
@@ -224,7 +221,7 @@ def verify_paper(n_max=20, slack=2):
 
 
 def _cmd_verify_paper(args):
-    report = verify_paper(args.max_vertices, args.slack if args.slack is not None else 2)
+    report = verify_paper(args.max_vertices)
     lines = [
         "size histogram: "
         + " ".join(f"{n}:{c}" for n, c in sorted(report["size_histogram"].items()))
@@ -281,14 +278,12 @@ def _build_parser():
 
     p = add("enumerate", _cmd_enumerate, help="enumerate prime webs of a given size")
     p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--slack", type=int, default=None, help="extra vertex budget for the circular seed layers (default: size/8 rounded up to even)")
     p.add_argument("--circular-only", action="store_true")
     p.add_argument("--count", action="store_true", help="print only the count")
     p.add_argument("--format", choices=("simple", "dart"), default="dart")
 
     p = add("catalog", _cmd_catalog, help="JSON-lines catalog of primes up to a size")
     p.add_argument("--max-vertices", type=int, default=20)
-    p.add_argument("--slack", type=int, default=None)
     p.add_argument("--format", choices=("simple", "dart"), default="dart")
 
     p = add("canon", _cmd_canon, help="canonical form of a web")
@@ -312,7 +307,6 @@ def _build_parser():
 
     p = add("verify-paper", _cmd_verify_paper, help="regenerate the catalog and compare to the reference tables")
     p.add_argument("--max-vertices", type=int, default=20)
-    p.add_argument("--slack", type=int, default=None)
 
     return parser
 

@@ -5,18 +5,26 @@ decomposition open along its unique edge on the exterior face and the web
 flattens to a marked polygon (the plate) whose chords are the third-color
 edges.  Enumerating plates (cyclic even partitions, parts >= 4) and their
 normal chord diagrams (non-crossing, no same-side chord) and re-gluing
-yields every circular prime of a given size.  Non-circular primes are
-reached from larger circular ones by pushing moves, which drop the vertex
-count by two; closing the union of circular layers under pushing and
-filtering yields all primes.
+yields every circular prime of a given size.
+
+The paper reaches the non-circular primes from larger circular ones by
+pushing moves, which drop the vertex count by two.  Here the layers are
+built upward from the cube instead: layer n holds the circular primes of
+size n and the 3-connected converse pushes, across a face, of layer
+n - 2.  No web above n is assembled, and no seed budget above n is
+guessed.  That every prime is reached this way is not proved.  The
+evidence is that both paths agree: the tests close the circular layers
+from 30 vertices downward under pushing moves and get the same primes at
+every size up to 26, and they pin the upward counts through 30.  Holton,
+Manvel and McKay (JCTB 38, 1985) generate the 3-connected cubic bipartite
+plane graphs upward from the cube by a small set of expansions; the
+converse pushing move has not been checked against their operations.
 
 The Clebsch-Gordan recursion for dim Inv(V_a1 x ... x V_aN) counts normal
 chord diagrams independently and cross-checks the enumeration.
 """
 
 from __future__ import annotations
-
-import bisect
 
 from .planarmap import (
     CombMap,
@@ -32,15 +40,9 @@ from .reducer import _drop_and_rewire, invariant
 
 
 def _check_size(name, value):
-    """Vertex counts and slacks are even and non-negative."""
+    """Vertex counts are even and non-negative."""
     if value < 0 or value % 2:
         raise ValueError(f"{name} must be even and non-negative, got {value}")
-
-
-def default_slack(n):
-    """Smallest even integer >= n/8 (each level needs two more polygons)."""
-    s = -(-n // 8)
-    return s + (s % 2)
 
 
 def even_partitions(n):
@@ -200,15 +202,14 @@ def circular_primes(n):
     return list(webs)
 
 
-def pushing_moves_with_sites(web):
+def pushing_moves(web):
     """Apply the pushing move at every edge; -2 vertices per result.
 
     At an edge u-v the two endpoints vanish, their remaining same-side
     strands fuse pairwise (the planar, color-respecting reconnection),
-    leaving two fresh edges A-B and C-D.  Returns (child, (dart of fused
-    edge 1, dart of fused edge 2)) per site whose child is a simple web;
-    sites with parallel edges at u or v and invalid embeddings are
-    discarded.
+    leaving two fresh edges A-B and C-D.  Returns the child of every site
+    whose child is a simple web; sites with parallel edges at u or v and
+    invalid embeddings are discarded.
 
     Simplicity is decided from the parent's adjacency before any surgery.
     The child keeps the parent's edges away from u and v and gains A-B
@@ -243,72 +244,71 @@ def pushing_moves_with_sites(web):
             continue
         pairs = ((ends[0], ends[1]), (ends[2], ends[3]))
         try:
-            child = _drop_and_rewire(web, (u, v), pairs, 0)
+            out.append(_drop_and_rewire(web, (u, v), pairs, 0))
         except MapError:
             continue
-        # locate the fused edges after compaction
-        dropped = sorted(cmap.vertices()[u] + cmap.vertices()[v])
-        sites = tuple(x - bisect.bisect_left(dropped, x) for x in (ends[0], ends[2]))
-        out.append((child, sites))
     return out
 
 
-def pushing_moves(web):
-    return [child for child, _ in pushing_moves_with_sites(web)]
+def converse_pushing_moves(web):
+    """Every converse pushing move of a web (+2 vertices per result).
 
+    Take darts x and q of one face whose distance along it is odd and at
+    least 3 both ways round.  The edges x-y and p-q (y = theta x,
+    p = theta q) give way to new vertices U, joined to the ends of x and
+    p, and V, joined to the ends of y and q, and to the edge U-V across
+    the face.  Pushing U-V gives the parent back.
 
-def converse_pushing_moves(web, e_fused_a, e_fused_b):
-    """All valid inverse pushing moves at a pair of edges (+2 vertices).
-
-    Splits both edges, joins the new vertices, and keeps every end
-    orientation that embeds; used to check the two moves are converse.
+    The face splits into two faces of those distances plus one, so the
+    child is bipartite.  It is simple if the face visits no vertex twice,
+    as in every 3-connected web; at distance 1, U or V would be joined
+    twice to one vertex.  Two edges can only be joined in the plane
+    across a face they share, and of the four ways to attach U and V only
+    this one embeds, so these are all the converse pushes.  Every child
+    is still validated.
     """
     cmap = web.map
     n = cmap.n_darts
+    duv, s1, s2, dvu, t1, t2 = range(n, n + 6)
+    sigma = cmap.sigma + (s1, s2, duv, t1, t2, dvu)
     results = []
-    x0, y0 = e_fused_a, cmap.theta[e_fused_a]
-    p0, q0 = e_fused_b, cmap.theta[e_fused_b]
-    for x, y in ((x0, y0), (y0, x0)):
-        for p, q in ((p0, q0), (q0, p0)):
-            duv, s1, s2, dvu, t1, t2 = range(n, n + 6)
-            sigma = list(cmap.sigma) + [s1, s2, duv, t1, t2, dvu]
-            theta = list(cmap.theta) + [dvu, x, p, duv, q, y]
-            theta[x] = s1
-            theta[y] = t2
-            theta[p] = s2
-            theta[q] = t1
-            try:
+    for face in cmap.faces():
+        for i, x in enumerate(face):
+            for q in face[i + 3 : i + len(face) - 2 : 2]:
+                y, p = cmap.theta[x], cmap.theta[q]
+                theta = list(cmap.theta) + [dvu, x, p, duv, q, y]
+                theta[x], theta[y], theta[p], theta[q] = s1, t2, s2, t1
                 results.append(validate(CombMap(sigma, theta)))
-            except MapError:
-                continue
     return results
 
 
-def _prime_layers(top, bottom):
-    """Yield (m, {canonical key: web}) for m = top, top-2, ..., bottom.
+def _prime_layers(n):
+    """Yield (m, {canonical key: web}) for m = 8, 10, ..., n.
 
-    Layer m holds the circular primes of size m plus the 3-connected
-    pushes of every web in layer m + 2 (pushes are simple already).
+    Layer m holds the circular primes of size m, then every 3-connected
+    converse push of a web in layer m - 2 that is not already there, so
+    circular primes keep the representatives plate assembly gives them.
+    The converse pushes of primes are simple, so connectivity decides.  That
+    this reaches every prime is not proved: it agrees with the downward
+    closure of the circular layers under pushing moves in the tests.
     """
-    above = {}
-    for m in range(top, bottom - 2, -2):
+    below = {}
+    for m in range(8, n + 1, 2):
         found = {canonical_key(w): w for w in circular_primes(m)}
-        for w in above.values():
-            for child in pushing_moves(w):
+        for w in below.values():
+            for child in converse_pushing_moves(w):
                 if connectivity(child) == 3:
                     found.setdefault(canonical_key(child), child)
         yield m, found
-        above = found
+        below = found
 
 
-def all_primes(n, slack=None):
-    """All prime webs with n vertices: circular layers n..n+slack closed
-    downward under pushing moves, keeping prime intermediates."""
+def all_primes(n):
+    """All prime webs with n vertices, sorted by canonical key."""
     _check_size("the vertex count", n)
-    if slack is None:
-        slack = default_slack(n)
-    _check_size("the slack", slack)
-    final = dict(_prime_layers(n + slack, n))[n]
+    final = {}
+    for _, final in _prime_layers(n):
+        pass
     return [final[k] for k in sorted(final)]
 
 
@@ -329,25 +329,16 @@ class CatalogEntry:
         return f"CatalogEntry({self.name}, V={self.vertex_count}, circular={self.circular})"
 
 
-def build_catalog(n_max, slack=2):
-    """Catalog of all primes with 8..n_max vertices.
+def build_catalog(n_max):
+    """Catalog of all primes with 8..n_max vertices, from one upward pass.
 
-    One downward closure from n_max + slack covers every size: pushes of
-    every kept prime (circular or not) land two vertices lower, so
-    non-circular primes below the top are reached through prime chains.
-    The default top slack of 2 is the known bound f(20) = 22 for the
-    reference range.  Names are <n/2>_<i> with i ordered by canonical key.
+    Names are <n/2>_<i> with i ordered by canonical key.
     """
     _check_size("the maximum vertex count", n_max)
-    _check_size("the slack", slack)
-    per_size = {
-        m: [found[k] for k in sorted(found)]
-        for m, found in _prime_layers(n_max + slack, 8)
-        if m <= n_max
-    }
     entries = []
-    for m in sorted(per_size):
-        for i, w in enumerate(per_size[m], 1):
+    for m, found in _prime_layers(n_max):
+        for i, key in enumerate(sorted(found), 1):
+            w = found[key]
             inv = invariant(w)
             descs = tuple(sorted(dec.sizes() for dec in edge_3_coloring(w)))
             entries.append(CatalogEntry(f"{m // 2}_{i}", w, inv, descs, is_circular(w)))

@@ -47,13 +47,13 @@ SUSPECT = {"10_1", "10_2", "10_5"}
 
 
 def _catalog():
-    return build_catalog(20, 2)
+    return build_catalog(20)
 
 
 class TestCriterion1TableReproduction:
     def test_verify_paper_at_twenty(self):
         t0 = time.time()
-        report = verify_paper(n_max=20, slack=2)
+        report = verify_paper(n_max=20)
         elapsed = time.time() - t0
         assert report["size_histogram"] == {8: 1, 10: 0, 12: 1, 14: 1, 16: 2, 18: 2, 20: 8}
         assert sum(report["size_histogram"].values()) == 15
@@ -230,10 +230,7 @@ class TestCriterion9SymmetryOrderSix:
 
 class TestCriterion10CountReporting:
     def test_counts_per_size(self):
-        counts = {}
-        for n in range(8, 22, 2):
-            counts[n] = len(all_primes(n, 2))
-        counts[22] = len(all_primes(22, 4))
+        counts = {n: len(all_primes(n)) for n in range(8, 24, 2)}
         assert counts == {8: 1, 10: 0, 12: 1, 14: 1, 16: 2, 18: 2, 20: 8, 22: 8}
         circular = {n: len(circular_primes(n)) for n in range(8, 24, 2)}
         assert circular == {8: 1, 10: 0, 12: 1, 14: 1, 16: 2, 18: 2, 20: 5, 22: 7}

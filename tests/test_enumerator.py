@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -10,17 +11,16 @@ from sl3webs.enumerator import (
     build_catalog,
     circular_primes,
     converse_pushing_moves,
-    default_slack,
     dim_inv,
     even_partitions,
     is_admissible,
     normal_chord_diagrams,
     pushing_moves,
-    pushing_moves_with_sites,
 )
 from sl3webs.planarmap import (
     CombMap,
     MapError,
+    automorphism_count,
     canonical_key,
     circular_witness,
     connectivity,
@@ -260,23 +260,21 @@ class TestCircularPrimes:
 
     def test_generated_webs_euler_and_even_faces(self):
         for n in (12, 16, 18, 20):
-            for w in all_primes(n, 2):
+            for w in all_primes(n):
                 faces = w.map.faces()
                 assert sum(len(f) for f in faces) == 2 * w.n_edges
                 assert all(len(f) % 2 == 0 for f in faces)
                 assert w.n_vertices - w.n_edges + len(faces) == 2
 
     def test_automorphism_count_divides_orbit_bound(self):
-        from sl3webs.planarmap import automorphism_count
-
         for n in (12, 16, 18, 20):
-            for w in all_primes(n, 2):
+            for w in all_primes(n):
                 assert (4 * w.n_edges) % automorphism_count(w, True) == 0
 
     def test_noncircular_prime_has_level_two_polygon(self):
         from sl3webs.planarmap import polygon_levels
 
-        for w in all_primes(20, 2):
+        for w in all_primes(20):
             if is_circular(w):
                 continue
             n_faces = len(w.map.faces())
@@ -294,7 +292,7 @@ class TestCircularPrimes:
         from sl3webs.planarmap import parse_web, serialize_web
 
         for n in (8, 12, 14, 16, 18, 20):
-            for w in all_primes(n, 2):
+            for w in all_primes(n):
                 assert isomorphic(parse_web(serialize_web(w, "dart")), w)
                 assert isomorphic(parse_web(serialize_web(w, "simple")), w)
 
@@ -304,7 +302,7 @@ class TestCircularPrimes:
         from sl3webs.planarmap import mirror
 
         rng = random.Random(1812)
-        webs = [w for n in (8, 12, 14, 16) for w in all_primes(n, 2)]
+        webs = [w for n in (8, 12, 14, 16) for w in all_primes(n)]
         variants = []
         for w in webs:
             perm = list(range(w.map.n_darts))
@@ -337,7 +335,7 @@ class TestPushingMoves:
     def test_nontrivial_from_22(self):
         noncirc = [
             w
-            for w in all_primes(20, 2)
+            for w in all_primes(20)
             if not is_circular(w)
         ]
         assert len(noncirc) == 3
@@ -348,17 +346,15 @@ class TestPushingMoves:
     def test_converse_roundtrip(self):
         checked = 0
         for w in circular_primes(16) + circular_primes(18):
-            for child, (e1, e2) in pushing_moves_with_sites(w):
-                back = converse_pushing_moves(child, e1, e2)
-                assert any(isomorphic(b, w) for b in back)
+            for child in pushing_moves(w):
+                assert any(isomorphic(b, w) for b in converse_pushing_moves(child))
                 checked += 1
         assert checked == 15
 
 
 def pushes_built_then_filtered(web):
-    """Oracle for pushing_moves_with_sites: build the child at every site
-    that has no parallel edge at u or v, keep the simple ones, and locate
-    the fused edges by counting the dropped darts below them."""
+    """Oracle for pushing_moves: build the child at every site that has
+    no parallel edge at u or v, and keep the simple ones."""
     cmap = web.map
     sigma, theta = cmap.sigma, cmap.theta
     out = []
@@ -375,36 +371,51 @@ def pushes_built_then_filtered(web):
             child = _drop_and_rewire(web, (u, v), ((ends[0], ends[1]), (ends[2], ends[3])), 0)
         except MapError:
             continue
-        if not simple_by_vertex_pairs(child):
-            continue
-        dropped = cmap.vertices()[u] + cmap.vertices()[v]
-        sites = tuple(e - sum(1 for x in dropped if x < e) for e in (ends[0], ends[2]))
-        out.append((child.map, sites))
+        if simple_by_vertex_pairs(child):
+            out.append(child.map)
     return out
 
 
+def downward_layers(top, bottom):
+    """Yield (m, {canonical key: web}) for m = top, top - 2, ..., bottom:
+    the paper's path, an oracle for the upward layers.
+
+    Layer m holds the circular primes of size m plus the 3-connected
+    pushes of every web in layer m + 2 (pushes are simple already).
+    """
+    above = {}
+    for m in range(top, bottom - 2, -2):
+        found = {canonical_key(w): w for w in circular_primes(m)}
+        for w in above.values():
+            for child in pushing_moves(w):
+                if connectivity(child) == 3:
+                    found.setdefault(canonical_key(child), child)
+        yield m, found
+        above = found
+
+
 class TestPushSimplicity:
-    """pushing_moves_with_sites keeps exactly the sites whose child, built
-    and then checked, is simple."""
+    """pushing_moves keeps exactly the sites whose child, built and then
+    checked, is simple."""
 
     @staticmethod
     def assert_exact(webs):
         kept = 0
         for w in webs:
-            got = [(child.map, sites) for child, sites in pushing_moves_with_sites(w)]
+            got = [child.map for child in pushing_moves(w)]
             assert got == pushes_built_then_filtered(w)
             kept += len(got)
         return kept
 
     def test_prime_layers(self):
-        webs = [w for _, found in _prime_layers(26, 8) for w in found.values()]
+        webs = [w for _, found in downward_layers(26, 8) for w in found.values()]
         assert len(webs) == 82
         # a prime has no parallel pair: only the new-edge rules decide here
         assert self.assert_exact(webs) == 660
 
     def test_non_simple_parents(self):
         parents = [digon_prism_web()]
-        for w in [cube_web(), hex_prism_web(), digon_prism_web()] + all_primes(20, 2):
+        for w in [cube_web(), hex_prism_web(), digon_prism_web()] + all_primes(20):
             for red in find_all_reducibles(w):
                 parents += [c for c, _ in reduce_at(w, red) if not c.is_simple()]
         # x - u1 = u2 - w1 = w2 - y: the push at u2 - w1 joins u1 and w2 twice
@@ -416,12 +427,44 @@ class TestPushSimplicity:
         assert self.assert_exact(parents) == 88
 
 
-class TestAllPrimes:
-    def test_default_slack(self):
-        assert default_slack(20) == 4
-        assert default_slack(8) == 2
-        assert default_slack(22) == 4
+def converse_pushes_all_orientations(web):
+    """Oracle for converse_pushing_moves: Counter of the canonical keys of
+    the simple children, built at every pair of edges in all four ways to
+    attach the new vertices, whether or not the edges share a face."""
+    cmap = web.map
+    n = cmap.n_darts
+    duv, s1, s2, dvu, t1, t2 = range(n, n + 6)
+    keys = Counter()
+    for (a, b), (c, d) in itertools.combinations(cmap.edges(), 2):
+        embedded = 0
+        for x, y in ((a, b), (b, a)):
+            for p, q in ((c, d), (d, c)):
+                theta = list(cmap.theta) + [dvu, x, p, duv, q, y]
+                theta[x], theta[y], theta[p], theta[q] = s1, t2, s2, t1
+                sigma = list(cmap.sigma) + [s1, s2, duv, t1, t2, dvu]
+                try:
+                    child = validate(CombMap(sigma, theta))
+                except MapError:
+                    continue
+                embedded += 1
+                if simple_by_vertex_pairs(child):
+                    keys[canonical_key(child)] += 1
+        assert embedded <= 1
+    return keys
 
+
+class TestConversePushingMoves:
+    def test_face_rule_matches_all_orientations(self):
+        webs = [w for _, found in _prime_layers(22) for w in found.values()]
+        assert len(webs) == 23
+        for w in webs:
+            children = converse_pushing_moves(w)
+            assert all(simple_by_vertex_pairs(c) for c in children)
+            got = Counter(canonical_key(c) for c in children)
+            assert got == converse_pushes_all_orientations(w)
+
+
+class TestAllPrimes:
     def test_eight_vertices(self):
         webs = all_primes(8)
         assert len(webs) == 1
@@ -430,10 +473,29 @@ class TestAllPrimes:
     def test_sixteen(self):
         assert len(all_primes(16)) == 2
 
-    def test_twenty_with_slack_two(self):
-        webs = all_primes(20, 2)
+    def test_twenty(self):
+        webs = all_primes(20)
         assert len(webs) == 8
         assert sum(1 for w in webs if is_circular(w)) == 5
+
+    def test_upward_matches_downward_closure_from_30(self):
+        down = {m: set(found) for m, found in downward_layers(30, 8)}
+        for n in range(8, 28, 2):
+            assert {canonical_key(w) for w in all_primes(n)} == down[n], n
+
+    def test_counts_24_to_30(self):
+        layers = dict(_prime_layers(30))
+        assert {m: len(layers[m]) for m in range(24, 32, 2)} == {24: 32, 26: 57, 28: 185, 30: 466}
+        digest = hashlib.sha256(b"".join(sorted(layers[30])))
+        assert digest.hexdigest() == "8ce2e53038a5a56ce84eb9ea751f941009df3705ba1b77e9c41388085112739d"
+        # the prime a downward closure from 34 vertices missed
+        (missed,) = [
+            key
+            for key, w in layers[30].items()
+            if Counter(len(f) for f in w.map.faces()) == {4: 6, 6: 11}
+            and automorphism_count(w) == 12
+        ]
+        assert hashlib.sha256(missed).hexdigest() == "cad9af238d1b348ef2eb54a29f109666f7ae6f9ae5b798ee25eab65b02cc9a3f"
 
     def test_dedup_sound_brute_force(self):
         for n in (16, 18):
@@ -470,14 +532,6 @@ class TestCatalog:
         keys = {canonical_key(e.web) for e in family}
         assert len(keys) == len(family)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "build_catalog closes downward from n_max + 2, all_primes from "
-            "n + default_slack(n) = n + 4 at 24 vertices; the catalog misses "
-            "a 24-vertex prime (31 against 32), see ROADMAP open item 1"
-        ),
-    )
     def test_catalog_agrees_with_all_primes_at_24(self):
         at_24 = [e for e in build_catalog(24) if e.vertex_count == 24]
         assert len(at_24) == len(all_primes(24))

@@ -1,5 +1,4 @@
 import hashlib
-import pathlib
 import random
 
 import pytest
@@ -31,9 +30,11 @@ from sl3webs.planarmap import (
 )
 from sl3webs.reducer import find_all_reducibles, reduce_at
 from webfixtures import (
+    FIXTURES,
     cube_web,
     digon_prism_web,
     doubled_cycle_map,
+    fixture_web,
     hex_prism_web,
     k4_planar_map,
     k4_twisted_map,
@@ -42,12 +43,6 @@ from webfixtures import (
     theta_web,
     triangle_prism_web_map,
 )
-
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
-
-
-def fixture_web(name):
-    return parse_web((FIXTURES / f"{name}.dart").read_text())
 
 
 def _invert(perm):

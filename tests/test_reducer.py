@@ -1,6 +1,5 @@
 import hashlib
 import json
-import pathlib
 import random
 import zlib
 
@@ -30,17 +29,11 @@ from sl3webs.reducer import (
     invariant_trace,
     reduce_at,
 )
-from webfixtures import cube_web, digon_prism_web, hex_prism_web, theta_web
-
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+from webfixtures import FIXTURES, cube_web, digon_prism_web, fixture_web, hex_prism_web, theta_web
 
 
 def empty_web(circles=0):
     return validate(CombMap((), ()), circles)
-
-
-def fixture_web(name):
-    return parse_web((FIXTURES / f"{name}.dart").read_text())
 
 
 def pinned_solid(name):
@@ -365,7 +358,7 @@ class TestColoringCountSpecialization:
         from sl3webs.enumerator import build_catalog
 
         webs = [theta_web(), cube_web(), hex_prism_web()]
-        webs += [e.web for e in build_catalog(18, 2)]
+        webs += [e.web for e in build_catalog(18)]
         for w in webs:
             sign = (-1) ** (w.n_vertices // 2)
             assert invariant(w).eval_at_one() == sign * count_edge_colorings(w)

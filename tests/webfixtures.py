@@ -1,6 +1,15 @@
-"""Hand-built rotation systems shared across the test modules."""
+"""Hand-built rotation systems and the benchmark's fixture webs, shared
+across the test modules."""
 
-from sl3webs.planarmap import CombMap, from_rotations, validate
+import pathlib
+
+from sl3webs.planarmap import CombMap, from_rotations, parse_web, validate
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+
+
+def fixture_web(name):
+    return parse_web((FIXTURES / f"{name}.dart").read_text())
 
 
 def cube_web():
