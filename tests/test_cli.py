@@ -33,6 +33,13 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 class TestInvariantCommand:
     def test_pretty_cube(self, capsys, webdir):
         rc, out, _ = run(capsys, "invariant", webdir["cube"], "--pretty")
@@ -112,6 +119,10 @@ class TestEnumerateCommand:
         rc, _, err = run(capsys, "enumerate", "--vertices", "-4", "--count")
         assert rc == 1
         assert "even and non-negative" in err and "-4" in err
+
+    def test_negative_slack_message(self, capsys):
+        err = usage_error(capsys, "enumerate", "--vertices", "8", "--slack", "-2")
+        assert "unrecognized arguments: --slack -2" in err
 
     def test_negative_vertices_circular_only_message(self, capsys):
         rc, _, err = run(capsys, "enumerate", "--vertices", "-4", "--circular-only")
@@ -204,18 +215,12 @@ class TestCatalogCommand:
         assert [l["name"] for l in lines] == ["4_1", "6_1"]
         assert lines[1]["descriptions"] == [[4, 4, 4], [4, 4, 4], [6, 6]]
 
-    def test_slack_flag_rejected(self, capsys):
+    def test_bad_slack_messages(self, capsys):
         # every layer is built upward from the one below; there is no seed
         # budget above the requested size to set
-        for argv in (
-            ["enumerate", "--vertices", "8", "--slack", "2"],
-            ["catalog", "--max-vertices", "12", "--slack", "2"],
-            ["verify-paper", "--max-vertices", "12", "--slack", "2"],
-        ):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            assert "unrecognized arguments: --slack 2" in capsys.readouterr().err
+        for slack in ("-4", "1", "2"):
+            err = usage_error(capsys, "catalog", "--max-vertices", "12", "--slack", slack)
+            assert f"unrecognized arguments: --slack {slack}" in err
 
 
 class TestVerifyPaper:
@@ -225,6 +230,10 @@ class TestVerifyPaper:
         assert report["summary"]["rows_total"] == 3
         assert report["summary"]["exact_invariants"] == 3
         assert report["unlisted_webs"] == []
+
+    def test_slack_flag_rejected(self, capsys):
+        err = usage_error(capsys, "verify-paper", "--max-vertices", "12", "--slack", "2")
+        assert "unrecognized arguments: --slack 2" in err
 
     def test_threads_flag_rejected(self):
         # evaluation is sequential; there is no parallelism knob to set
