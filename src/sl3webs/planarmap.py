@@ -74,7 +74,8 @@ class CombMap:
     """A dart-based rotation system; immutable after construction."""
 
     __slots__ = (
-        "sigma", "theta", "_vertices", "_vertex_of", "_faces", "_face_of", "_components"
+        "sigma", "theta", "_vertices", "_vertex_of", "_faces", "_face_of", "_face_len",
+        "_components",
     )
 
     def __init__(self, sigma, theta):
@@ -97,6 +98,7 @@ class CombMap:
         self._vertex_of = None
         self._faces = None
         self._face_of = None
+        self._face_len = None
         self._components = None
 
     @property
@@ -149,6 +151,17 @@ class CombMap:
 
     def face_of(self, dart):
         return self.face_table()[dart]
+
+    def face_lengths(self):
+        """The list dart -> length of its face (cached)."""
+        if self._face_len is None:
+            flen = [0] * self.n_darts
+            for face in self.faces():
+                k = len(face)
+                for d in face:
+                    flen[d] = k
+            self._face_len = flen
+        return self._face_len
 
     def edges(self):
         """Edges as (d, theta[d]) with d < theta[d], sorted."""
@@ -349,32 +362,35 @@ def mirror(web):
 # -- canonical form ----------------------------------------------------------
 
 
-def _component_canonical(theta, comp, rotations):
-    """Least BFS-labeling word over the roots of the least local class.
+def _rotations(cmap, include_reflections):
+    """The (rot, flen, ftheta) triples the canonical BFS runs on.
 
-    `rotations` holds triples (rot, flen, ftheta): a rotation (sigma, or
-    also its inverse when reflections are included), the length of the
-    rot-face at each dart, faces being the orbits of rot o theta, and that
-    length at theta of each dart.  For a root dart and a rotation, darts
-    are labeled in discovery order; the emitted word is
-    (label[rot[d]], label[theta[d]]) for darts in label order, a complete
-    isomorphism invariant of the rooted component.
+    rot is sigma, and also its inverse when reflections are included;
+    flen is the length of the rot-face at each dart, faces being the
+    orbits of rot o theta, and ftheta that length at theta of each dart.
+    """
+    sigma = cmap.sigma
+    flen = cmap.face_lengths()
+    ftheta = [flen[t] for t in cmap.theta]
+    rotations = [(sigma, flen, ftheta)]
+    if include_reflections:
+        # webs are cubic, so sigma^-1 = sigma o sigma; the sigma^-1 face of
+        # d is theta of the sigma face of theta d, since
+        # (sigma^-1 theta)^-1 = theta (sigma theta) theta, so its face
+        # lengths at d and at theta d are ftheta[d] and flen[d]
+        rotations.append(([sigma[s] for s in sigma], ftheta, flen))
+    return rotations
 
-    Only the (rotation, root) pairs of least local class are tried, the
-    class being the face lengths at (d, theta d, rot d, theta rot d).  An
-    isomorphism, mirror or not, carries faces to faces of the matching
-    rotation, so it preserves the class: the least class is an invariant
-    of the component, and the least word over its pairs is still a
-    complete one.  The automorphisms act freely on the pairs and preserve
-    the class, so the number of pairs attaining the least word is the
-    group order.
 
-    Each root runs in two phases.  While its word equals the best word's
-    prefix it compares every label pair and is abandoned at the first
-    larger one; a tie over the whole word is one more hit.  Once its word
-    falls strictly below (and for the first root) it labels the rest with
-    no comparisons and becomes the best.  Between roots only the darts
-    the previous root labeled (`order`) are reset.
+def _least_roots(theta, comp, rotations):
+    """The least local class of a component and its (rotation, root) pairs.
+
+    The class of a pair is the face lengths at (d, theta d, rot d,
+    theta rot d).  An isomorphism, mirror or not, carries faces to faces
+    of the matching rotation, so it preserves the class: the least class
+    is an invariant of the component, and an isomorphism carries the
+    pairs of one component's least class onto the other's.  Pairs are
+    listed by rotation, then by dart.
     """
     roots = []
     least = (len(theta) + 1,)  # above every class: face lengths are <= n
@@ -387,56 +403,35 @@ def _component_canonical(theta, comp, rotations):
                 roots = [(rot, d)]
             elif cls == least:
                 roots.append((rot, d))
-    best = None
-    best_hits = 0
-    lab = [-1] * len(theta)
-    order = ()
-    for rot, root in roots:
-        for d in order:
-            lab[d] = -1
-        lab[root] = 0
-        order = [root]
-        push = order.append
-        nxt = 1
-        darts = iter(order)  # the BFS queue: order grows while it is read
-        if best is None:
-            word = []
-        else:
-            # compare phase: the word so far equals best's prefix
-            word = None
-            for d, b, c in zip(darts, best_rot, best_theta):
-                x = rot[d]
-                l = lab[x]
-                if l < 0:
-                    l = lab[x] = nxt
-                    nxt += 1
-                    push(x)
-                x = theta[d]
-                m = lab[x]
-                if m < 0:
-                    m = lab[x] = nxt
-                    nxt += 1
-                    push(x)
-                if l == b:
-                    if m == c:
-                        continue
-                    if m > c:
-                        break
-                elif l > b:
-                    break
-                # strictly below from here on; lab[d] is d's position
-                word = best[: 2 * lab[d]]
-                word.append(l)
-                word.append(m)
-                break
-            else:
-                best_hits += 1
-                continue
-            if word is None:
-                continue
-        # free-run phase: label the rest, compare nothing
-        emit = word.append
-        for d in darts:
+    return least, roots
+
+
+def _rooted_word(theta, rot, root, lab, ref=None, descend=True):
+    """BFS-label the component of `root` and emit its word: (order, word).
+
+    Darts are labeled in discovery order from the root, following rot,
+    then theta; the word is (label[rot[d]], label[theta[d]]) for darts in
+    label order, a complete isomorphism invariant of the rooted
+    component.  `lab` must be -1 on the component; the labeled darts are
+    returned as `order`, for the caller to reset.
+
+    Without `ref` every label is emitted.  With it, the labels are
+    compared with ref's while they tie, and a tie over all of ref returns
+    ref itself.  At the first differing pair the root is abandoned (word
+    None), unless the pair is smaller and `descend` is set: then the word
+    is ref's prefix and that pair, and the rest is labeled with no
+    comparisons.
+    """
+    lab[root] = 0
+    order = [root]
+    push = order.append
+    nxt = 1
+    darts = iter(order)  # the BFS queue: order grows while it is read
+    if ref is None:
+        word = []
+    else:
+        pairs = iter(ref)
+        for d, b, c in zip(darts, pairs, pairs):
             x = rot[d]
             l = lab[x]
             if l < 0:
@@ -449,41 +444,109 @@ def _component_canonical(theta, comp, rotations):
                 m = lab[x] = nxt
                 nxt += 1
                 push(x)
-            emit(l)
-            emit(m)
-        best = word
-        best_rot = word[0::2]
-        best_theta = word[1::2]
-        best_hits = 1
-    return best, best_hits
+            if l == b and m == c:
+                continue
+            if not descend or l > b or (l == b and m > c):
+                return order, None
+            # strictly below from here on; lab[d] is d's position
+            word = ref[: 2 * lab[d]]
+            word.append(l)
+            word.append(m)
+            break
+        else:
+            return order, ref
+    emit = word.append
+    for d in darts:
+        x = rot[d]
+        l = lab[x]
+        if l < 0:
+            l = lab[x] = nxt
+            nxt += 1
+            push(x)
+        x = theta[d]
+        m = lab[x]
+        if m < 0:
+            m = lab[x] = nxt
+            nxt += 1
+            push(x)
+        emit(l)
+        emit(m)
+    return order, word
 
 
-def face_lengths(cmap):
-    """The list dart -> length of its face."""
-    flen = [0] * cmap.n_darts
-    for face in cmap.faces():
-        k = len(face)
-        for d in face:
-            flen[d] = k
-    return flen
+def _component_canonical(theta, comp, rotations):
+    """Least BFS word over the roots of the least local class, and the
+    number of roots attaining it.
+
+    The least class is an invariant, so the least word over its pairs is
+    still a complete one.  The automorphisms act freely on the pairs and
+    preserve the class, so the number of pairs attaining the least word
+    is the group order.  Each root compares with the best word while it
+    ties with its prefix and is abandoned at the first larger label; once
+    it falls strictly below (and for the first root) it labels the rest
+    with no comparisons and becomes the best.  Between roots only the
+    darts the previous root labeled are reset.
+    """
+    _, roots = _least_roots(theta, comp, rotations)
+    best = None
+    hits = 0
+    lab = [-1] * len(theta)
+    order = ()
+    for rot, root in roots:
+        for d in order:
+            lab[d] = -1
+        order, word = _rooted_word(theta, rot, root, lab, best)
+        if word is best:
+            hits += 1
+        elif word is not None:
+            best = word
+            hits = 1
+    return best, hits
+
+
+def rooting(cmap):
+    """The least local class of a connected map and its (rotation, root)
+    pairs, mirror rotations included; see `rooted_match`."""
+    return _least_roots(cmap.theta, range(cmap.n_darts), _rotations(cmap, True))
+
+
+def rooted_word(cmap, roots):
+    """The BFS word of the first of a connected map's `roots`, as an
+    int32 array."""
+    rot, root = roots[0]
+    _, word = _rooted_word(cmap.theta, rot, root, [-1] * cmap.n_darts)
+    return array.array("i", word)
+
+
+def rooted_match(cmap, roots, word):
+    """Whether `word` is the BFS word of one of a connected map's roots.
+
+    With `roots` from `rooting(cmap)` and `word` from `rooted_word` of a
+    map of the same least class, this holds iff the two maps are
+    isomorphic, mirror included: an isomorphism carries the other map's
+    first root to one of these, and equal words relabel one map into the
+    other.  Each root is abandoned at its first label that differs.
+    """
+    theta = cmap.theta
+    if len(word) != 2 * len(theta):
+        return False
+    lab = [-1] * len(theta)
+    order = ()
+    for rot, root in roots:
+        for d in order:
+            lab[d] = -1
+        order, got = _rooted_word(theta, rot, root, lab, word, descend=False)
+        if got is word:
+            return True
+    return False
 
 
 def _canonical_data(web, include_reflections):
     cmap = web.map
-    sigma = cmap.sigma
-    theta = cmap.theta
-    flen = face_lengths(cmap)
-    ftheta = [flen[t] for t in theta]
-    rotations = [(sigma, flen, ftheta)]
-    if include_reflections:
-        # webs are cubic, so sigma^-1 = sigma o sigma; the sigma^-1 face of
-        # d is theta of the sigma face of theta d, since
-        # (sigma^-1 theta)^-1 = theta (sigma theta) theta, so its face
-        # lengths at d and at theta d are ftheta[d] and flen[d]
-        rotations.append(([sigma[s] for s in sigma], ftheta, flen))
+    rotations = _rotations(cmap, include_reflections)
     out = []
     for comp in cmap.components():
-        word, hits = _component_canonical(theta, comp, rotations)
+        word, hits = _component_canonical(cmap.theta, comp, rotations)
         out.append((bytes_of_word(word), hits, word))
     return out
 

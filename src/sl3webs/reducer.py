@@ -8,12 +8,16 @@ the face's vertices and join its outside legs along arcs inside the face;
 the bigon is the smoothing with one arc.  Every nonempty web admits a
 move (all faces are even, so Euler's formula forces a face of degree <= 4)
 and every move strictly shrinks (vertices, circles), so reduction
-terminates.  Values are memoized on reflection-inclusive canonical keys,
+terminates.  Values are memoized up to isomorphism, mirror included,
 which is sound because the invariant is mirror-invariant.  The memo is
 bucketed by a cheap shape of the map (its faces, each by the lengths of
 its neighbouring faces), itself invariant under relabelling and mirroring:
-a web whose shape bucket is empty is a certain miss and is stored unkeyed,
-and canonical keys are computed only when a probe shares a bucket.
+a web whose shape bucket is empty is a certain miss and is stored as its
+packed map.  Within a shared bucket an entry keeps its least root class
+and one rooted BFS word, from its first root of that class; a probe of
+the same class is a hit iff the BFS from one of its own roots of that
+class, either rotation, reproduces the word.  No canonical form is
+computed: each root is abandoned at its first differing label.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import array
 from typing import NamedTuple
 
-from .planarmap import CombMap, MapError, Web, canonical_key, face_lengths, validate
+from .planarmap import CombMap, MapError, rooted_match, rooted_word, rooting, validate
 from .qlaurent import HalfLaurent, qint
 
 CIRCLE_FACTOR = qint(3)
@@ -211,16 +215,24 @@ _MEMO = {}
 
 
 class _Entry:
-    """A memoized value with the canonical key of its web, or, until a
-    probe of the same shape needs that key, the web's map as `_pack`ed
-    bytes."""
+    """A memoized value with its web's least root class and rooted word,
+    or, until a probe of the same shape needs them, the web's map as
+    `_pack`ed bytes."""
 
-    __slots__ = ("key", "blob", "value")
+    __slots__ = ("least", "word", "blob", "value")
 
-    def __init__(self, key, blob, value):
-        self.key = key
+    def __init__(self, least, word, blob, value):
+        self.least = least
+        self.word = word
         self.blob = blob
         self.value = value
+
+    def root(self):
+        """Replace the packed map by its least class and rooted word."""
+        cmap = _unpack(self.blob)
+        self.least, roots = rooting(cmap)
+        self.word = rooted_word(cmap, roots)
+        self.blob = None
 
 
 def clear_memo():
@@ -233,9 +245,9 @@ def _shape(cmap):
 
     Equal for isomorphic maps, mirror images included; it hashes ints and
     tuples only, so it does not depend on PYTHONHASHSEED.  A collision only
-    costs canonical keys, never a wrong value.
+    costs rooted matches, never a wrong value.
     """
-    flen = face_lengths(cmap)
+    flen = cmap.face_lengths()
     theta = cmap.theta
     return hash(tuple(sorted(tuple(sorted([flen[theta[d]] for d in face])) for face in cmap.faces())))
 
@@ -245,11 +257,11 @@ def _pack(cmap):
 
 
 def _unpack(blob):
-    """The web `_pack` stored; its map was validated when first built."""
+    """The map `_pack` stored; it was validated when first built."""
     darts = array.array("i")
     darts.frombytes(blob)
     n = len(darts) // 2
-    return Web(CombMap(darts[:n], darts[n:]), 0, _checked=True)
+    return CombMap(darts[:n], darts[n:])
 
 
 def _reduce(web):
@@ -276,23 +288,31 @@ def invariant(web):
         for comp in comps:
             result = result * invariant(validate(web.map.restrict(comp)))
         return result
-    shape = _shape(web.map)
+    cmap = web.map
+    shape = _shape(cmap)
     bucket = _MEMO.get(shape)
     if bucket is None:
-        # no stored web has this shape, so none is isomorphic: skip the key
+        # no stored web has this shape, so none is isomorphic: store the map
         value = _reduce(web)
-        _MEMO.setdefault(shape, []).append(_Entry(None, _pack(web.map), value))
+        _MEMO.setdefault(shape, []).append(_Entry(None, None, _pack(cmap), value))
         return result * value
-    key = canonical_key(web, include_reflections=True)
+    entry = _lookup(bucket, cmap)
+    if entry.value is None:
+        entry.value = _reduce(web)
+        bucket.append(entry)
+    return result * entry.value
+
+
+def _lookup(bucket, cmap):
+    """The entry of `bucket` isomorphic to a connected map, mirror
+    included, or else a new entry for it with no value."""
+    least, roots = rooting(cmap)
     for entry in bucket:
-        if entry.key is None:
-            entry.key = canonical_key(_unpack(entry.blob), include_reflections=True)
-            entry.blob = None
-        if entry.key == key:
-            return result * entry.value
-    value = _reduce(web)
-    bucket.append(_Entry(key, None, value))
-    return result * value
+        if entry.word is None:
+            entry.root()
+        if entry.least == least and rooted_match(cmap, roots, entry.word):
+            return entry
+    return _Entry(least, rooted_word(cmap, roots), None, None)
 
 
 def invariant_random_order(web, rng):

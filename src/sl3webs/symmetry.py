@@ -20,13 +20,26 @@ candidate is still tested, in increasing order.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .planarmap import MapError, automorphism_count
 from .qlaurent import IdealResidue, ideal_generator, mod_reduce, congruent_mod
 from .reducer import invariant
 
 DEFAULT_BUDGET = 1 << 25
+
+
+class _Numpy:
+    """Stands in for numpy until its first use, then imports it and takes
+    its place, so that importing the package or the CLI loads no numpy."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 
 def check_quotient(p_g, p_quotient, d):

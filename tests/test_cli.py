@@ -305,3 +305,18 @@ class TestCrossProcessDeterminism:
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+
+class TestStartup:
+    @pytest.mark.parametrize("module", ["sl3webs", "sl3webs.cli"])
+    def test_import_loads_no_numpy(self, module):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import {module}, sys; sys.exit('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=_child_env("0"),
+        )
+        assert proc.returncode == 0, proc.stderr or "numpy was imported"

@@ -6,9 +6,11 @@ import zlib
 import pytest
 
 from sl3webs import reducer
+from sl3webs.enumerator import all_primes
 from sl3webs.planarmap import (
     CombMap,
     MapError,
+    canonical_key,
     disjoint_union,
     mirror,
     parse_web,
@@ -215,24 +217,85 @@ class TestMemo:
             assert invariant(fixture_web(name)) == pinned_solid(name)
 
     def test_keys_only_on_shared_buckets(self, empty_memo, monkeypatch):
+        # only probes into a shared bucket match; words are stored for
+        # fewer webs than are probed
         probes = []
-        keys = []
+        shared = set()
+        words = []
+        matched = []
         engine = reducer.invariant
-        key = reducer.canonical_key
+        shape = reducer._shape
+        word = reducer.rooted_word
+        match = reducer.rooted_match
 
         def counted_invariant(web):
             if len(web.map.components()) == 1:
                 probes.append(web)
             return engine(web)
 
-        def counted_key(web, include_reflections=True):
-            keys.append(web)
-            return key(web, include_reflections)
+        def counted_shape(cmap):
+            value = shape(cmap)
+            if value in reducer._MEMO:
+                shared.add(id(cmap))
+            return value
+
+        def counted_word(cmap, roots):
+            words.append(cmap)
+            return word(cmap, roots)
+
+        def counted_match(cmap, roots, stored):
+            matched.append(cmap)
+            return match(cmap, roots, stored)
 
         monkeypatch.setattr(reducer, "invariant", counted_invariant)
-        monkeypatch.setattr(reducer, "canonical_key", counted_key)
+        monkeypatch.setattr(reducer, "_shape", counted_shape)
+        monkeypatch.setattr(reducer, "rooted_word", counted_word)
+        monkeypatch.setattr(reducer, "rooted_match", counted_match)
         assert reducer.invariant(fixture_web("omni_tetrahedron")) == pinned_solid("omni_tetrahedron")
-        assert 0 < len(keys) < len(probes)
+        assert 0 < len(words) < len(probes)
+        assert matched and all(id(cmap) in shared for cmap in matched)
+
+
+    def test_match_is_as_strong_as_the_key(self):
+        # the memo's match, class check included, against canonical keys
+        webs = []
+        for k, path in enumerate(sorted(FIXTURES.glob("*.dart"))):
+            w = parse_web(path.read_text())
+            perm = list(range(w.map.n_darts))
+            random.Random(k).shuffle(perm)
+            webs += [w, mirror(w), validate(w.map.relabel(perm)), relabelled_mirror(w, k)]
+        for w in (cube_web(), hex_prism_web(), fixture_web("omni_tetrahedron"), fixture_web("omni_cube")):
+            for red in find_all_reducibles(w):
+                for child, _ in reduce_at(w, red):
+                    webs += [validate(child.map.restrict(comp)) for comp in child.map.components()]
+        webs += all_primes(24)
+        assert len(webs) > 150
+        entries = [reducer._Entry(None, None, reducer._pack(w.map), None) for w in webs]
+        keys = [canonical_key(w, True) for w in webs]
+        close = 0
+        for a, key in zip(webs, keys):
+            least = reducer.rooting(a.map)[0]
+            for entry, other, other_key in zip(entries, webs, keys):
+                assert (reducer._lookup([entry], a.map) is entry) == (key == other_key)
+                if key != other_key and entry.least == least:
+                    close += a.map.n_darts == other.map.n_darts
+        # non-isomorphic pairs that only the word can tell apart
+        assert close > 0
+
+    def test_reduce_calls_on_solids(self, empty_memo, monkeypatch):
+        # a hit happens iff the webs are isomorphic, so the number of webs
+        # reduced is fixed by the inputs and their order
+        calls = []
+        reduce = reducer._reduce
+
+        def counted_reduce(web):
+            calls.append(web.n_vertices)
+            return reduce(web)
+
+        monkeypatch.setattr(reducer, "_reduce", counted_reduce)
+        for path in sorted(FIXTURES.glob("omni_*.dart")):
+            assert invariant(parse_web(path.read_text())) == pinned_solid(path.stem)
+        assert len(calls) == 1508
 
 
 class TestConfluence:
