@@ -208,8 +208,10 @@ def pushing_moves(web):
     At an edge u-v the two endpoints vanish, their remaining same-side
     strands fuse pairwise (the planar, color-respecting reconnection),
     leaving two fresh edges A-B and C-D.  Returns the child of every site
-    whose child is a simple web; sites with parallel edges at u or v and
-    invalid embeddings are discarded.
+    whose child is a simple web; sites with parallel edges at u or v are
+    discarded.  The fused strands run inside the disk of the edge and
+    each joins a neighbour of u to one of v, so the child is cubic,
+    bipartite and plane by construction and is built unchecked.
 
     Simplicity is decided from the parent's adjacency before any surgery.
     The child keeps the parent's edges away from u and v and gains A-B
@@ -242,11 +244,7 @@ def pushing_moves(web):
             continue  # parallel edges at the site
         if (va, vb) in adjacent or (vc, vd) in adjacent or (va, vb) == (vc, vd):
             continue
-        pairs = ((ends[0], ends[1]), (ends[2], ends[3]))
-        try:
-            out.append(_drop_and_rewire(web, (u, v), pairs, 0))
-        except MapError:
-            continue
+        out.append(_drop_and_rewire(web, (d, t), ((ends[0], ends[1]), (ends[2], ends[3])), 0))
     return out
 
 

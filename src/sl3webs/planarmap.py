@@ -7,9 +7,10 @@ this convention is fixed globally (both conventions work, mixing them does
 not).  Embeddings are input, never computed: genus 0 is checked through
 Euler's formula per component.
 
-A Web is a validated cubic bipartite genus-0 map plus a count of vertexless
-circles.  Multi-edges are allowed (they arise mid-reduction); loops never
-pass validation since they are odd cycles.
+A Web is a cubic bipartite genus-0 map plus a count of vertexless
+circles, validated on input or built by skein surgery that keeps those
+properties.  Multi-edges are allowed (they arise mid-reduction); loops
+never pass validation since they are odd cycles.
 """
 
 from __future__ import annotations
@@ -92,11 +93,23 @@ class CombMap:
             t = theta[d]
             if not 0 <= t < n or t == d or theta[t] != d:
                 raise MapError(f"theta is not a fixed-point-free involution at dart {d}")
+        self._fill(sigma, theta, None)
+
+    @classmethod
+    def _trusted(cls, sigma, theta, faces):
+        """A map from tuples the caller guarantees to be a permutation and a
+        fixed-point-free involution, with its face orbits as `faces()` would
+        return them; nothing is checked."""
+        cmap = cls.__new__(cls)
+        cmap._fill(sigma, theta, faces)
+        return cmap
+
+    def _fill(self, sigma, theta, faces):
         self.sigma = sigma
         self.theta = theta
         self._vertices = None
         self._vertex_of = None
-        self._faces = None
+        self._faces = faces
         self._face_of = None
         self._face_len = None
         self._components = None
@@ -285,16 +298,19 @@ def from_rotations(neighbors):
 
 
 class Web:
-    """A validated cubic bipartite genus-0 map with a circle counter.
+    """A cubic bipartite genus-0 map with a circle counter.
 
-    Construct through :func:`validate`.
+    Construct through :func:`validate`, or by the trusted skein surgery of
+    `reducer._drop_and_rewire`, which joins the outside legs of a face or
+    an edge inside its disk and so keeps a web cubic, bipartite and plane.
+    Either way every component of a Web is plane.
     """
 
     __slots__ = ("map", "circles", "_key_plain", "_key_refl")
 
     def __init__(self, cmap, circles, _checked=False):
         if not _checked:
-            raise MapError("Webs must be built by validate()")
+            raise MapError("Webs must be built by validate() or by trusted skein surgery")
         self.map = cmap
         self.circles = circles
         self._key_plain = None

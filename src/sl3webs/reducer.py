@@ -5,15 +5,20 @@ local relations until nothing is left: a vertexless circle contributes [3],
 a bigon face contracts with factor -[2], and a square face splits into its
 two planar smoothings with unit coefficients.  Both face relations remove
 the face's vertices and join its outside legs along arcs inside the face;
-the bigon is the smoothing with one arc.  Every nonempty web admits a
-move (all faces are even, so Euler's formula forces a face of degree <= 4)
-and every move strictly shrinks (vertices, circles), so reduction
-terminates.  Values are memoized up to isomorphism, mirror included,
-which is sound because the invariant is mirror-invariant.  The memo is
-bucketed by a cheap shape of the map (its faces, each by the lengths of
-its neighbouring faces), itself invariant under relabelling and mirroring:
-a web whose shape bucket is empty is a certain miss and is stored as its
-packed map.  Within a shared bucket an entry keeps its least root class
+the bigon is the smoothing with one arc.  That surgery keeps a web
+cubic, bipartite and plane, so children are built unchecked: the face's
+vertices go as the sigma-orbits of its darts, and the child inherits the
+parent's faces away from it, relabelled, walking afresh only the faces
+through the re-joined legs.  Every web is plane, so its component count
+follows from Euler's formula, and components are listed only when there
+are several.  Every nonempty web admits a move (all faces are even, so
+Euler's formula forces a face of degree <= 4) and every move strictly
+shrinks (vertices, circles), so reduction terminates.  Values are
+memoized up to isomorphism, mirror included, which is sound because the
+invariant is mirror-invariant.  The memo is bucketed by a cheap shape of
+the map (its faces, each by the lengths of its neighbouring faces),
+itself invariant under relabelling and mirroring: a web whose shape
+bucket is empty is a certain miss and is stored as its packed map.  Within a shared bucket an entry keeps its least root class
 and one rooted BFS word, from its first root of that class; a probe of
 the same class is a hit iff the BFS from one of its own roots of that
 class, either rotation, reproduces the word.  No canonical form is
@@ -23,9 +28,10 @@ computed: each root is abandoned at its first differing label.
 from __future__ import annotations
 
 import array
+from operator import itemgetter
 from typing import NamedTuple
 
-from .planarmap import CombMap, MapError, rooted_match, rooted_word, rooting, validate
+from .planarmap import CombMap, MapError, Web, rooted_match, rooted_word, rooting, validate
 from .qlaurent import HalfLaurent, qint
 
 CIRCLE_FACTOR = qint(3)
@@ -71,17 +77,22 @@ def find_all_reducibles(web):
     return out
 
 
-def _drop_and_rewire(web, drop_vertices, new_pairs, extra_circles):
-    """Remove whole vertex orbits, re-pair the named surviving darts.
+def _drop_and_rewire(web, darts, new_pairs, extra_circles):
+    """Remove the vertices of the given darts, re-pair the named survivors.
 
     `new_pairs` lists (d, d') theta pairs for surviving darts whose former
-    partners are dropped.  Dart labels are compacted preserving order: the
-    survivors are the runs between the sorted dropped darts, and a dropped
-    dart maps to -1.
+    partners are dropped.  A vertex is the sigma-orbit d, sigma d,
+    sigma^2 d of each given dart.  Dart labels are compacted preserving
+    order: the survivors are the runs between the sorted dropped darts,
+    and a dropped dart maps to -1.
+
+    Callers join the outside legs of a face (or of an edge) inside its
+    disk, so the child is cubic, bipartite and plane by construction and
+    is built unchecked, with its faces inherited from the parent's.
     """
     cmap = web.map
-    verts = cmap.vertices()
-    dropped = sorted({d for v in drop_vertices for d in verts[v]})
+    sigma0 = cmap.sigma
+    dropped = sorted([x for d in darts for x in (d, sigma0[d], sigma0[sigma0[d]])])
     old2new = []
     sigma = []
     theta = []
@@ -96,11 +107,44 @@ def _drop_and_rewire(web, drop_vertices, new_pairs, extra_circles):
     for a, b in new_pairs:
         theta[old2new[a]] = b
         theta[old2new[b]] = a
-    sigma = list(map(old2new.__getitem__, sigma))
-    theta = list(map(old2new.__getitem__, theta))
+    sigma = tuple(map(old2new.__getitem__, sigma))
+    theta = tuple(map(old2new.__getitem__, theta))
     if -1 in theta:
         raise MapError(f"dart {old2new.index(theta.index(-1))} left dangling by surgery")
-    return validate(CombMap(sigma, theta), web.circles + extra_circles)
+    faces = _child_faces(cmap, dropped, old2new, new_pairs, sigma, theta)
+    return Web(CombMap._trusted(sigma, theta, faces), web.circles + extra_circles, _checked=True)
+
+
+def _child_faces(cmap, dropped, old2new, new_pairs, sigma, theta):
+    """The child's face orbits, equal to a fresh `faces()`.
+
+    A surviving dart that is not re-paired keeps its face successor
+    sigma(theta(d)), so a parent face with no dropped dart survives, and
+    relabelled in order it still starts at its least dart.  A re-paired
+    dart's old successor was dropped, so every other child face passes
+    through a re-paired dart and is walked afresh.
+    """
+    fof = cmap.face_table()
+    touched = {fof[d] for d in dropped}
+    # a face has at least two darts, so itemgetter returns a tuple, built at
+    # its final size (tuple(map(...)) over-allocates and then shrinks, which
+    # leaves freed face tuples on free lists that nothing drains)
+    faces = [itemgetter(*face)(old2new) for i, face in enumerate(cmap.faces()) if i not in touched]
+    seen = set()
+    for pair in new_pairs:
+        for d in pair:
+            d = old2new[d]
+            if d in seen:
+                continue
+            cycle = []
+            while d not in seen:
+                seen.add(d)
+                cycle.append(d)
+                d = sigma[theta[d]]
+            k = cycle.index(min(cycle))
+            faces.append(tuple(cycle[k:] + cycle[:k]))
+    faces.sort()
+    return tuple(faces)
 
 
 def apply_circle(web):
@@ -111,23 +155,22 @@ def apply_circle(web):
 
 
 def _disk(web, site, kind, size):
-    """The vertices of the face through `site` and its outside legs.
+    """The darts of the face through `site` and its outside legs.
 
     Walking the face cycle d_0..d_(size-1), vertex k carries the leg
     sigma(d_k): its rotation runs theta(d_(k-1)) -> d_k -> sigma(d_k), and
-    the first two lie on edges of the face.
+    the first two lie on edges of the face.  The face's vertices are
+    distinct: a web has no bridge, a bridgeless cubic graph is
+    2-connected, and every face of a 2-connected plane graph is a cycle.
     """
     cmap = web.map
     face = cmap.faces()[cmap.face_of(site)]
     if len(face) != size:
         raise MapError(f"dart {site} does not lie on a {kind} face")
-    verts = tuple(cmap.vertex_of(d) for d in face)
-    if len(set(verts)) != size:
-        raise MapError(f"{kind} face with repeated vertices; not a cubic web")
-    return verts, tuple(cmap.sigma[d] for d in face)
+    return face, tuple(cmap.sigma[d] for d in face)
 
 
-def _smooth(web, verts, legs, arcs):
+def _smooth(web, face, legs, arcs):
     """Remove a face's vertices, joining its legs along the given arcs.
 
     Strand chains alternate arc hops and edge hops through legs; chains
@@ -171,7 +214,7 @@ def _smooth(web, verts, legs, arcs):
                 break
             remaining.discard(nxt)
             cur = nxt
-    return _drop_and_rewire(web, verts, new_pairs, circles)
+    return _drop_and_rewire(web, face, new_pairs, circles)
 
 
 def apply_bigon(web, site):
@@ -181,8 +224,8 @@ def apply_bigon(web, site):
     join, so the outside edges splice into one, or close into a circle
     when they are one edge (theta graph).
     """
-    verts, (a, b) = _disk(web, site, "bigon", 2)
-    return _smooth(web, verts, (a, b), ((a, b),)), BIGON_FACTOR
+    face, (a, b) = _disk(web, site, "bigon", 2)
+    return _smooth(web, face, (a, b), ((a, b),)), BIGON_FACTOR
 
 
 def apply_square(web, site):
@@ -191,9 +234,9 @@ def apply_square(web, site):
     One smoothing joins legs (0,1) and (2,3), the other (1,2) and (3,0).
     Both children lose exactly the four square vertices.
     """
-    verts, legs = _disk(web, site, "square", 4)
-    child_a = _smooth(web, verts, legs, ((legs[0], legs[1]), (legs[2], legs[3])))
-    child_b = _smooth(web, verts, legs, ((legs[1], legs[2]), (legs[3], legs[0])))
+    face, legs = _disk(web, site, "square", 4)
+    child_a = _smooth(web, face, legs, ((legs[0], legs[1]), (legs[2], legs[3])))
+    child_b = _smooth(web, face, legs, ((legs[1], legs[2]), (legs[3], legs[0])))
     return child_a, child_b
 
 
@@ -281,14 +324,14 @@ def invariant(web):
     if web.circles:
         result = CIRCLE_FACTOR**web.circles
         web = web.with_circles(0)
-    comps = web.map.components()
-    if len(comps) == 0:
-        return result
-    if len(comps) > 1:
-        for comp in comps:
-            result = result * invariant(validate(web.map.restrict(comp)))
-        return result
     cmap = web.map
+    n_comps = _plane_components(cmap)
+    if n_comps == 0:
+        return result
+    if n_comps > 1:
+        for comp in cmap.components():
+            result = result * invariant(validate(cmap.restrict(comp)))
+        return result
     shape = _shape(cmap)
     bucket = _MEMO.get(shape)
     if bucket is None:
@@ -301,6 +344,13 @@ def invariant(web):
         entry.value = _reduce(web)
         bucket.append(entry)
     return result * entry.value
+
+
+def _plane_components(cmap):
+    """The number of components of a cubic map whose components are all
+    plane, as every Web's are: each has V - E + F = 2, and n darts make
+    V = n/3 and E = n/2, so there are (6F - n)/12."""
+    return (6 * len(cmap.faces()) - cmap.n_darts) // 12
 
 
 def _lookup(bucket, cmap):

@@ -367,8 +367,10 @@ def pushes_built_then_filtered(web):
         ends = (theta[s1], theta[t2], theta[s2], theta[t1])
         if {cmap.vertex_of(e) for e in ends} & {u, v}:
             continue
+        child = _drop_and_rewire(web, (d, t), ((ends[0], ends[1]), (ends[2], ends[3])), 0)
         try:
-            child = _drop_and_rewire(web, (u, v), ((ends[0], ends[1]), (ends[2], ends[3])), 0)
+            # the surgery builds its child unchecked; the oracle checks it
+            child = validate(CombMap(child.map.sigma, child.map.theta))
         except MapError:
             continue
         if simple_by_vertex_pairs(child):

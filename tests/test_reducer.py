@@ -6,7 +6,7 @@ import zlib
 import pytest
 
 from sl3webs import reducer
-from sl3webs.enumerator import all_primes
+from sl3webs.enumerator import all_primes, circular_primes, pushing_moves
 from sl3webs.planarmap import (
     CombMap,
     MapError,
@@ -17,6 +17,7 @@ from sl3webs.planarmap import (
     serialize_web,
     validate,
 )
+from sl3webs.primedec import connected_sum
 from sl3webs.qlaurent import HalfLaurent, parse_qexpr, qint
 from sl3webs.reducer import (
     Reducible,
@@ -110,10 +111,69 @@ class TestDropAndRewire:
         # drop the vertex of dart 0 and re-pair nothing: the least surviving
         # dart whose partner was dropped is left dangling
         w = cube_web()
-        gone = set(w.map.vertices()[0])
+        sigma = w.map.sigma
+        gone = {0, sigma[0], sigma[sigma[0]]}
         dangling = min(d for d in range(w.map.n_darts) if d not in gone and w.map.theta[d] in gone)
         with pytest.raises(MapError, match=f"^dart {dangling} left dangling"):
             reducer._drop_and_rewire(w, (0,), (), 0)
+
+
+def fixture_webs():
+    """The builder webs and every committed fixture."""
+    webs = [cube_web(), theta_web(), digon_prism_web(), hex_prism_web()]
+    return webs + [parse_web(path.read_text()) for path in sorted(FIXTURES.glob("*.dart"))]
+
+
+def split_sums():
+    """Connected sums of two digon prisms: the join makes a square whose
+    opposite edges are the 2-edge cut, and one of its smoothings
+    disconnects."""
+    d = digon_prism_web()
+    return [connected_sum(d, ea, d, eb) for ea, eb in ((0, 2), (2, 0), (5, 8), (9, 11))]
+
+
+def children_of(webs):
+    """Every reduce_at child of every site of the webs."""
+    return [child for w in webs for red in find_all_reducibles(w) for child, _ in reduce_at(w, red)]
+
+
+def assert_as_validated(child):
+    """A child built by trusted surgery is what validation would build."""
+    m = child.map
+    fresh = validate(CombMap(m.sigma, m.theta), child.circles)
+    assert m.faces() == fresh.map.faces()
+    assert reducer._plane_components(m) == len(fresh.map.components())
+
+
+class TestTrustedChildren:
+    def test_reduction_children_pass_validation(self):
+        webs = [cube_web(), theta_web(), digon_prism_web(), hex_prism_web()]
+        webs += [fixture_web("omni_tetrahedron"), fixture_web("omni_cube")] + split_sums()
+        children = children_of(webs)
+        for child in children:
+            assert_as_validated(child)
+        assert len(children) == 101
+        # the Euler count is exercised above one and at zero (a theta
+        # graph's bigon leaves only a circle)
+        assert any(reducer._plane_components(c.map) > 1 for c in children)
+        assert any(c.map.n_darts == 0 for c in children)
+
+    def test_pushing_children_pass_validation(self):
+        children = [c for w in circular_primes(16) + circular_primes(18) for c in pushing_moves(w)]
+        for child in children:
+            assert_as_validated(child)
+        assert len(children) == 15
+
+    def test_faces_have_distinct_vertices(self):
+        # a web has no bridge, so each component is a 2-connected cubic
+        # plane graph and every face boundary is a cycle; the surgery in
+        # reducer._disk relies on this
+        webs = fixture_webs() + split_sums()
+        webs += children_of(webs)
+        for w in webs:
+            vof = w.map.vertex_table()
+            for face in w.map.faces():
+                assert len({vof[d] for d in face}) == len(face)
 
 
 class TestApplySquare:
