@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import array
 import itertools
-from collections import deque
 
 
 class MapError(ValueError):
@@ -692,70 +691,49 @@ class PolygonalDecomposition:
 
 
 def _face_coloring(web):
-    """3-color the faces (dual Eulerian triangulation), deterministically.
+    """3-colour the faces of a connected web, distinct around each vertex.
 
-    The three faces around a vertex must get distinct colors.  Seed the
-    vertex of dart 0 with colors 0,1,2 in rotation order and BFS over the
-    vertex graph: two adjacent vertices share the two faces flanking the
-    connecting edge, so every vertex reached has at least two of its faces
-    colored and the third is forced.  Unique up to permutation.
+    Let e(d) be +1 on the darts of the colour class of dart 0's vertex and
+    -1 on the other class, so e(sigma d) = e(d) and e(theta d) = -e(d).
+    Label the darts by c(sigma d) = c(theta d) = c(d) + e(d) mod 3.  Then
+    c(sigma theta d) = c(d) + e(d) - e(d) = c(d), so c is constant on each
+    face, and the darts d, sigma d, sigma^2 d of a vertex take c(d),
+    c(d) + e, c(d) + 2e: three different colours.  The labelling closes
+    around every vertex (3e = 0), edge (e(d) + e(theta d) = 0) and face,
+    and on the sphere those cycles generate every closed walk, so one
+    traversal from dart 0 labels every dart without conflict.  With
+    c(0) = 0 and e(0) = +1 the faces at dart 0's vertex get 0, 1, 2 in
+    rotation order, which fixes the colouring: it is unique once one
+    vertex is coloured.  The sign is kept as 1 or 2 = -1 mod 3.
     """
     cmap = web.map
-    color = [-1] * len(cmap.faces())
-    vertices = cmap.vertices()
-
-    def faces_at(v):
-        return [cmap.face_of(d) for d in vertices[v]]
-
-    v0 = cmap.vertex_of(0)
-    first = faces_at(v0)
-    if len(set(first)) != 3:
-        raise MapError("a vertex meets a face twice; need a 3-connected web")
-    for c, f in enumerate(first):
-        color[f] = c
-    seen = {v0}
-    queue = deque([v0])
-    while queue:
-        v = queue.popleft()
-        fs = faces_at(v)
-        if len(set(fs)) != 3:
-            raise MapError("a vertex meets a face twice; need a 3-connected web")
-        cols = [color[f] for f in fs]
-        known = [c for c in cols if c != -1]
-        if len(set(known)) != len(known):
-            raise MapError("face coloring conflict; need a 3-connected web")
-        missing = [i for i, c in enumerate(cols) if c == -1]
-        if len(missing) > 1:
-            raise MapError("face coloring did not propagate; is the web connected?")
-        if missing:
-            color[fs[missing[0]]] = 3 - sum(known)
-        for d in vertices[v]:
-            u = cmap.vertex_of(cmap.theta[d])
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    if any(c == -1 for c in color):
-        raise MapError("face coloring incomplete")
-    return color
+    sigma, theta = cmap.sigma, cmap.theta
+    col = [-1] * cmap.n_darts
+    sign = [0] * cmap.n_darts
+    col[0], sign[0] = 0, 1
+    darts = [0]  # the traversal queue: it grows while it is read
+    for d in darts:
+        c = (col[d] + sign[d]) % 3
+        for x, s in ((sigma[d], sign[d]), (theta[d], 3 - sign[d])):
+            if col[x] < 0:
+                col[x], sign[x] = c, s
+                darts.append(x)
+    return [col[face[0]] for face in cmap.faces()]
 
 
 def edge_3_coloring(web):
     """The three polygonal decompositions of a simple 3-connected web.
 
     Each edge takes the color missing from its two incident faces; for each
-    color pair the polygons are exactly the faces of the third color.
+    color pair the polygons are exactly the faces of the third color.  The
+    three decompositions share one `coloring` dict.
     """
     if connectivity(web) != 3:
         raise MapError("polygonal decompositions need a 3-connected web")
     cmap = web.map
     face_color = _face_coloring(web)
-    coloring = {}
-    for d, t in cmap.edges():
-        c1 = face_color[cmap.face_of(d)]
-        c2 = face_color[cmap.face_of(t)]
-        if c1 == c2:
-            raise MapError("adjacent faces share a color; need a 3-connected web")
-        coloring[d] = 3 - c1 - c2
+    fof = cmap.face_table()
+    coloring = {d: 3 - face_color[fof[d]] - face_color[fof[t]] for d, t in cmap.edges()}
     faces = cmap.faces()
     out = []
     for connector in (2, 1, 0):
@@ -766,28 +744,28 @@ def edge_3_coloring(web):
         polygons = tuple(
             tuple(cmap.vertex_of(d) for d in faces[i]) for i in polygon_faces
         )
-        out.append(
-            PolygonalDecomposition(pair, connector, dict(coloring), polygon_faces, polygons)
-        )
+        out.append(PolygonalDecomposition(pair, connector, coloring, polygon_faces, polygons))
     return out
+
+
+def _face_adjacency(cmap):
+    """The list face -> set of faces across its edges."""
+    fof = cmap.face_table()
+    adj = [set() for _ in cmap.faces()]
+    for d, t in cmap.edges():
+        adj[fof[d]].add(fof[t])
+        adj[fof[t]].add(fof[d])
+    return adj
 
 
 def polygon_levels(web, dec, exterior_face):
     """Dual-graph distance from each polygon of `dec` to the exterior face."""
     if exterior_face in dec.polygon_faces:
         raise MapError("exterior face must not be a polygon of the decomposition")
-    cmap = web.map
-    faces = cmap.faces()
-    adj = [set() for _ in faces]
-    for d, t in cmap.edges():
-        f1, f2 = cmap.face_of(d), cmap.face_of(t)
-        if f1 != f2:
-            adj[f1].add(f2)
-            adj[f2].add(f1)
+    adj = _face_adjacency(web.map)
     dist = {exterior_face: 0}
-    queue = deque([exterior_face])
-    while queue:
-        f = queue.popleft()
+    queue = [exterior_face]  # grows while it is read
+    for f in queue:
         for g in adj[f]:
             if g not in dist:
                 dist[g] = dist[f] + 1
@@ -796,17 +774,17 @@ def polygon_levels(web, dec, exterior_face):
 
 
 def circular_witness(web):
-    """(decomposition, exterior face) making every polygon level 1, or None."""
-    decs = edge_3_coloring(web)
-    cmap = web.map
-    n_faces = len(cmap.faces())
-    for dec in decs:
+    """(decomposition, exterior face) making every polygon level 1, or None.
+
+    A polygon is at level 1 iff it shares an edge with the exterior face,
+    so the first non-polygon face, decomposition by decomposition, whose
+    neighbours include every polygon is the witness.
+    """
+    adj = _face_adjacency(web.map)
+    for dec in edge_3_coloring(web):
         polyset = set(dec.polygon_faces)
-        for f in range(n_faces):
-            if f in polyset:
-                continue
-            levels = polygon_levels(web, dec, f)
-            if all(v == 1 for v in levels.values()):
+        for f, near in enumerate(adj):
+            if f not in polyset and polyset <= near:
                 return dec, f
     return None
 

@@ -300,11 +300,11 @@ def _pack(cmap):
 
 
 def _unpack(blob):
-    """The map `_pack` stored; it was validated when first built."""
+    """The map `_pack` stored, unchecked: it was a web when stored."""
     darts = array.array("i")
     darts.frombytes(blob)
     n = len(darts) // 2
-    return CombMap(darts[:n], darts[n:])
+    return CombMap._trusted(tuple(darts[:n]), tuple(darts[n:]), None)
 
 
 def _reduce(web):

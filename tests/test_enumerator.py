@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -31,7 +32,7 @@ from sl3webs.planarmap import (
 )
 from sl3webs.qlaurent import parse_qexpr
 from sl3webs.reducer import _drop_and_rewire, find_all_reducibles, invariant, reduce_at
-from test_planarmap import brute_force_isomorphisms
+from test_planarmap import brute_force_isomorphisms, random_relabel
 from webfixtures import (
     cube_web,
     digon_expand,
@@ -287,6 +288,33 @@ class TestCircularPrimes:
                     if best is None or prof < best:
                         best = prof
             assert best is not None and best[-1] >= 2
+
+    def test_circular_witness_is_first_level_one_pair(self):
+        # the oracle is the definition: the first (decomposition, face)
+        # pair, in order, at which a dual-graph BFS puts every polygon at
+        # level 1
+        from sl3webs.planarmap import polygon_levels
+
+        rng = random.Random(15)
+        noncircular = Counter()
+        for n in range(8, 24, 2):
+            for p in all_primes(n):
+                for w in (p, random_relabel(p, rng)):
+                    n_faces = len(w.map.faces())
+                    expect = next(
+                        (
+                            (dec.pair, f)
+                            for dec in edge_3_coloring(w)
+                            for f in range(n_faces)
+                            if f not in dec.polygon_faces
+                            and set(polygon_levels(w, dec, f).values()) == {1}
+                        ),
+                        None,
+                    )
+                    got = circular_witness(w)
+                    assert (None if got is None else (got[0].pair, got[1])) == expect
+                noncircular[n] += expect is None
+        assert +noncircular == {20: 3, 22: 1}
 
     def test_serialization_roundtrip_all_primes(self):
         from sl3webs.planarmap import parse_web, serialize_web

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sl3webs.enumerator import all_primes
 from sl3webs.planarmap import (
     CombMap,
     MAX_CIRCLES,
@@ -368,7 +369,13 @@ class TestPolygonalDecompositions:
         assert sorted(d.sizes() for d in decs) == [(4, 4, 4), (4, 4, 4), (6, 6)]
 
     def test_proper_coloring(self):
-        for w in (cube_web(), hex_prism_web()):
+        rng = random.Random(15)
+        webs = [cube_web(), hex_prism_web()]
+        for n in range(8, 22, 2):
+            for p in all_primes(n):
+                webs += [p, random_relabel(p, rng)]
+        assert len(webs) == 2 + 2 * 15
+        for w in webs:
             decs = edge_3_coloring(w)
             for dec in decs:
                 for orbit in w.map.vertices():
@@ -391,6 +398,17 @@ class TestPolygonalDecompositions:
     def test_requires_three_connected(self):
         with pytest.raises(MapError):
             edge_3_coloring(theta_web())
+
+    def test_pinned_colorings_to_22(self):
+        # which face gets which colour, and so which edge gets which, is
+        # fixed by dart 0's vertex; any change to that shows here
+        digest = hashlib.sha256()
+        for n in range(8, 24, 2):
+            for w in all_primes(n):
+                for dec in edge_3_coloring(w):
+                    digest.update(repr((dec.pair, dec.connector_color, sorted(dec.coloring.items()))).encode())
+                    digest.update(repr((dec.polygon_faces, dec.polygons)).encode())
+        assert digest.hexdigest() == "43e480560f1e6e4dfbdcb911df0ed9cd27dcc3401d80b0ab84278cec7d3c8780"
 
 
 class TestLevelsAndCircularity:

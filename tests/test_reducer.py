@@ -164,6 +164,17 @@ class TestTrustedChildren:
             assert_as_validated(child)
         assert len(children) == 15
 
+    def test_unpacked_children_as_stored(self):
+        # the memo rebuilds a stored map unchecked; it must be the map
+        # packed, with the faces a checked construction derives
+        fixtures = [parse_web(path.read_text()) for path in sorted(FIXTURES.glob("*.dart"))]
+        assert len(fixtures) == 22
+        for child in children_of(fixtures):
+            m = child.map
+            got = reducer._unpack(reducer._pack(m))
+            assert got == m
+            assert got.faces() == CombMap(m.sigma, m.theta).faces()
+
     def test_faces_have_distinct_vertices(self):
         # a web has no bridge, so each component is a 2-connected cubic
         # plane graph and every face boundary is a cycle; the surgery in
