@@ -22,7 +22,7 @@ from .planarmap import (
     parse_web,
     serialize_web,
 )
-from .primedec import decompose, product_identity_sides
+from .primedec import decompose, identity_sides
 from .qlaurent import QExprError, parse_qexpr
 from .reducer import invariant
 from .symmetry import DEFAULT_BUDGET, dth_root_search, symmetry_report
@@ -59,19 +59,24 @@ def _cmd_invariant(args):
 def _cmd_decompose(args):
     web = _read_web(args.web)
     dec = decompose(web)
-    lhs, rhs = product_identity_sides(web, dec)
+    values = [invariant(p) for p in dec.primes]
+    lhs, rhs = identity_sides(web, dec, values)
+    holds = lhs == rhs
+    if args.pretty:
+        lines = [f"k={dec.k} l={dec.l} identity_holds={holds}"]
+        for i, (p, value) in enumerate(zip(dec.primes, values), 1):
+            lines.append(f"prime {i}: {p.n_vertices} vertices, P = {value.pretty()}")
+        print("\n".join(lines))
+        return 0
     obj = {
         "k": dec.k,
         "l": dec.l,
         "primes": [serialize_web(p, args.format) for p in dec.primes],
         "identity_lhs": lhs.to_json_obj(),
         "identity_rhs": rhs.to_json_obj(),
-        "identity_holds": lhs == rhs,
+        "identity_holds": holds,
     }
-    lines = [f"k={dec.k} l={dec.l} identity_holds={lhs == rhs}"]
-    for i, p in enumerate(dec.primes, 1):
-        lines.append(f"prime {i}: {p.n_vertices} vertices, P = {invariant(p).pretty()}")
-    _emit(obj, "\n".join(lines), args.pretty)
+    _emit(obj)
     return 0
 
 

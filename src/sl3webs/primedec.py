@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .planarmap import CombMap, MapError, _bonds, validate
 from .qlaurent import qint
-from .reducer import apply_bigon, find_all_reducibles, invariant
+from .reducer import invariant, simplify
 
 
 class Decomposition:
@@ -78,22 +78,6 @@ def split(web, cut):
     return validate(rewired.restrict(side_a)), validate(rewired.restrict(side_b))
 
 
-def simplify(web):
-    """Contract bigon faces until none remain; returns (web, uses).
-
-    Every doubled edge of a cubic bipartite genus-0 web bounds a bigon face
-    on one side, so the result is simple unless the web collapsed to
-    circles (vertexless output).
-    """
-    l = 0
-    while True:
-        bigons = [red.site for red in find_all_reducibles(web) if red.kind == "bigon"]
-        if not bigons:
-            return web, l
-        web, _ = apply_bigon(web, bigons[0])
-        l += 1
-
-
 def decompose(web, rng=None):
     """Full prime decomposition of a connected simple circle-free web.
 
@@ -132,10 +116,15 @@ def decompose(web, rng=None):
 
 def product_identity_sides(web, dec):
     """Evaluate both sides of [3]^(k-1) P(G) = (-[2])^l prod P(G_i)."""
+    return identity_sides(web, dec, [invariant(p) for p in dec.primes])
+
+
+def identity_sides(web, dec, prime_values):
+    """Both sides of the product identity, given P of each prime in order."""
     lhs = qint(3) ** (dec.k - 1) * invariant(web)
     rhs = (-qint(2)) ** dec.l
-    for p in dec.primes:
-        rhs = rhs * invariant(p)
+    for value in prime_values:
+        rhs = rhs * value
     return lhs, rhs
 
 

@@ -13,12 +13,27 @@ through the re-joined legs.  Every web is plane, so its component count
 follows from Euler's formula, and components are listed only when there
 are several.  Every nonempty web admits a move (all faces are even, so
 Euler's formula forces a face of degree <= 4) and every move strictly
-shrinks (vertices, circles), so reduction terminates.  Values are
-memoized up to isomorphism, mirror included, which is sound because the
-invariant is mirror-invariant.  The memo is bucketed by a cheap shape of
-the map (its faces, each by the lengths of its neighbouring faces),
-itself invariant under relabelling and mirroring: a web whose shape
-bucket is empty is a certain miss and is stored as its packed map.  Within a shared bucket an entry keeps its least root class
+shrinks (vertices, circles), so reduction terminates.
+
+`invariant` first contracts every bigon, least dart first, and multiplies
+by (-[2])^l once for the l contractions; only then does it strip circles,
+split components and probe the memo.  So the memo holds bigon-free webs
+only, and a reduced web's site is always a square.  A bigon has exactly
+one child, so memoizing it shares nothing.  Values cannot change, since
+each contraction is the bigon relation itself.  No hit is lost, since a
+web's bigon-free form is unique up to isomorphism: two bigons of a web
+other than the theta share no vertex (a vertex on two would carry a
+triple edge), so contracting one leaves the other a bigon, and both
+orders give the same web.  Each contraction removes two vertices, so
+every order ends in the same bigon-free form (Newman's lemma), and
+isomorphic webs reach isomorphic forms.
+
+Values are memoized up to isomorphism, mirror included, which is sound
+because the invariant is mirror-invariant.  The memo is bucketed by a
+cheap shape of the map (its faces, each by the lengths of its
+neighbouring faces), itself invariant under relabelling and mirroring: a
+web whose shape bucket is empty is a certain miss and is stored as its
+packed map.  Within a shared bucket an entry keeps its least root class
 and one rooted BFS word, from its first root of that class; a probe of
 the same class is a hit iff the BFS from one of its own roots of that
 class, either rotation, reproduces the word.  No canonical form is
@@ -307,11 +322,27 @@ def _unpack(blob):
     return CombMap._trusted(tuple(darts[:n]), tuple(darts[n:]), None)
 
 
+def simplify(web):
+    """Contract bigon faces, least dart first, until none remain; returns
+    (web, uses).
+
+    Every doubled edge of a cubic bipartite genus-0 web bounds a bigon face
+    on one side, so the result is simple unless the web collapsed to
+    circles (vertexless output).
+    """
+    uses = 0
+    while True:
+        site = next((face[0] for face in web.map.faces() if len(face) == 2), None)
+        if site is None:
+            return web, uses
+        web, _ = apply_bigon(web, site)
+        uses += 1
+
+
 def _reduce(web):
+    # a nonempty connected web without circles or bigons: the site is a square
     red = find_reducible(web)
-    if red is None:
-        return HalfLaurent.one()
-    return sum(factor * invariant(child) for child, factor in reduce_at(web, red))
+    return sum(invariant(child) for child in apply_square(web, red.site))
 
 
 def invariant(web):
@@ -320,9 +351,10 @@ def invariant(web):
     Handles circles, multi-edges and disconnected webs; deterministic and
     memoized across calls.
     """
-    result = HalfLaurent.one()
+    web, uses = simplify(web)
+    result = BIGON_FACTOR**uses
     if web.circles:
-        result = CIRCLE_FACTOR**web.circles
+        result = result * CIRCLE_FACTOR**web.circles
         web = web.with_circles(0)
     cmap = web.map
     n_comps = _plane_components(cmap)

@@ -95,6 +95,30 @@ class TestDecomposeCommand:
         assert obj["k"] == 1 and obj["l"] == 0
         assert obj["identity_holds"] is True
 
+    def test_pretty_reuses_the_prime_values(self, capsys, monkeypatch, tmp_path):
+        # one evaluation per prime and one of the whole web, in both modes;
+        # the pretty text reads the values the identity was built from
+        from sl3webs import cli, primedec
+        from sl3webs.primedec import connected_sum
+
+        path = tmp_path / "sum.web"
+        path.write_text(serialize_web(connected_sum(cube_web(), 0, hex_prism_web(), 0), "dart"))
+        obj = json.loads(run(capsys, "decompose", str(path))[1])
+        assert obj["k"] == 2 and obj["identity_holds"] is True
+        expected = [f"k=2 l={obj['l']} identity_holds=True"]
+        for i, prime in enumerate(obj["primes"], 1):
+            w = sl3webs.parse_web(prime)
+            expected.append(f"prime {i}: {w.n_vertices} vertices, P = {sl3webs.invariant(w).pretty()}")
+        for argv in (("decompose", str(path)), ("decompose", str(path), "--pretty")):
+            calls = []
+            for module in (cli, primedec):
+                engine = module.invariant
+                monkeypatch.setattr(module, "invariant", lambda web, engine=engine: calls.append(web) or engine(web))
+            rc, out, _ = run(capsys, *argv)
+            monkeypatch.undo()
+            assert rc == 0 and len(calls) == 3
+        assert out == "\n".join(expected) + "\n"
+
     def test_multigraph_rejected(self, capsys, webdir):
         rc, _, err = run(capsys, "decompose", webdir["theta"])
         assert rc == 1 and "simple" in err

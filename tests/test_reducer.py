@@ -268,6 +268,24 @@ def relabelled_mirror(web, seed):
     return validate(mirror(web).map.relabel(perm), web.circles)
 
 
+def with_bigon(web, dart):
+    """Undo a bigon contraction: the edge of `dart` becomes a path through
+    two new vertices joined by a doubled edge.  Of the two ways to pair the
+    doubled edge's ends, validation keeps the one that stays plane."""
+    n = web.map.n_darts
+    sigma = list(web.map.sigma) + [n + 1, n + 2, n, n + 4, n + 5, n + 3]
+    theta = list(web.map.theta) + [0] * 6
+    a, b = dart, web.map.theta[dart]
+    for pairs in (((n + 1, n + 4), (n + 2, n + 5)), ((n + 1, n + 5), (n + 2, n + 4))):
+        for x, y in pairs + ((a, n), (b, n + 3)):
+            theta[x], theta[y] = y, x
+        try:
+            return validate(CombMap(sigma, theta), web.circles)
+        except MapError:
+            continue
+    raise AssertionError("no plane bigon insertion")
+
+
 class TestMemo:
     def test_relabelled_mirror_is_a_hit(self, empty_memo, monkeypatch):
         for name in ("prime_9_1", "prime_10_4", "omni_tetrahedron"):
@@ -366,7 +384,48 @@ class TestMemo:
         monkeypatch.setattr(reducer, "_reduce", counted_reduce)
         for path in sorted(FIXTURES.glob("omni_*.dart")):
             assert invariant(parse_web(path.read_text())) == pinned_solid(path.stem)
-        assert len(calls) == 1508
+        assert len(calls) == 663
+
+    def test_reduced_webs_are_bigon_free(self, empty_memo, monkeypatch):
+        # bigon chains are contracted before the probe, so the memo and
+        # the square splitting only ever see webs without 2-faces or circles
+        seen = []
+        reduce = reducer._reduce
+
+        def counted_reduce(web):
+            seen.append((web.circles, min(len(face) for face in web.map.faces())))
+            return reduce(web)
+
+        monkeypatch.setattr(reducer, "_reduce", counted_reduce)
+        for path in sorted(FIXTURES.glob("omni_*.dart")):
+            assert invariant(parse_web(path.read_text())) == pinned_solid(path.stem)
+        assert seen and all(circles == 0 and least == 4 for circles, least in seen)
+
+    def test_bigon_chain_hits_its_contraction(self, empty_memo, monkeypatch):
+        # inverse bigon contractions, some stacked on one edge, then a
+        # relabelling: the plain web's entry serves the bigon web
+        for name, seed in (("prime_4_1", 5), ("prime_9_1", 6), ("prime_10_4", 7)):
+            plain = fixture_web(name)
+            web = plain
+            rng = random.Random(seed)
+            # an original dart never lies on a doubled edge
+            for dart in rng.sample(range(plain.map.n_darts), 4):
+                web = with_bigon(web, dart)
+            # a chain: the last bigon's outgoing edge gets two more in a row
+            for _ in range(2):
+                web = with_bigon(web, web.map.n_darts - 3)
+            perm = list(range(web.map.n_darts))
+            rng.shuffle(perm)
+            web = validate(web.map.relabel(perm))
+            assert sum(len(face) == 2 for face in web.map.faces()) == 6
+            value = invariant(plain)
+            calls = []
+            reduce = reducer._reduce
+            monkeypatch.setattr(reducer, "_reduce", lambda web: calls.append(web) or reduce(web))
+            assert invariant(web) == reducer.BIGON_FACTOR**6 * value
+            assert calls == []
+            monkeypatch.undo()
+            assert invariant_random_order(web, rng) == invariant(web)
 
 
 class TestConfluence:
