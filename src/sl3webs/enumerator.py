@@ -12,10 +12,13 @@ pushing moves, which drop the vertex count by two.  Here the layers are
 built upward from the cube instead: layer n holds the circular primes of
 size n and the 3-connected converse pushes, across a face, of layer
 n - 2.  No web above n is assembled, and no seed budget above n is
-guessed.  That every prime is reached this way is not proved.  The
-evidence is that both paths agree: the tests close the circular layers
-from 30 vertices downward under pushing moves and get the same primes at
-every size up to 26, and they pin the upward counts through 30.  Holton,
+guessed.  Each layer is deduplicated through a `planarmap` isomorphism
+store, circular primes first, and only the primes kept are keyed: the
+canonical key orders them and names them in the catalog.  That every
+prime is reached this way is not proved.  The evidence is that both
+paths agree: the tests close the circular layers from 30 vertices
+downward under pushing moves and get the same primes at every size up
+to 26, and they pin the upward counts through 30.  Holton,
 Manvel and McKay (JCTB 38, 1985) generate the 3-connected cubic bipartite
 plane graphs upward from the cube by a small set of expansions; the
 converse pushing move has not been checked against their operations.
@@ -29,11 +32,12 @@ from __future__ import annotations
 from .planarmap import (
     CombMap,
     MapError,
+    _circular_witness,
+    _IsoStore,
     canonical_key,
     connectivity,
     edge_3_coloring,
     from_rotations,
-    is_circular,
     validate,
 )
 from .reducer import _drop_and_rewire, invariant
@@ -179,27 +183,34 @@ def assemble_web(plate, diagram):
     return validate(from_rotations(rotations))
 
 
+def _first_of_each_class(webs, seen=()):
+    """The first web of each isomorphism class among `webs`, in order,
+    skipping the classes of the webs in `seen`."""
+    store = _IsoStore()
+    for w in seen:
+        store.entry(w.map).value = w
+    for w in webs:
+        entry = store.entry(w.map)
+        if entry.value is None:
+            entry.value = w
+            yield w
+
+
+# n -> {canonical key: circular prime of n vertices}, in key order
 _CIRCULAR_CACHE = {}
 
 
 def circular_primes(n):
-    """All circular prime webs with n vertices, canonically deduplicated."""
+    """All circular prime webs with n vertices, one per isomorphism class,
+    sorted by canonical key."""
     _check_size("the vertex count", n)
-    if n in _CIRCULAR_CACHE:
-        return list(_CIRCULAR_CACHE[n])
-    found = {}
-    for plate in even_partitions(n):
-        for diagram in normal_chord_diagrams(plate):
-            # simple by construction: from_rotations rejects repeated neighbours
-            web = assemble_web(plate, diagram)
-            if len(web.map.components()) != 1:
-                continue
-            if connectivity(web) != 3:
-                continue
-            found.setdefault(canonical_key(web), web)
-    webs = [found[k] for k in sorted(found)]
-    _CIRCULAR_CACHE[n] = webs
-    return list(webs)
+    if n not in _CIRCULAR_CACHE:
+        # simple by construction: from_rotations rejects repeated neighbours
+        webs = (assemble_web(p, d) for p in even_partitions(n) for d in normal_chord_diagrams(p))
+        primes = (w for w in webs if len(w.map.components()) == 1 and connectivity(w) == 3)
+        keyed = {canonical_key(w): w for w in _first_of_each_class(primes)}
+        _CIRCULAR_CACHE[n] = {k: keyed[k] for k in sorted(keyed)}
+    return list(_CIRCULAR_CACHE[n].values())
 
 
 def pushing_moves(web):
@@ -283,20 +294,21 @@ def converse_pushing_moves(web):
 def _prime_layers(n):
     """Yield (m, {canonical key: web}) for m = 8, 10, ..., n.
 
-    Layer m holds the circular primes of size m, then every 3-connected
-    converse push of a web in layer m - 2 that is not already there, so
-    circular primes keep the representatives plate assembly gives them.
-    The converse pushes of primes are simple, so connectivity decides.  That
-    this reaches every prime is not proved: it agrees with the downward
-    closure of the circular layers under pushing moves in the tests.
+    Layer m holds the circular primes of size m, then the first
+    3-connected converse push of each class new to it among the pushes of
+    layer m - 2, so circular primes keep the representatives plate
+    assembly gives them, and only the pushes kept are keyed.  The converse
+    pushes of primes are simple, so connectivity decides.  That this
+    reaches every prime is not proved: it agrees with the downward closure
+    of the circular layers under pushing moves in the tests.
     """
     below = {}
     for m in range(8, n + 1, 2):
-        found = {canonical_key(w): w for w in circular_primes(m)}
-        for w in below.values():
-            for child in converse_pushing_moves(w):
-                if connectivity(child) == 3:
-                    found.setdefault(canonical_key(child), child)
+        circular_primes(m)  # fills the cache with the layer's keys
+        circular = _CIRCULAR_CACHE[m]
+        pushes = (c for w in below.values() for c in converse_pushing_moves(w) if connectivity(c) == 3)
+        found = dict(circular)
+        found.update((canonical_key(c), c) for c in _first_of_each_class(pushes, circular.values()))
         yield m, found
         below = found
 
@@ -338,6 +350,8 @@ def build_catalog(n_max):
         for i, key in enumerate(sorted(found), 1):
             w = found[key]
             inv = invariant(w)
-            descs = tuple(sorted(dec.sizes() for dec in edge_3_coloring(w)))
-            entries.append(CatalogEntry(f"{m // 2}_{i}", w, inv, descs, is_circular(w)))
+            decs = edge_3_coloring(w)
+            descs = tuple(sorted(dec.sizes() for dec in decs))
+            circular = _circular_witness(w.map, decs) is not None
+            entries.append(CatalogEntry(f"{m // 2}_{i}", w, inv, descs, circular))
     return entries

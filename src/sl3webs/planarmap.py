@@ -305,15 +305,13 @@ class Web:
     Either way every component of a Web is plane.
     """
 
-    __slots__ = ("map", "circles", "_key_plain", "_key_refl")
+    __slots__ = ("map", "circles")
 
     def __init__(self, cmap, circles, _checked=False):
         if not _checked:
             raise MapError("Webs must be built by validate() or by trusted skein surgery")
         self.map = cmap
         self.circles = circles
-        self._key_plain = None
-        self._key_refl = None
 
     @property
     def n_vertices(self):
@@ -519,72 +517,23 @@ def _component_canonical(theta, comp, rotations):
     return best, hits
 
 
-def rooting(cmap):
-    """The least local class of a connected map and its (rotation, root)
-    pairs, mirror rotations included; see `rooted_match`."""
-    return _least_roots(cmap.theta, range(cmap.n_darts), _rotations(cmap, True))
-
-
-def rooted_word(cmap, roots):
-    """The BFS word of the first of a connected map's `roots`, as an
-    int32 array."""
-    rot, root = roots[0]
-    _, word = _rooted_word(cmap.theta, rot, root, [-1] * cmap.n_darts)
-    return array.array("i", word)
-
-
-def rooted_match(cmap, roots, word):
-    """Whether `word` is the BFS word of one of a connected map's roots.
-
-    With `roots` from `rooting(cmap)` and `word` from `rooted_word` of a
-    map of the same least class, this holds iff the two maps are
-    isomorphic, mirror included: an isomorphism carries the other map's
-    first root to one of these, and equal words relabel one map into the
-    other.  Each root is abandoned at its first label that differs.
-    """
-    theta = cmap.theta
-    if len(word) != 2 * len(theta):
-        return False
-    lab = [-1] * len(theta)
-    order = ()
-    for rot, root in roots:
-        for d in order:
-            lab[d] = -1
-        order, got = _rooted_word(theta, rot, root, lab, word, descend=False)
-        if got is word:
-            return True
-    return False
-
-
 def _canonical_data(web, include_reflections):
     cmap = web.map
     rotations = _rotations(cmap, include_reflections)
     out = []
     for comp in cmap.components():
         word, hits = _component_canonical(cmap.theta, comp, rotations)
-        out.append((bytes_of_word(word), hits, word))
+        out.append((array.array("i", word).tobytes(), hits, word))
     return out
-
-
-def bytes_of_word(word):
-    return array.array("i", word).tobytes()
 
 
 def canonical_key(web, include_reflections=True):
     """Byte key equal for two webs iff they are isomorphic maps on the
     sphere (up to reflection when include_reflections is set), with equal
     circle counts."""
-    cached = web._key_refl if include_reflections else web._key_plain
-    if cached is not None:
-        return cached
     parts = sorted(k for k, _, _ in _canonical_data(web, include_reflections))
     blob = b"".join(len(p).to_bytes(4, "big") + p for p in parts)
-    key = web.circles.to_bytes(4, "big") + len(parts).to_bytes(4, "big") + blob
-    if include_reflections:
-        web._key_refl = key
-    else:
-        web._key_plain = key
-    return key
+    return web.circles.to_bytes(4, "big") + len(parts).to_bytes(4, "big") + blob
 
 
 def isomorphic(w1, w2, include_reflections=True):
@@ -626,6 +575,108 @@ def disjoint_union(w1, w2):
     sigma = list(w1.map.sigma) + [d + off for d in w2.map.sigma]
     theta = list(w1.map.theta) + [d + off for d in w2.map.theta]
     return validate(CombMap(sigma, theta), w1.circles + w2.circles)
+
+
+# -- isomorphism store -------------------------------------------------------
+
+
+class _Entry:
+    """A stored map's value, with the map's packed darts until a probe of
+    the same shape roots the entry: then the map's least root class and
+    the BFS word of its first root of that class."""
+
+    __slots__ = ("blob", "least", "word", "value")
+
+    def __init__(self, cmap):
+        self.blob = array.array("i", cmap.sigma + cmap.theta).tobytes()
+        self.least = self.word = self.value = None
+
+    def root(self):
+        """Replace the packed darts by the least class and rooted word."""
+        cmap = _unpack(self.blob)
+        self.least, roots = _rooting(cmap)
+        rot, root = roots[0]
+        self.word = array.array("i", _rooted_word(cmap.theta, rot, root, [-1] * cmap.n_darts)[1])
+        self.blob = None
+
+
+def _shape(cmap):
+    """Hash of the sorted faces, each given by the sorted lengths of the
+    faces across its edges.
+
+    Equal for isomorphic maps, mirror images included; it hashes ints and
+    tuples only, so it does not depend on PYTHONHASHSEED.  A collision only
+    costs rooted matches, never a wrong answer.
+    """
+    flen = cmap.face_lengths()
+    theta = cmap.theta
+    return hash(tuple(sorted(tuple(sorted([flen[theta[d]] for d in face])) for face in cmap.faces())))
+
+
+def _unpack(blob):
+    """The map an `_Entry` packed, unchecked: it was a web's map."""
+    darts = array.array("i")
+    darts.frombytes(blob)
+    n = len(darts) // 2
+    return CombMap._trusted(tuple(darts[:n]), tuple(darts[n:]), None)
+
+
+def _rooting(cmap):
+    """The least local class of a connected map and its (rotation, root)
+    pairs, mirror rotations included."""
+    return _least_roots(cmap.theta, range(cmap.n_darts), _rotations(cmap, True))
+
+
+def _rooted_match(cmap, roots, word):
+    """Whether `word` is the BFS word of one of a connected map's roots.
+
+    With `roots` from `_rooting(cmap)` and `word` that of a rooted entry
+    of the same least class, this holds iff the two maps are isomorphic,
+    mirror included: an isomorphism carries the entry's first root to one
+    of these, and equal words relabel one map into the other.  Each root
+    is abandoned at its first label that differs.
+    """
+    theta = cmap.theta
+    if len(word) != 2 * len(theta):
+        return False
+    lab = [-1] * len(theta)
+    order = ()
+    for rot, root in roots:
+        for d in order:
+            lab[d] = -1
+        order, got = _rooted_word(theta, rot, root, lab, word, descend=False)
+        if got is word:
+            return True
+    return False
+
+
+class _IsoStore(dict):
+    """Connected maps up to isomorphism, mirror included, each with a
+    value: shape -> entries of that shape, in insertion order.
+
+    The shape (the faces, each by the lengths of its neighbouring faces)
+    is invariant under relabelling and mirroring, so a map whose bucket is
+    empty is a certain miss; it is stored as its packed darts.  An entry a
+    probe meets in a shared bucket is rooted once: it keeps its least root
+    class and the BFS word of its first root of that class, and a probe of
+    the same class is a hit iff the BFS from one of its own roots of that
+    class, either rotation, reproduces the word.  No canonical form is
+    computed: each root is abandoned at its first differing label.
+    """
+
+    def entry(self, cmap):
+        """The entry of the stored map isomorphic to a connected map, or
+        else a new stored entry for it with value None."""
+        bucket = self.setdefault(_shape(cmap), [])
+        if bucket:
+            least, roots = _rooting(cmap)
+            for entry in bucket:
+                if entry.word is None:
+                    entry.root()
+                if entry.least == least and _rooted_match(cmap, roots, entry.word):
+                    return entry
+        bucket.append(_Entry(cmap))
+        return bucket[-1]
 
 
 # -- connectivity ------------------------------------------------------------
@@ -780,8 +831,13 @@ def circular_witness(web):
     so the first non-polygon face, decomposition by decomposition, whose
     neighbours include every polygon is the witness.
     """
-    adj = _face_adjacency(web.map)
-    for dec in edge_3_coloring(web):
+    return _circular_witness(web.map, edge_3_coloring(web))
+
+
+def _circular_witness(cmap, decs):
+    """`circular_witness` over the given decompositions of the map."""
+    adj = _face_adjacency(cmap)
+    for dec in decs:
         polyset = set(dec.polygon_faces)
         for f, near in enumerate(adj):
             if f not in polyset and polyset <= near:

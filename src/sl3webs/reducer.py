@@ -28,25 +28,20 @@ orders give the same web.  Each contraction removes two vertices, so
 every order ends in the same bigon-free form (Newman's lemma), and
 isomorphic webs reach isomorphic forms.
 
-Values are memoized up to isomorphism, mirror included, which is sound
-because the invariant is mirror-invariant.  The memo is bucketed by a
-cheap shape of the map (its faces, each by the lengths of its
-neighbouring faces), itself invariant under relabelling and mirroring: a
-web whose shape bucket is empty is a certain miss and is stored as its
-packed map.  Within a shared bucket an entry keeps its least root class
-and one rooted BFS word, from its first root of that class; a probe of
-the same class is a hit iff the BFS from one of its own roots of that
-class, either rotation, reproduces the word.  No canonical form is
-computed: each root is abandoned at its first differing label.
+Values are memoized up to isomorphism, mirror included (sound, as the
+invariant is mirror-invariant), in a `planarmap` isomorphism store.  A
+probe that misses stores an entry with no value before its web is
+reduced: no child is isomorphic to its ancestor, having fewer darts, so
+no probe meets an unfinished entry, and if a reduction raises, the next
+probe of that web reduces it again.
 """
 
 from __future__ import annotations
 
-import array
 from operator import itemgetter
 from typing import NamedTuple
 
-from .planarmap import CombMap, MapError, Web, rooted_match, rooted_word, rooting, validate
+from .planarmap import CombMap, MapError, Web, _IsoStore, validate
 from .qlaurent import HalfLaurent, qint
 
 CIRCLE_FACTOR = qint(3)
@@ -268,58 +263,11 @@ def reduce_at(web, red):
     raise ValueError(f"unknown relation kind {red.kind!r}")
 
 
-# shape -> entries of that shape, in insertion order
-_MEMO = {}
-
-
-class _Entry:
-    """A memoized value with its web's least root class and rooted word,
-    or, until a probe of the same shape needs them, the web's map as
-    `_pack`ed bytes."""
-
-    __slots__ = ("least", "word", "blob", "value")
-
-    def __init__(self, least, word, blob, value):
-        self.least = least
-        self.word = word
-        self.blob = blob
-        self.value = value
-
-    def root(self):
-        """Replace the packed map by its least class and rooted word."""
-        cmap = _unpack(self.blob)
-        self.least, roots = rooting(cmap)
-        self.word = rooted_word(cmap, roots)
-        self.blob = None
+_MEMO = _IsoStore()
 
 
 def clear_memo():
     _MEMO.clear()
-
-
-def _shape(cmap):
-    """Hash of the sorted faces, each given by the sorted lengths of the
-    faces across its edges.
-
-    Equal for isomorphic maps, mirror images included; it hashes ints and
-    tuples only, so it does not depend on PYTHONHASHSEED.  A collision only
-    costs rooted matches, never a wrong value.
-    """
-    flen = cmap.face_lengths()
-    theta = cmap.theta
-    return hash(tuple(sorted(tuple(sorted([flen[theta[d]] for d in face])) for face in cmap.faces())))
-
-
-def _pack(cmap):
-    return array.array("i", cmap.sigma + cmap.theta).tobytes()
-
-
-def _unpack(blob):
-    """The map `_pack` stored, unchecked: it was a web when stored."""
-    darts = array.array("i")
-    darts.frombytes(blob)
-    n = len(darts) // 2
-    return CombMap._trusted(tuple(darts[:n]), tuple(darts[n:]), None)
 
 
 def simplify(web):
@@ -364,17 +312,9 @@ def invariant(web):
         for comp in cmap.components():
             result = result * invariant(validate(cmap.restrict(comp)))
         return result
-    shape = _shape(cmap)
-    bucket = _MEMO.get(shape)
-    if bucket is None:
-        # no stored web has this shape, so none is isomorphic: store the map
-        value = _reduce(web)
-        _MEMO.setdefault(shape, []).append(_Entry(None, None, _pack(cmap), value))
-        return result * value
-    entry = _lookup(bucket, cmap)
+    entry = _MEMO.entry(cmap)
     if entry.value is None:
         entry.value = _reduce(web)
-        bucket.append(entry)
     return result * entry.value
 
 
@@ -383,18 +323,6 @@ def _plane_components(cmap):
     plane, as every Web's are: each has V - E + F = 2, and n darts make
     V = n/3 and E = n/2, so there are (6F - n)/12."""
     return (6 * len(cmap.faces()) - cmap.n_darts) // 12
-
-
-def _lookup(bucket, cmap):
-    """The entry of `bucket` isomorphic to a connected map, mirror
-    included, or else a new entry for it with no value."""
-    least, roots = rooting(cmap)
-    for entry in bucket:
-        if entry.word is None:
-            entry.root()
-        if entry.least == least and rooted_match(cmap, roots, entry.word):
-            return entry
-    return _Entry(least, rooted_word(cmap, roots), None, None)
 
 
 def invariant_random_order(web, rng):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -238,6 +239,14 @@ class TestCatalogCommand:
         lines = [json.loads(l) for l in out.strip().splitlines()]
         assert [l["name"] for l in lines] == ["4_1", "6_1"]
         assert lines[1]["descriptions"] == [[4, 4, 4], [4, 4, 4], [6, 6]]
+
+    def test_catalog_bytes_pinned(self, capsys):
+        # every name, invariant, description and circularity flag of the
+        # primes through 22 vertices, byte for byte
+        rc, out, _ = run(capsys, "catalog", "--max-vertices", "22")
+        assert rc == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "0101c83262bce0095b5768362f3628d092ae07b75c9e9161723a8cb35ade4d61"
 
     def test_bad_slack_messages(self, capsys):
         # every layer is built upward from the one below; there is no seed

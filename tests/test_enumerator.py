@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from sl3webs import enumerator
 from sl3webs.enumerator import (
     _prime_layers,
     all_primes,
@@ -338,10 +339,11 @@ class TestCircularPrimes:
             variants.append(validate(w.map.relabel(perm), w.circles))
             variants.append(mirror(w))
         pool = webs + variants
+        keys = [canonical_key(w) for w in pool]
         for i, a in enumerate(pool):
-            for b in pool[i:]:
-                brute = brute_force_isomorphisms(a, b, True) > 0
-                assert (canonical_key(a) == canonical_key(b)) == brute
+            for j in range(i, len(pool)):
+                brute = brute_force_isomorphisms(a, pool[j], True) > 0
+                assert (keys[i] == keys[j]) == brute
 
 
 class TestPushingMoves:
@@ -374,8 +376,9 @@ class TestPushingMoves:
     def test_converse_roundtrip(self):
         checked = 0
         for w in circular_primes(16) + circular_primes(18):
+            key = canonical_key(w)
             for child in pushing_moves(w):
-                assert any(isomorphic(b, w) for b in converse_pushing_moves(child))
+                assert any(canonical_key(b) == key for b in converse_pushing_moves(child))
                 checked += 1
         assert checked == 15
 
@@ -561,6 +564,19 @@ class TestCatalog:
         assert {e.circular for e in family} == {True, False}
         keys = {canonical_key(e.web) for e in family}
         assert len(keys) == len(family)
+
+    def test_keys_only_the_primes_kept(self, monkeypatch):
+        # the layers deduplicate through isomorphism stores, so with no
+        # circular layer cached each prime of 8-24 vertices is keyed once
+        monkeypatch.setattr(enumerator, "_CIRCULAR_CACHE", {})
+        keyed = []
+        key = enumerator.canonical_key
+        monkeypatch.setattr(enumerator, "canonical_key", lambda web: keyed.append(web) or key(web))
+        at_24 = all_primes(24)
+        assert len(keyed) == 55
+        assert Counter(w.n_vertices for w in keyed) == {8: 1, 12: 1, 14: 1, 16: 2, 18: 2, 20: 8, 22: 8, 24: 32}
+        assert len({key(w) for w in keyed}) == 55
+        assert {id(w) for w in at_24} <= {id(w) for w in keyed}
 
     def test_catalog_agrees_with_all_primes_at_24(self):
         at_24 = [e for e in build_catalog(24) if e.vertex_count == 24]

@@ -5,12 +5,13 @@ import zlib
 
 import pytest
 
-from sl3webs import reducer
-from sl3webs.enumerator import all_primes, circular_primes, pushing_moves
+from sl3webs import planarmap, reducer
+from sl3webs.enumerator import _prime_layers, all_primes, circular_primes, converse_pushing_moves, pushing_moves
 from sl3webs.planarmap import (
     CombMap,
     MapError,
     canonical_key,
+    connectivity,
     disjoint_union,
     mirror,
     parse_web,
@@ -165,13 +166,13 @@ class TestTrustedChildren:
         assert len(children) == 15
 
     def test_unpacked_children_as_stored(self):
-        # the memo rebuilds a stored map unchecked; it must be the map
-        # packed, with the faces a checked construction derives
+        # the isomorphism store rebuilds a stored map unchecked; it must be
+        # the map packed, with the faces a checked construction derives
         fixtures = [parse_web(path.read_text()) for path in sorted(FIXTURES.glob("*.dart"))]
         assert len(fixtures) == 22
         for child in children_of(fixtures):
             m = child.map
-            got = reducer._unpack(reducer._pack(m))
+            got = planarmap._unpack(planarmap._Entry(m).blob)
             assert got == m
             assert got.faces() == CombMap(m.sigma, m.theta).faces()
 
@@ -299,7 +300,7 @@ class TestMemo:
 
     def test_one_shape_bucket(self, empty_memo, monkeypatch):
         # every web shares one bucket: entries are keyed lazily and scanned
-        monkeypatch.setattr(reducer, "_shape", lambda cmap: 0)
+        monkeypatch.setattr(planarmap, "_shape", lambda cmap: 0)
         assert invariant(cube_web()) == parse_qexpr("2[2]^2[3]")
         assert invariant(hex_prism_web()) == parse_qexpr("[2]^4[3]+2[2]^2[3]")
         for name in ("omni_tetrahedron", "omni_cube", "omni_dodecahedron", "omni_prism5", "omni_antiprism4"):
@@ -313,9 +314,9 @@ class TestMemo:
         words = []
         matched = []
         engine = reducer.invariant
-        shape = reducer._shape
-        word = reducer.rooted_word
-        match = reducer.rooted_match
+        shape = planarmap._shape
+        unpack = planarmap._unpack
+        match = planarmap._rooted_match
 
         def counted_invariant(web):
             if len(web.map.components()) == 1:
@@ -328,25 +329,40 @@ class TestMemo:
                 shared.add(id(cmap))
             return value
 
-        def counted_word(cmap, roots):
-            words.append(cmap)
-            return word(cmap, roots)
+        def counted_unpack(blob):
+            words.append(blob)
+            return unpack(blob)
 
         def counted_match(cmap, roots, stored):
             matched.append(cmap)
             return match(cmap, roots, stored)
 
         monkeypatch.setattr(reducer, "invariant", counted_invariant)
-        monkeypatch.setattr(reducer, "_shape", counted_shape)
-        monkeypatch.setattr(reducer, "rooted_word", counted_word)
-        monkeypatch.setattr(reducer, "rooted_match", counted_match)
+        monkeypatch.setattr(planarmap, "_shape", counted_shape)
+        monkeypatch.setattr(planarmap, "_unpack", counted_unpack)
+        monkeypatch.setattr(planarmap, "_rooted_match", counted_match)
         assert reducer.invariant(fixture_web("omni_tetrahedron")) == pinned_solid("omni_tetrahedron")
         assert 0 < len(words) < len(probes)
         assert matched and all(id(cmap) in shared for cmap in matched)
 
+    def test_failed_reduction_is_retried(self, empty_memo, monkeypatch):
+        # the entry is stored before the web is reduced; a reduction that
+        # raises leaves it without a value, and the next probe reduces
+        w = fixture_web("omni_tetrahedron")
+        reduce = reducer._reduce
+        monkeypatch.setattr(reducer, "_reduce", lambda web: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            invariant(w)
+        ((entry,),) = reducer._MEMO.values()
+        assert entry.value is None
+        monkeypatch.setattr(reducer, "_reduce", reduce)
+        assert invariant(relabelled_mirror(w, 3)) == pinned_solid("omni_tetrahedron")
+        assert entry.value == pinned_solid("omni_tetrahedron")
 
-    def test_match_is_as_strong_as_the_key(self):
-        # the memo's match, class check included, against canonical keys
+    def test_match_is_as_strong_as_the_key(self, monkeypatch):
+        # the store's match, class check included, against canonical keys:
+        # with one shape for every map, each probe meets the stored web
+        monkeypatch.setattr(planarmap, "_shape", lambda cmap: 0)
         webs = []
         for k, path in enumerate(sorted(FIXTURES.glob("*.dart"))):
             w = parse_web(path.read_text())
@@ -359,17 +375,49 @@ class TestMemo:
                     webs += [validate(child.map.restrict(comp)) for comp in child.map.components()]
         webs += all_primes(24)
         assert len(webs) > 150
-        entries = [reducer._Entry(None, None, reducer._pack(w.map), None) for w in webs]
+        stores = [planarmap._IsoStore() for _ in webs]
+        entries = [store.entry(w.map) for store, w in zip(stores, webs)]
         keys = [canonical_key(w, True) for w in webs]
         close = 0
         for a, key in zip(webs, keys):
-            least = reducer.rooting(a.map)[0]
-            for entry, other, other_key in zip(entries, webs, keys):
-                assert (reducer._lookup([entry], a.map) is entry) == (key == other_key)
+            least = planarmap._rooting(a.map)[0]
+            for store, entry, other, other_key in zip(stores, entries, webs, keys):
+                assert (store.entry(a.map) is entry) == (key == other_key)
+                del store[0][1:]  # drop the miss's new entry
                 if key != other_key and entry.least == least:
                     close += a.map.n_darts == other.map.n_darts
         # non-isomorphic pairs that only the word can tell apart
         assert close > 0
+
+    def test_census_store_hits_are_key_hits(self):
+        # each layer's store, seeded with its circular primes, against a
+        # set of keys: every 3-connected converse push that _prime_layers
+        # meets is a hit exactly when its key was seen
+        below = {}
+        hits = 0
+        for m, found in _prime_layers(24):
+            store = planarmap._IsoStore()
+            keys = set()
+            for w in circular_primes(m):
+                entry = store.entry(w.map)
+                assert entry.value is None
+                entry.value = w
+                keys.add(canonical_key(w, True))
+            for w in below.values():
+                for child in converse_pushing_moves(w):
+                    if connectivity(child) != 3:
+                        continue
+                    entry = store.entry(child.map)
+                    key = canonical_key(child, True)
+                    assert (entry.value is not None) == (key in keys)
+                    if entry.value is None:
+                        entry.value = child
+                    else:
+                        hits += 1
+                    keys.add(key)
+            assert keys == set(found)
+            below = found
+        assert hits == 385
 
     def test_reduce_calls_on_solids(self, empty_memo, monkeypatch):
         # a hit happens iff the webs are isomorphic, so the number of webs
