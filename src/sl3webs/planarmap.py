@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import array
 import itertools
+from collections import Counter
 
 
 class MapError(ValueError):
@@ -395,27 +396,37 @@ def _rotations(cmap, include_reflections):
     return rotations
 
 
-def _least_roots(theta, comp, rotations):
-    """The least local class of a component and its (rotation, root) pairs.
+def _least_roots(rotations):
+    """The least local class of a connected map and its (rotation, root)
+    pairs, given the map's `_rotations`.
 
     The class of a pair is the face lengths at (d, theta d, rot d,
     theta rot d).  An isomorphism, mirror or not, carries faces to faces
     of the matching rotation, so it preserves the class: the least class
-    is an invariant of the component, and an isomorphism carries the
-    pairs of one component's least class onto the other's.  Pairs are
-    listed by rotation, then by dart.
+    is an invariant of the map, and an isomorphism carries the pairs of
+    one map's least class onto the other's.  Pairs are listed by
+    rotation, then by dart.
+
+    rot d = (rot o theta)(theta d) lies on the face of theta d, so the
+    second and third lengths are equal, and the class is packed into one
+    int as the digits flen[d], ftheta[d], ftheta[rot d] in base n + 1 (a
+    face has at most n darts), which orders like the 4-tuples among maps
+    of n darts.  The least class starts with the least face length, so
+    only the darts on faces of that length are classed.
     """
+    base = len(rotations[0][0]) + 1
+    least = base**3  # above every class
     roots = []
-    least = (len(theta) + 1,)  # above every class: face lengths are <= n
     for rot, flen, ftheta in rotations:
-        for d in comp:
-            r = rot[d]
-            cls = (flen[d], ftheta[d], flen[r], ftheta[r])
-            if cls < least:
-                least = cls
-                roots = [(rot, d)]
-            elif cls == least:
-                roots.append((rot, d))
+        m = min(flen)
+        darts = [d for d, f in enumerate(flen) if f == m]
+        top = m * base**2
+        classes = [top + ftheta[d] * base + ftheta[rot[d]] for d in darts]
+        low = min(classes)
+        if low < least:
+            least, roots = low, []
+        if low == least:
+            roots += [(rot, d) for d, cls in zip(darts, classes) if cls == low]
     return least, roots
 
 
@@ -487,9 +498,9 @@ def _rooted_word(theta, rot, root, lab, ref=None, descend=True):
     return order, word
 
 
-def _component_canonical(theta, comp, rotations):
-    """Least BFS word over the roots of the least local class, and the
-    number of roots attaining it.
+def _component_canonical(cmap, include_reflections):
+    """Least BFS word of a connected map over the roots of its least local
+    class, and the number of roots attaining it.
 
     The least class is an invariant, so the least word over its pairs is
     still a complete one.  The automorphisms act freely on the pairs and
@@ -500,7 +511,8 @@ def _component_canonical(theta, comp, rotations):
     with no comparisons and becomes the best.  Between roots only the
     darts the previous root labeled are reset.
     """
-    _, roots = _least_roots(theta, comp, rotations)
+    theta = cmap.theta
+    _, roots = _least_roots(_rotations(cmap, include_reflections))
     best = None
     hits = 0
     lab = [-1] * len(theta)
@@ -518,11 +530,15 @@ def _component_canonical(theta, comp, rotations):
 
 
 def _canonical_data(web, include_reflections):
+    """(key bytes, automorphism count, word) per component.  A component
+    of several is read from its restriction, which keeps the dart order,
+    so its roots and words are those it has inside the whole map."""
     cmap = web.map
-    rotations = _rotations(cmap, include_reflections)
+    comps = cmap.components()
+    parts = [cmap] if len(comps) == 1 else [cmap.restrict(comp) for comp in comps]
     out = []
-    for comp in cmap.components():
-        word, hits = _component_canonical(cmap.theta, comp, rotations)
+    for part in parts:
+        word, hits = _component_canonical(part, include_reflections)
         out.append((array.array("i", word).tobytes(), hits, word))
     return out
 
@@ -581,14 +597,14 @@ def disjoint_union(w1, w2):
 
 
 class _Entry:
-    """A stored map's value, with the map's packed darts until a probe of
-    the same shape roots the entry: then the map's least root class and
-    the BFS word of its first root of that class."""
+    """A stored map's value, with the map's packed darts and face lengths
+    until a probe of the same shape roots the entry: then the map's least
+    root class and the BFS word of its first root of that class."""
 
     __slots__ = ("blob", "least", "word", "value")
 
     def __init__(self, cmap):
-        self.blob = array.array("i", cmap.sigma + cmap.theta).tobytes()
+        self.blob = array.array("i", [*cmap.sigma, *cmap.theta, *cmap.face_lengths()]).tobytes()
         self.least = self.word = self.value = None
 
     def root(self):
@@ -614,17 +630,20 @@ def _shape(cmap):
 
 
 def _unpack(blob):
-    """The map an `_Entry` packed, unchecked: it was a web's map."""
-    darts = array.array("i")
-    darts.frombytes(blob)
-    n = len(darts) // 2
-    return CombMap._trusted(tuple(darts[:n]), tuple(darts[n:]), None)
+    """The map an `_Entry` packed, unchecked: it was a web's map.  Its face
+    lengths come with it, so rooting it walks no face."""
+    packed = array.array("i")
+    packed.frombytes(blob)
+    n = len(packed) // 3
+    cmap = CombMap._trusted(tuple(packed[:n]), tuple(packed[n : 2 * n]), None)
+    cmap._face_len = packed[2 * n :].tolist()
+    return cmap
 
 
 def _rooting(cmap):
     """The least local class of a connected map and its (rotation, root)
     pairs, mirror rotations included."""
-    return _least_roots(cmap.theta, range(cmap.n_darts), _rotations(cmap, True))
+    return _least_roots(_rotations(cmap, True))
 
 
 def _rooted_match(cmap, roots, word):
@@ -656,7 +675,8 @@ class _IsoStore(dict):
 
     The shape (the faces, each by the lengths of its neighbouring faces)
     is invariant under relabelling and mirroring, so a map whose bucket is
-    empty is a certain miss; it is stored as its packed darts.  An entry a
+    empty is a certain miss; it is stored as its packed darts and face
+    lengths, which is all that rooting it later reads.  An entry a
     probe meets in a shared bucket is rooted once: it keeps its least root
     class and the BFS word of its first root of that class, and a probe of
     the same class is a hit iff the BFS from one of its own roots of that
@@ -691,13 +711,56 @@ def _bonds(cmap):
     edges inside X, yet they differ mod 3.  By planar duality an
     edge set is a minimal cut iff its dual edges form a cycle, so a
     2-bond is a pair of edges separating the same two faces.
+
+    So the scan pairs each dart's face with the face across its edge, as
+    read off the cached face table.  When all pairs are distinct, every
+    face meets each neighbour across one edge and there is no bond: one
+    set build, and no face is walked.  Otherwise each face f that meets
+    a face g across several edges groups those edges, read from the
+    lesser face of the two (no face meets itself across an edge, which
+    would be a bridge).
     """
     fof = cmap.face_table()
-    by_faces = {}
-    for d, t in cmap.edges():
-        f, g = fof[d], fof[t]
-        by_faces.setdefault((f, g) if f < g else (g, f), []).append(d)
-    return sorted(pair for group in by_faces.values() for pair in itertools.combinations(group, 2))
+    theta = cmap.theta
+    sides = list(zip(fof, map(fof.__getitem__, theta)))
+    if len(set(sides)) == len(sides):
+        return []
+    faces = cmap.faces()
+    out = []
+    for (f, g), count in Counter(sides).items():
+        if count > 1 and f < g:
+            group = sorted(min(d, theta[d]) for d in faces[f] if fof[theta[d]] == g)
+            out += itertools.combinations(group, 2)
+    out.sort()
+    return out
+
+
+def split(web, cut):
+    """Cut at a disconnecting edge pair; each side is closed by a new edge.
+
+    The new edge reuses the cut darts in their rotation slots (the slot
+    vacated by the deleted edge), which keeps genus 0.  A face crosses a
+    2-bond once each way, so the dart of e2 on a1's side is the one whose
+    face differs from a1's.  Returns the side containing a1 first.
+    """
+    if web.circles:
+        raise MapError("split acts on webs without circles")
+    cmap = web.map
+    e1, e2 = cut
+    a1, b1 = e1, cmap.theta[e1]
+    a2, b2 = e2, cmap.theta[e2]
+    fof = cmap.face_table()
+    if fof[a2] == fof[a1]:
+        a2, b2 = b2, a2
+    theta = list(cmap.theta)
+    theta[a1], theta[a2] = a2, a1
+    theta[b1], theta[b2] = b2, b1
+    rewired = CombMap(cmap.sigma, theta)
+    comps = rewired.components()
+    if len(comps) != 2 or (a1 in comps[0]) == (b1 in comps[0]):
+        raise MapError("cut does not split the web into two sides")
+    side_a, side_b = comps if a1 in comps[0] else comps[::-1]
+    return validate(rewired.restrict(side_a)), validate(rewired.restrict(side_b))
 
 
 def connectivity(web):

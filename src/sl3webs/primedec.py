@@ -11,11 +11,19 @@ unique up to reflections and satisfies the exact identity
 A side that collapses entirely becomes a single circle; its [3] cancels one
 normalization factor, so collapsed parts are simply excluded from the
 primes (circles are not prime by convention).
+
+`split` lives in `planarmap` and is re-exported here; the skein engine
+splits every composite web it meets with it, so `invariant` of a
+composite web is already a product of prime values over [3]^(k-1).  The
+identity check therefore tests that the engine's own factoring agrees
+with the primes `decompose` finds.  The check that shares no code with
+the factoring is the random-order evaluation of the tests, which never
+splits.
 """
 
 from __future__ import annotations
 
-from .planarmap import CombMap, MapError, _bonds, validate
+from .planarmap import CombMap, MapError, _bonds, split, validate
 from .qlaurent import qint
 from .reducer import invariant, simplify
 
@@ -48,34 +56,6 @@ def find_2_edge_cuts(web):
     if len(web.map.components()) != 1:
         raise MapError("cut search needs a connected web")
     return _bonds(web.map)
-
-
-def split(web, cut):
-    """Cut at a disconnecting edge pair; each side is closed by a new edge.
-
-    The new edge reuses the cut darts in their rotation slots (the slot
-    vacated by the deleted edge), which keeps genus 0.  A face crosses a
-    2-bond once each way, so the dart of e2 on a1's side is the one whose
-    face differs from a1's.  Returns the side containing a1 first.
-    """
-    if web.circles:
-        raise MapError("split acts on webs without circles")
-    cmap = web.map
-    e1, e2 = cut
-    a1, b1 = e1, cmap.theta[e1]
-    a2, b2 = e2, cmap.theta[e2]
-    fof = cmap.face_table()
-    if fof[a2] == fof[a1]:
-        a2, b2 = b2, a2
-    theta = list(cmap.theta)
-    theta[a1], theta[a2] = a2, a1
-    theta[b1], theta[b2] = b2, b1
-    rewired = CombMap(cmap.sigma, theta)
-    comps = rewired.components()
-    if len(comps) != 2 or (a1 in comps[0]) == (b1 in comps[0]):
-        raise MapError("cut does not split the web into two sides")
-    side_a, side_b = comps if a1 in comps[0] else comps[::-1]
-    return validate(rewired.restrict(side_a)), validate(rewired.restrict(side_b))
 
 
 def decompose(web, rng=None):

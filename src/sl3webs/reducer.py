@@ -18,22 +18,36 @@ shrinks (vertices, circles), so reduction terminates.
 `invariant` first contracts every bigon, least dart first, and multiplies
 by (-[2])^l once for the l contractions; only then does it strip circles,
 split components and probe the memo.  So the memo holds bigon-free webs
-only, and a reduced web's site is always a square.  A bigon has exactly
-one child, so memoizing it shares nothing.  Values cannot change, since
-each contraction is the bigon relation itself.  No hit is lost, since a
-web's bigon-free form is unique up to isomorphism: two bigons of a web
-other than the theta share no vertex (a vertex on two would carry a
-triple edge), so contracting one leaves the other a bigon, and both
-orders give the same web.  Each contraction removes two vertices, so
-every order ends in the same bigon-free form (Newman's lemma), and
-isomorphic webs reach isomorphic forms.
+only, and a reduced web is split at a bond or smoothed at a square.  A
+bigon has exactly one child, so memoizing it shares nothing.  Values
+cannot change, since each contraction is the bigon relation itself.  No
+hit is lost, since a web's bigon-free form is unique up to isomorphism:
+two bigons of a web other than the theta share no vertex (a vertex on
+two would carry a triple edge), so contracting one leaves the other a
+bigon, and both orders give the same web.  Each contraction removes two
+vertices, so every order ends in the same bigon-free form (Newman's
+lemma), and isomorphic webs reach isomorphic forms.
+
+A web that misses the memo is split at its least 2-bond before any
+square is smoothed, if it has one: P(A # B) = P(A) P(B) / [3], where A
+and B are the sides `planarmap.split` closes up with one new edge each.
+Cut at the bond, each side is a tangle with two ends, an endomorphism of
+the defining representation V, so a scalar times the identity strand by
+Schur's lemma (Kuperberg, "Spiders for rank 2 Lie algebras", CMP 1996):
+closing side A alone gives P(A) = a[3], and closing the two together
+gives ab[3].  The product is divided by [3] exactly, by long division,
+which raises on a remainder: every nonempty closed web's P is a multiple
+of [3], since every reduction ends in a circle, so a wrong split fails
+loudly.  Only a bond-free web is smoothed at a square.
 
 Values are memoized up to isomorphism, mirror included (sound, as the
 invariant is mirror-invariant), in a `planarmap` isomorphism store.  A
 probe that misses stores an entry with no value before its web is
-reduced: no child is isomorphic to its ancestor, having fewer darts, so
-no probe meets an unfinished entry, and if a reduction raises, the next
-probe of that web reduces it again.
+reduced: no child is isomorphic to its ancestor, having fewer darts (a
+square's children lose four vertices, and each side of a bond lacks the
+other side's darts), so no probe meets an unfinished entry, and if a
+reduction raises, the next probe of that web reduces it again.  Composite
+webs are stored like any other miss.
 """
 
 from __future__ import annotations
@@ -41,7 +55,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import NamedTuple
 
-from .planarmap import CombMap, MapError, Web, _IsoStore, validate
+from .planarmap import CombMap, MapError, Web, _bonds, _IsoStore, split, validate
 from .qlaurent import HalfLaurent, qint
 
 CIRCLE_FACTOR = qint(3)
@@ -58,17 +72,19 @@ class Reducible(NamedTuple):
         return f"Reducible({self.kind}, site={self.site})"
 
 
-_PRIORITY = ("circle", "bigon", "square")
-
-
 def find_reducible(web):
     """Highest-priority site: circle, else bigon, else square (least dart).
 
-    Returns None exactly when the web is empty.
+    Faces are listed by least dart, so the first face of a size is the
+    least.  Returns None exactly when the web is empty.
     """
-    sites = find_all_reducibles(web)
-    if sites:
-        return min(sites, key=lambda red: _PRIORITY.index(red.kind))
+    if web.circles > 0:
+        return Reducible("circle")
+    faces = web.map.faces()
+    sizes = list(map(len, faces))
+    for kind, size in (("bigon", 2), ("square", 4)):
+        if size in sizes:
+            return Reducible(kind, faces[sizes.index(size)][0])
     if web.map.n_darts:
         raise MapError("no reducible face; input was not a valid closed web")
     return None
@@ -280,17 +296,51 @@ def simplify(web):
     """
     uses = 0
     while True:
-        site = next((face[0] for face in web.map.faces() if len(face) == 2), None)
-        if site is None:
+        faces = web.map.faces()
+        sizes = list(map(len, faces))
+        if 2 not in sizes:
             return web, uses
-        web, _ = apply_bigon(web, site)
+        web, _ = apply_bigon(web, faces[sizes.index(2)][0])
         uses += 1
 
 
 def _reduce(web):
-    # a nonempty connected web without circles or bigons: the site is a square
+    # a nonempty connected web without circles or bigons: split at its
+    # least 2-bond if it has one, else smooth it at a square
+    bonds = _bonds(web.map)
+    if bonds:
+        side_a, side_b = split(web, bonds[0])
+        return _div3(invariant(side_a) * invariant(side_b))
     red = find_reducible(web)
     return sum(invariant(child) for child in apply_square(web, red.site))
+
+
+def _div3(value):
+    """value / [3], by long division from the top term; raises
+    ArithmeticError unless [3] divides value exactly.
+
+    [3] = q + 1 + q^-1 is monic, so each step clears the top term with an
+    integer quotient term.  Coefficients are listed by falling
+    half-exponent; a quotient term at half-exponent k consumes those at
+    k + 2, k and k - 2.
+    """
+    items = value.items()
+    if not items:
+        return value
+    top, low = items[0][0], items[-1][0]
+    coeffs = [0] * (top - low + 1)
+    for k, c in items:
+        coeffs[top - k] = c
+    quotient = {}
+    for i in range(len(coeffs) - 4):
+        c = coeffs[i]
+        if c:
+            quotient[top - 2 - i] = c
+            coeffs[i + 2] -= c
+            coeffs[i + 4] -= c
+    if any(coeffs[-4:]):
+        raise ArithmeticError(f"{value.pretty()} is not a multiple of [3]")
+    return HalfLaurent(quotient)
 
 
 def invariant(web):

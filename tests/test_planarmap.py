@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sl3webs import planarmap
 from sl3webs.enumerator import all_primes
 from sl3webs.planarmap import (
     CombMap,
@@ -290,6 +291,35 @@ class TestPinnedCanonicalBytes:
                         count += 1
         assert count == 924
         assert h.hexdigest() == KEY_DIGEST
+
+    def test_packed_root_classes_order_like_tuples(self):
+        # the least packed class and its roots against the 4-tuples of face
+        # lengths at (d, theta d, rot d, theta rot d) over every dart of
+        # both rotations, on every fixture and every component of every
+        # reduction child
+        maps = []
+        for path in sorted(FIXTURES.glob("*.dart")):
+            w = parse_web(path.read_text())
+            maps.append(w.map)
+            for red in find_all_reducibles(w):
+                for child, _ in reduce_at(w, red):
+                    maps += [child.map.restrict(comp) for comp in child.map.components()]
+        assert len(maps) > 400
+        for cmap in maps:
+            rotations = planarmap._rotations(cmap, True)
+            classes = [
+                ((flen[d], ftheta[d], flen[rot[d]], ftheta[rot[d]]), i, d)
+                for i, (rot, flen, ftheta) in enumerate(rotations)
+                for d in range(cmap.n_darts)
+            ]
+            # rot d lies on the face of theta d
+            assert all(cls[1] == cls[2] for cls, _, _ in classes)
+            least = min(cls for cls, _, _ in classes)
+            index = {id(rot): i for i, (rot, _, _) in enumerate(rotations)}
+            got_least, got = planarmap._least_roots(rotations)
+            assert [(index[id(rot)], d) for rot, d in got] == [(i, d) for cls, i, d in classes if cls == least]
+            base = cmap.n_darts + 1
+            assert got_least == (least[0] * base + least[1]) * base + least[3]
 
     def test_canonical_form_and_automorphisms(self):
         h = hashlib.sha256()

@@ -174,7 +174,24 @@ class TestTrustedChildren:
             m = child.map
             got = planarmap._unpack(planarmap._Entry(m).blob)
             assert got == m
+            assert got.face_lengths() == CombMap(m.sigma, m.theta).face_lengths()
             assert got.faces() == CombMap(m.sigma, m.theta).faces()
+
+    def test_rooting_an_entry_walks_no_face(self, monkeypatch):
+        # the packed entry carries its face lengths, which is all that
+        # rooting reads of the faces
+        entries = []
+        for name in ("prime_9_1", "omni_tetrahedron"):
+            w = fixture_web(name)
+            entries.append((planarmap._Entry(w.map), planarmap._rooting(w.map)))
+
+        def no_walk(perm):
+            raise AssertionError("face orbits walked")
+
+        monkeypatch.setattr(planarmap, "_orbits", no_walk)
+        for entry, (least, roots) in entries:
+            entry.root()
+            assert entry.blob is None and entry.least == least
 
     def test_faces_have_distinct_vertices(self):
         # a web has no bridge, so each component is a 2-connected cubic
@@ -474,6 +491,110 @@ class TestMemo:
             assert calls == []
             monkeypatch.undo()
             assert invariant_random_order(web, rng) == invariant(web)
+
+
+def prime_sum(names, rng):
+    """A connected sum of fixture primes at seeded edges."""
+    web = fixture_web(f"prime_{names[0]}")
+    for name in names[1:]:
+        other = fixture_web(f"prime_{name}")
+        web = connected_sum(web, rng.randrange(web.map.n_darts), other, rng.randrange(other.map.n_darts))
+    return web
+
+
+def shuffled(web, rng):
+    perm = list(range(web.map.n_darts))
+    rng.shuffle(perm)
+    return validate(web.map.relabel(perm))
+
+
+def pinned_prime(name):
+    pinned = json.loads((FIXTURES / "pinned.json").read_text())["primes"][name]["invariant"]
+    return HalfLaurent({int(e): int(c) for e, c in pinned.items()})
+
+
+class TestFactoring:
+    def test_one_split(self):
+        import sl3webs
+        from sl3webs import primedec
+
+        assert reducer.split is planarmap.split
+        assert primedec.split is planarmap.split
+        assert sl3webs.split is planarmap.split
+
+    def test_random_order_agrees_on_sums(self, empty_memo):
+        # the random-order path never splits or memoizes; sums of the
+        # primes of at most 14 vertices, two and three summands, each at
+        # seeded edges and once more with its darts shuffled
+        small = ["4_1", "6_1", "7_1"]
+        rng = random.Random(20261019)
+        webs = []
+        for k in (2, 3):
+            for _ in range(4):
+                web = prime_sum([rng.choice(small) for _ in range(k)], rng)
+                webs += [web, shuffled(web, rng)]
+        for w in webs:
+            assert planarmap._bonds(w.map)
+            assert invariant(w) == invariant_random_order(w, rng)
+
+    def test_pinned_prime_products(self, empty_memo):
+        # [3]^(k-1) P(G) = P(G_1) ... P(G_k) for sums of the fixture
+        # primes (no bigon is left at a junction of two primes), against
+        # the pinned prime invariants
+        names = sorted(json.loads((FIXTURES / "pinned.json").read_text())["primes"])
+        rng = random.Random(19)
+        for k in (2, 2, 3, 3, 4, 4):
+            parts = rng.sample(names, k)
+            expected = HalfLaurent.one()
+            for name in parts:
+                expected = expected * pinned_prime(name)
+            assert qint(3) ** (k - 1) * invariant(shuffled(prime_sum(parts, rng), rng)) == expected
+
+    def test_split_count_and_bond_free_squares(self, empty_memo, monkeypatch):
+        # with the primes' values memoized, a sum of k primes is split
+        # exactly k - 1 times, once at each junction, and each side is a
+        # memo hit; and no square is ever smoothed on a web with a bond
+        splits = []
+        squares = []
+        split = reducer.split
+        apply = reducer.apply_square
+
+        def counted_split(web, cut):
+            splits.append(web.n_vertices)
+            return split(web, cut)
+
+        def checked_square(web, site):
+            squares.append(bool(planarmap._bonds(web.map)))
+            return apply(web, site)
+
+        monkeypatch.setattr(reducer, "split", counted_split)
+        monkeypatch.setattr(reducer, "apply_square", checked_square)
+        parts = ["10_3", "8_1", "9_2", "10_7"]
+        for name in parts:
+            invariant(fixture_web(f"prime_{name}"))
+        assert squares and not any(squares)
+        rng = random.Random(4)
+        for k in (2, 3, 4):
+            splits.clear()
+            squares.clear()
+            invariant(shuffled(prime_sum(parts[:k], rng), rng))
+            assert len(splits) == k - 1
+            assert squares == []
+        # cold, the junctions are split too, and so are any bonds the
+        # primes' own reductions meet
+        splits.clear()
+        clear_memo()
+        invariant(prime_sum(parts, rng))
+        assert len(splits) >= 3 and squares and not any(squares)
+
+    def test_exact_division_by_three(self):
+        values = [qint(n) * qint(m) for n in range(6) for m in range(6)]
+        values += [pinned_solid("omni_cube"), pinned_prime("10_1"), -qint(2) ** 3 * qint(3)]
+        for value in values:
+            assert reducer._div3(value * qint(3)) == value
+        for bad in (qint(2), qint(1), qint(3) + 1, qint(4), qint(3) * qint(2) + qint(5), pinned_prime("10_1") + 1):
+            with pytest.raises(ArithmeticError):
+                reducer._div3(bad)
 
 
 class TestConfluence:
