@@ -33,6 +33,7 @@ from .planarmap import (
     CombMap,
     MapError,
     _circular_witness,
+    _drop_and_rewire,
     _IsoStore,
     canonical_key,
     connectivity,
@@ -40,7 +41,7 @@ from .planarmap import (
     from_rotations,
     validate,
 )
-from .reducer import _drop_and_rewire, invariant
+from .reducer import invariant
 
 
 def _check_size(name, value):

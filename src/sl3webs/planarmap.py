@@ -18,6 +18,7 @@ from __future__ import annotations
 import array
 import itertools
 from collections import Counter
+from operator import itemgetter
 
 
 class MapError(ValueError):
@@ -248,13 +249,22 @@ class CombMap:
     def restrict(self, darts):
         """Submap on a dart subset closed under sigma and theta.
 
-        Relabeling preserves dart order.
+        Built unchecked, keeping the map's faces relabelled: a closed
+        subset restricts sigma and theta to a permutation and an involution
+        of it and holds each face wholly or not at all, and relabelling
+        preserves dart order, so each face still starts at its least dart.
+        A dart whose image leaves the subset raises MapError.
         """
-        darts = sorted(darts)
-        old_to_new = {d: i for i, d in enumerate(darts)}
-        sigma = [old_to_new[self.sigma[d]] for d in darts]
-        theta = [old_to_new[self.theta[d]] for d in darts]
-        return CombMap(sigma, theta)
+        darts = sorted(set(darts))
+        lab = {d: i for i, d in enumerate(darts)}
+        try:
+            sigma = tuple([lab[self.sigma[d]] for d in darts])
+            theta = tuple([lab[self.theta[d]] for d in darts])
+        except KeyError:
+            d = next(d for d in darts if {self.sigma[d], self.theta[d]} - lab.keys())
+            raise MapError(f"dart {d} has an image outside the dart subset") from None
+        faces = tuple(tuple([lab[d] for d in face]) for face in self.faces() if face[0] in lab)
+        return CombMap._trusted(sigma, theta, faces)
 
     def __eq__(self, other):
         return (
@@ -300,10 +310,10 @@ def from_rotations(neighbors):
 class Web:
     """A cubic bipartite genus-0 map with a circle counter.
 
-    Construct through :func:`validate`, or by the trusted skein surgery of
-    `reducer._drop_and_rewire`, which joins the outside legs of a face or
-    an edge inside its disk and so keeps a web cubic, bipartite and plane.
-    Either way every component of a Web is plane.
+    Construct through :func:`validate`, or unchecked in this module: by
+    the rewiring kernel `_drop_and_rewire`, which keeps a web cubic,
+    bipartite and plane, and by `components`.  Either way every component
+    of a Web is plane.
     """
 
     __slots__ = ("map", "circles")
@@ -337,6 +347,10 @@ class Web:
         far = [vof[t] for t in cmap.theta]
         return all(far[d] != far[s] for d, s in enumerate(cmap.sigma))
 
+    def components(self):
+        """The map's components as circle-free webs, unchecked: each is a web."""
+        return tuple(Web(self.map.restrict(c), 0, _checked=True) for c in self.map.components())
+
     def with_circles(self, circles):
         if circles < 0:
             raise MapError("negative circle count")
@@ -366,11 +380,8 @@ def validate(cmap, circles=0):
 
 def mirror(web):
     """Reverse every vertex rotation; an involution up to isomorphism."""
-    n = web.map.n_darts
-    sigma_inv = [0] * n
-    for d in range(n):
-        sigma_inv[web.map.sigma[d]] = d
-    return validate(CombMap(sigma_inv, web.map.theta), web.circles)
+    sigma = web.map.sigma  # a web is cubic, so sigma o sigma inverts sigma
+    return validate(CombMap([sigma[s] for s in sigma], web.map.theta), web.circles)
 
 
 # -- canonical form ----------------------------------------------------------
@@ -735,32 +746,102 @@ def _bonds(cmap):
     return out
 
 
+def _drop_and_rewire(web, darts, new_pairs, extra_circles):
+    """Remove the vertices of the given darts, re-pair the named survivors.
+
+    `new_pairs` lists (d, d') theta pairs of surviving darts, whose former
+    partners are dropped (a smoothing or a push) or re-paired (a split,
+    which drops nothing).  A vertex is the sigma-orbit d, sigma d,
+    sigma^2 d of each given dart.  Dart labels are compacted preserving
+    order: the survivors are the runs between the sorted dropped darts,
+    and a dropped dart maps to -1.
+
+    Callers join the outside legs of a face (or of an edge) inside its
+    disk, or re-pair a bond's darts in their rotation slots, so the child
+    is cubic, bipartite and plane by construction and is built unchecked,
+    with its faces inherited from the parent's.
+    """
+    cmap = web.map
+    sigma0 = cmap.sigma
+    dropped = sorted([x for d in darts for x in (d, sigma0[d], sigma0[sigma0[d]])])
+    old2new = []
+    sigma = []
+    theta = []
+    start = 0
+    # the sentinel n_darts closes the last run; its -1 in old2new is never read
+    for k, d in enumerate(dropped + [cmap.n_darts]):
+        old2new.extend(range(start - k, d - k))
+        old2new.append(-1)
+        sigma += cmap.sigma[start:d]
+        theta += cmap.theta[start:d]
+        start = d + 1
+    for a, b in new_pairs:
+        theta[old2new[a]] = b
+        theta[old2new[b]] = a
+    sigma = tuple(map(old2new.__getitem__, sigma))
+    theta = tuple(map(old2new.__getitem__, theta))
+    if -1 in theta:
+        raise MapError(f"dart {old2new.index(theta.index(-1))} left dangling by surgery")
+    faces = _child_faces(cmap, dropped, old2new, new_pairs, sigma, theta)
+    return Web(CombMap._trusted(sigma, theta, faces), web.circles + extra_circles, _checked=True)
+
+
+def _child_faces(cmap, dropped, old2new, new_pairs, sigma, theta):
+    """The child's face orbits, equal to a fresh `faces()`.
+
+    A surviving dart that is not re-paired keeps its face successor
+    sigma(theta(d)), so a parent face through no dropped or re-paired dart
+    survives, and relabelled in order it still starts at its least dart.
+    Every other child face passes through a re-paired dart and is walked
+    afresh.
+    """
+    fof = cmap.face_table()
+    touched = {fof[d] for d in itertools.chain(dropped, *new_pairs)}
+    # a face has at least two darts, so itemgetter returns a tuple, built at
+    # its final size (tuple(map(...)) over-allocates and then shrinks, which
+    # leaves freed face tuples on free lists that nothing drains)
+    faces = [itemgetter(*face)(old2new) for i, face in enumerate(cmap.faces()) if i not in touched]
+    seen = set()
+    for pair in new_pairs:
+        for d in pair:
+            d = old2new[d]
+            if d in seen:
+                continue
+            cycle = []
+            while d not in seen:
+                seen.add(d)
+                cycle.append(d)
+                d = sigma[theta[d]]
+            k = cycle.index(min(cycle))
+            faces.append(tuple(cycle[k:] + cycle[:k]))
+    faces.sort()
+    return tuple(faces)
+
+
 def split(web, cut):
     """Cut at a disconnecting edge pair; each side is closed by a new edge.
 
-    The new edge reuses the cut darts in their rotation slots (the slot
-    vacated by the deleted edge), which keeps genus 0.  A face crosses a
-    2-bond once each way, so the dart of e2 on a1's side is the one whose
-    face differs from a1's.  Returns the side containing a1 first.
+    The no-vertex case of `_drop_and_rewire`: re-pairing the cut darts in
+    their rotation slots keeps genus 0, and a side holds one cut end of
+    each colour (3|X_a| - k_a = 3|X_b| - k_b, k_a + k_b = 2).  A face
+    crosses a 2-bond once each way, so a1's partner is the dart of e2 off
+    a1's face.  Any other pair leaves a1 and b1 joined, or three
+    components, and is rejected.  Returns the side containing a1 first.
     """
     if web.circles:
         raise MapError("split acts on webs without circles")
     cmap = web.map
-    e1, e2 = cut
-    a1, b1 = e1, cmap.theta[e1]
-    a2, b2 = e2, cmap.theta[e2]
+    a1, a2 = cut
+    b1, b2 = cmap.theta[a1], cmap.theta[a2]
     fof = cmap.face_table()
     if fof[a2] == fof[a1]:
         a2, b2 = b2, a2
-    theta = list(cmap.theta)
-    theta[a1], theta[a2] = a2, a1
-    theta[b1], theta[b2] = b2, b1
-    rewired = CombMap(cmap.sigma, theta)
-    comps = rewired.components()
+    rewired = _drop_and_rewire(web, (), ((a1, a2), (b1, b2)), 0)
+    comps = rewired.map.components()
     if len(comps) != 2 or (a1 in comps[0]) == (b1 in comps[0]):
         raise MapError("cut does not split the web into two sides")
-    side_a, side_b = comps if a1 in comps[0] else comps[::-1]
-    return validate(rewired.restrict(side_a)), validate(rewired.restrict(side_b))
+    sides = rewired.components()
+    return sides if a1 in comps[0] else sides[::-1]
 
 
 def connectivity(web):
@@ -1055,25 +1136,16 @@ def serialize_map(cmap, circles=0, fmt="dart"):
                 v == i + 1 for v in nbs.values()
             ):
                 raise MapError("SIMPLE format cannot express multigraphs or loops")
-            start = min(orbit, key=lambda d: nbs[d])
-            cyc = []
-            d = start
-            for _ in orbit:
-                cyc.append(str(nbs[d]))
-                d = cmap.sigma[d]
-            lines.append(f"{i + 1}: {' '.join(cyc)}")
+            # a vertex orbit is its rotation, started at its least dart
+            k = orbit.index(min(orbit, key=nbs.__getitem__))
+            lines.append(f"{i + 1}: {' '.join(str(nbs[d]) for d in orbit[k:] + orbit[:k])}")
         if circles:
             lines.append(f"circles: {circles}")
         return "\n".join(lines) + "\n"
     if fmt == "dart":
         lines = [f"darts: {cmap.n_darts}"]
         for i, orbit in enumerate(verts):
-            cyc = []
-            d = orbit[0]
-            for _ in orbit:
-                cyc.append(str(d))
-                d = cmap.sigma[d]
-            lines.append(f"v {i + 1}: {' '.join(cyc)}")
+            lines.append(f"v {i + 1}: {' '.join(map(str, orbit))}")
         for d, t in cmap.edges():
             lines.append(f"e: {d} {t}")
         if circles:

@@ -8,17 +8,18 @@ unique up to reflections and satisfies the exact identity
 
     [3]^(k-1) * P(G) = (-[2])^l * prod_i P(G_i).
 
-A side that collapses entirely becomes a single circle; its [3] cancels one
-normalization factor, so collapsed parts are simply excluded from the
-primes (circles are not prime by convention).
+A split side is connected, and bigon contraction keeps it so unless it
+is a theta, which becomes a single circle: only a side that collapses
+has circles.  Its [3] cancels one normalization factor, so collapsed
+parts are excluded from the primes (circles are not prime by convention).
 
-`split` lives in `planarmap` and is re-exported here; the skein engine
-splits every composite web it meets with it, so `invariant` of a
-composite web is already a product of prime values over [3]^(k-1).  The
-identity check therefore tests that the engine's own factoring agrees
-with the primes `decompose` finds.  The check that shares no code with
-the factoring is the random-order evaluation of the tests, which never
-splits.
+`split`, the no-vertex case of `planarmap`'s rewiring kernel, is
+re-exported here; the skein engine splits every composite web with it,
+so `invariant` of a composite web is already a product of prime values
+over [3]^(k-1).  The identity check therefore tests that the engine's
+factoring agrees with the primes `decompose` finds; the check that
+shares no code with it is the tests' random-order evaluation, which
+never splits.
 """
 
 from __future__ import annotations
@@ -84,12 +85,9 @@ def decompose(web, rng=None):
         for side in split(w, cut):
             side, l = simplify(side)
             total_l += l
-            if side.n_vertices == 0:
-                # a collapsed side is exactly one circle
-                collapsed += side.circles
-            else:
-                if side.circles:
-                    raise MapError("unexpected circles on an uncollapsed side")
+            # a side has circles only if it collapsed (see the module note)
+            collapsed += side.circles
+            if side.n_vertices:
                 stack.append(side)
     return Decomposition(primes, total_l, collapsed)
 

@@ -6,12 +6,11 @@ a bigon face contracts with factor -[2], and a square face splits into its
 two planar smoothings with unit coefficients.  Both face relations remove
 the face's vertices and join its outside legs along arcs inside the face;
 the bigon is the smoothing with one arc.  That surgery keeps a web
-cubic, bipartite and plane, so children are built unchecked: the face's
-vertices go as the sigma-orbits of its darts, and the child inherits the
-parent's faces away from it, relabelled, walking afresh only the faces
-through the re-joined legs.  Every web is plane, so its component count
-follows from Euler's formula, and components are listed only when there
-are several.  Every nonempty web admits a move (all faces are even, so
+cubic, bipartite and plane, so children, split sides and components are
+built unchecked, all in `planarmap` (`_drop_and_rewire`, `split`,
+`Web.components`).  Every web is plane, so its component count follows
+from Euler's formula, and components are listed only when there are
+several.  Every nonempty web admits a move (all faces are even, so
 Euler's formula forces a face of degree <= 4) and every move strictly
 shrinks (vertices, circles), so reduction terminates.
 
@@ -52,10 +51,9 @@ webs are stored like any other miss.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import NamedTuple
 
-from .planarmap import CombMap, MapError, Web, _bonds, _IsoStore, split, validate
+from .planarmap import MapError, _bonds, _drop_and_rewire, _IsoStore, split
 from .qlaurent import HalfLaurent, qint
 
 CIRCLE_FACTOR = qint(3)
@@ -101,76 +99,6 @@ def find_all_reducibles(web):
         elif len(face) == 4:
             out.append(Reducible("square", face[0]))
     return out
-
-
-def _drop_and_rewire(web, darts, new_pairs, extra_circles):
-    """Remove the vertices of the given darts, re-pair the named survivors.
-
-    `new_pairs` lists (d, d') theta pairs for surviving darts whose former
-    partners are dropped.  A vertex is the sigma-orbit d, sigma d,
-    sigma^2 d of each given dart.  Dart labels are compacted preserving
-    order: the survivors are the runs between the sorted dropped darts,
-    and a dropped dart maps to -1.
-
-    Callers join the outside legs of a face (or of an edge) inside its
-    disk, so the child is cubic, bipartite and plane by construction and
-    is built unchecked, with its faces inherited from the parent's.
-    """
-    cmap = web.map
-    sigma0 = cmap.sigma
-    dropped = sorted([x for d in darts for x in (d, sigma0[d], sigma0[sigma0[d]])])
-    old2new = []
-    sigma = []
-    theta = []
-    start = 0
-    # the sentinel n_darts closes the last run; its -1 in old2new is never read
-    for k, d in enumerate(dropped + [cmap.n_darts]):
-        old2new.extend(range(start - k, d - k))
-        old2new.append(-1)
-        sigma += cmap.sigma[start:d]
-        theta += cmap.theta[start:d]
-        start = d + 1
-    for a, b in new_pairs:
-        theta[old2new[a]] = b
-        theta[old2new[b]] = a
-    sigma = tuple(map(old2new.__getitem__, sigma))
-    theta = tuple(map(old2new.__getitem__, theta))
-    if -1 in theta:
-        raise MapError(f"dart {old2new.index(theta.index(-1))} left dangling by surgery")
-    faces = _child_faces(cmap, dropped, old2new, new_pairs, sigma, theta)
-    return Web(CombMap._trusted(sigma, theta, faces), web.circles + extra_circles, _checked=True)
-
-
-def _child_faces(cmap, dropped, old2new, new_pairs, sigma, theta):
-    """The child's face orbits, equal to a fresh `faces()`.
-
-    A surviving dart that is not re-paired keeps its face successor
-    sigma(theta(d)), so a parent face with no dropped dart survives, and
-    relabelled in order it still starts at its least dart.  A re-paired
-    dart's old successor was dropped, so every other child face passes
-    through a re-paired dart and is walked afresh.
-    """
-    fof = cmap.face_table()
-    touched = {fof[d] for d in dropped}
-    # a face has at least two darts, so itemgetter returns a tuple, built at
-    # its final size (tuple(map(...)) over-allocates and then shrinks, which
-    # leaves freed face tuples on free lists that nothing drains)
-    faces = [itemgetter(*face)(old2new) for i, face in enumerate(cmap.faces()) if i not in touched]
-    seen = set()
-    for pair in new_pairs:
-        for d in pair:
-            d = old2new[d]
-            if d in seen:
-                continue
-            cycle = []
-            while d not in seen:
-                seen.add(d)
-                cycle.append(d)
-                d = sigma[theta[d]]
-            k = cycle.index(min(cycle))
-            faces.append(tuple(cycle[k:] + cycle[:k]))
-    faces.sort()
-    return tuple(faces)
 
 
 def apply_circle(web):
@@ -359,8 +287,8 @@ def invariant(web):
     if n_comps == 0:
         return result
     if n_comps > 1:
-        for comp in cmap.components():
-            result = result * invariant(validate(cmap.restrict(comp)))
+        for comp in web.components():
+            result = result * invariant(comp)
         return result
     entry = _MEMO.entry(cmap)
     if entry.value is None:

@@ -22,6 +22,7 @@ from sl3webs.enumerator import (
 from sl3webs.planarmap import (
     CombMap,
     MapError,
+    _drop_and_rewire,
     automorphism_count,
     canonical_key,
     circular_witness,
@@ -32,7 +33,7 @@ from sl3webs.planarmap import (
     validate,
 )
 from sl3webs.qlaurent import parse_qexpr
-from sl3webs.reducer import _drop_and_rewire, find_all_reducibles, invariant, reduce_at
+from sl3webs.reducer import find_all_reducibles, invariant, reduce_at
 from test_planarmap import brute_force_isomorphisms, random_relabel
 from webfixtures import (
     cube_web,

@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +177,54 @@ class TestFaces:
             faces = w.map.faces()
             assert sum(len(f) for f in faces) == 2 * w.n_edges
             assert all(len(f) % 2 == 0 for f in faces)
+
+
+class TestRestrict:
+    def test_open_dart_set_named(self):
+        # darts 0, 1, 2 are the cube's first vertex, and theta leads out
+        m = cube_web().map
+        leaving = min(d for d in (0, 1, 2) if m.theta[d] not in (0, 1, 2))
+        with pytest.raises(MapError, match=f"^dart {leaving} has an image outside"):
+            m.restrict([0, 1, 2])
+
+    def test_components_as_checked(self):
+        m = disjoint_union(disjoint_union(cube_web(), theta_web()), hex_prism_web()).map
+        for comp in m.components():
+            sub = m.restrict(comp)
+            assert sub.faces() == CombMap(sub.sigma, sub.theta).faces()
+            assert m.restrict(list(comp) + list(comp)) == sub
+
+
+class TestDropAndRewire:
+    def test_dangling_dart_named(self):
+        # drop the vertex of dart 0 and re-pair nothing: the least surviving
+        # dart whose partner was dropped is left dangling
+        w = cube_web()
+        sigma = w.map.sigma
+        gone = {0, sigma[0], sigma[sigma[0]]}
+        dangling = min(d for d in range(w.map.n_darts) if d not in gone and w.map.theta[d] in gone)
+        with pytest.raises(MapError, match=f"^dart {dangling} left dangling"):
+            planarmap._drop_and_rewire(w, (0,), (), 0)
+
+
+def unchecked_builds(path):
+    """Lines of a source file that build a map or a web unchecked: calls of
+    `_trusted`, of `Web` or with a `_checked` keyword."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("_trusted", "Web") or any(k.arg == "_checked" for k in node.keywords):
+                lines.append(node.lineno)
+    return lines
+
+
+class TestUncheckedBuilds:
+    def test_only_planarmap_builds_unchecked(self):
+        sources = sorted(Path(planarmap.__file__).parent.glob("*.py"))
+        builds = {path.name: unchecked_builds(path) for path in sources}
+        assert builds.pop("planarmap.py")
+        assert builds == {path.name: [] for path in sources if path.name != "planarmap.py"}
 
 
 class TestCanonicalKey:

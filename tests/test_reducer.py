@@ -18,7 +18,7 @@ from sl3webs.planarmap import (
     serialize_web,
     validate,
 )
-from sl3webs.primedec import connected_sum
+from sl3webs.primedec import connected_sum, find_2_edge_cuts, split
 from sl3webs.qlaurent import HalfLaurent, parse_qexpr, qint
 from sl3webs.reducer import (
     Reducible,
@@ -33,6 +33,7 @@ from sl3webs.reducer import (
     invariant_trace,
     reduce_at,
 )
+from test_primedec import random_sums
 from webfixtures import FIXTURES, cube_web, digon_prism_web, fixture_web, hex_prism_web, theta_web
 
 
@@ -107,18 +108,6 @@ class TestApplyBigon:
             apply_bigon(w, 0)
 
 
-class TestDropAndRewire:
-    def test_dangling_dart_named(self):
-        # drop the vertex of dart 0 and re-pair nothing: the least surviving
-        # dart whose partner was dropped is left dangling
-        w = cube_web()
-        sigma = w.map.sigma
-        gone = {0, sigma[0], sigma[sigma[0]]}
-        dangling = min(d for d in range(w.map.n_darts) if d not in gone and w.map.theta[d] in gone)
-        with pytest.raises(MapError, match=f"^dart {dangling} left dangling"):
-            reducer._drop_and_rewire(w, (0,), (), 0)
-
-
 def fixture_webs():
     """The builder webs and every committed fixture."""
     webs = [cube_web(), theta_web(), digon_prism_web(), hex_prism_web()]
@@ -158,6 +147,22 @@ class TestTrustedChildren:
         # graph's bigon leaves only a circle)
         assert any(reducer._plane_components(c.map) > 1 for c in children)
         assert any(c.map.n_darts == 0 for c in children)
+
+    def test_sides_and_components_pass_validation(self):
+        # splitting and restricting build unchecked too: every side of
+        # every cut of seeded sums, each also dart-shuffled, and every
+        # component of the reduction children that have several
+        rng = random.Random(7)
+        sums = []
+        for w in random_sums(20261019, 12):
+            sums += [w, shuffled(w, rng)]
+        sides = [side for w in sums for cut in find_2_edge_cuts(w) for side in split(w, cut)]
+        webs = [cube_web(), theta_web(), digon_prism_web(), hex_prism_web()]
+        webs += [fixture_web("omni_tetrahedron"), fixture_web("omni_cube")] + split_sums()
+        parts = [part for c in children_of(webs) if reducer._plane_components(c.map) > 1 for part in c.components()]
+        for web in sides + parts:
+            assert_as_validated(web)
+        assert len(sides) == 112 and len(parts) == 8
 
     def test_pushing_children_pass_validation(self):
         children = [c for w in circular_primes(16) + circular_primes(18) for c in pushing_moves(w)]
