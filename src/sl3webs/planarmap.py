@@ -77,7 +77,7 @@ class CombMap:
 
     __slots__ = (
         "sigma", "theta", "_vertices", "_vertex_of", "_faces", "_face_of", "_face_len",
-        "_components",
+        "_components", "_factors",
     )
 
     def __init__(self, sigma, theta):
@@ -114,6 +114,7 @@ class CombMap:
         self._face_of = None
         self._face_len = None
         self._components = None
+        self._factors = None  # reducer.factorize's result, kept by it
 
     @property
     def n_darts(self):
@@ -348,8 +349,11 @@ class Web:
         return all(far[d] != far[s] for d, s in enumerate(cmap.sigma))
 
     def components(self):
-        """The map's components as circle-free webs, unchecked: each is a web."""
-        return tuple(Web(self.map.restrict(c), 0, _checked=True) for c in self.map.components())
+        """The map's components as circle-free webs, unchecked, each known connected."""
+        parts = tuple(Web(self.map.restrict(c), 0, _checked=True) for c in self.map.components())
+        for part in parts:
+            part.map._components = (tuple(range(part.map.n_darts)),)
+        return parts
 
     def with_circles(self, circles):
         if circles < 0:
@@ -754,7 +758,8 @@ def _drop_and_rewire(web, darts, new_pairs, extra_circles):
     which drops nothing).  A vertex is the sigma-orbit d, sigma d,
     sigma^2 d of each given dart.  Dart labels are compacted preserving
     order: the survivors are the runs between the sorted dropped darts,
-    and a dropped dart maps to -1.
+    and a dropped dart maps to -1.  With nothing dropped (a split) every
+    label is kept, so sigma is the parent's and nothing is relabelled.
 
     Callers join the outside legs of a face (or of an edge) inside its
     disk, or re-pair a bond's darts in their rotation slots, so the child
@@ -764,26 +769,27 @@ def _drop_and_rewire(web, darts, new_pairs, extra_circles):
     cmap = web.map
     sigma0 = cmap.sigma
     dropped = sorted([x for d in darts for x in (d, sigma0[d], sigma0[sigma0[d]])])
-    old2new = []
-    sigma = []
-    theta = []
-    start = 0
-    # the sentinel n_darts closes the last run; its -1 in old2new is never read
-    for k, d in enumerate(dropped + [cmap.n_darts]):
-        old2new.extend(range(start - k, d - k))
-        old2new.append(-1)
-        sigma += cmap.sigma[start:d]
-        theta += cmap.theta[start:d]
-        start = d + 1
+    if dropped:
+        old2new, sigma, theta, start = [], [], [], 0
+        # the sentinel n_darts closes the last run; its -1 in old2new is never read
+        for k, d in enumerate(dropped + [cmap.n_darts]):
+            old2new.extend(range(start - k, d - k))
+            old2new.append(-1)
+            sigma += sigma0[start:d]
+            theta += cmap.theta[start:d]
+            start = d + 1
+    else:
+        old2new, sigma, theta = range(cmap.n_darts), sigma0, list(cmap.theta)
     for a, b in new_pairs:
         theta[old2new[a]] = b
         theta[old2new[b]] = a
-    sigma = tuple(map(old2new.__getitem__, sigma))
-    theta = tuple(map(old2new.__getitem__, theta))
-    if -1 in theta:
-        raise MapError(f"dart {old2new.index(theta.index(-1))} left dangling by surgery")
+    if dropped:
+        sigma = tuple(map(old2new.__getitem__, sigma))
+        theta = tuple(map(old2new.__getitem__, theta))
+        if -1 in theta:
+            raise MapError(f"dart {old2new.index(theta.index(-1))} left dangling by surgery")
     faces = _child_faces(cmap, dropped, old2new, new_pairs, sigma, theta)
-    return Web(CombMap._trusted(sigma, theta, faces), web.circles + extra_circles, _checked=True)
+    return Web(CombMap._trusted(sigma, tuple(theta), faces), web.circles + extra_circles, _checked=True)
 
 
 def _child_faces(cmap, dropped, old2new, new_pairs, sigma, theta):
@@ -793,14 +799,15 @@ def _child_faces(cmap, dropped, old2new, new_pairs, sigma, theta):
     sigma(theta(d)), so a parent face through no dropped or re-paired dart
     survives, and relabelled in order it still starts at its least dart.
     Every other child face passes through a re-paired dart and is walked
-    afresh.
+    afresh.  With nothing dropped every label is kept.
     """
     fof = cmap.face_table()
     touched = {fof[d] for d in itertools.chain(dropped, *new_pairs)}
-    # a face has at least two darts, so itemgetter returns a tuple, built at
-    # its final size (tuple(map(...)) over-allocates and then shrinks, which
-    # leaves freed face tuples on free lists that nothing drains)
-    faces = [itemgetter(*face)(old2new) for i, face in enumerate(cmap.faces()) if i not in touched]
+    faces = [face for i, face in enumerate(cmap.faces()) if i not in touched]
+    if dropped:
+        # a face has two or more darts, so itemgetter builds a tuple at its final
+        # size; tuple(map(...)) over-allocates, leaving free lists nothing drains
+        faces = [itemgetter(*face)(old2new) for face in faces]
     seen = set()
     for pair in new_pairs:
         for d in pair:

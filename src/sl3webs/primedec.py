@@ -8,25 +8,21 @@ unique up to reflections and satisfies the exact identity
 
     [3]^(k-1) * P(G) = (-[2])^l * prod_i P(G_i).
 
-A split side is connected, and bigon contraction keeps it so unless it
-is a theta, which becomes a single circle: only a side that collapses
-has circles.  Its [3] cancels one normalization factor, so collapsed
-parts are excluded from the primes (circles are not prime by convention).
-
-`split`, the no-vertex case of `planarmap`'s rewiring kernel, is
-re-exported here; the skein engine splits every composite web with it,
-so `invariant` of a composite web is already a product of prime values
-over [3]^(k-1).  The identity check therefore tests that the engine's
-factoring agrees with the primes `decompose` finds; the check that
-shares no code with it is the tests' random-order evaluation, which
-never splits.
+A side that collapses to a circle is not a prime; its [3] cancels one
+normalization factor.  `decompose` is its input checks plus the skein
+engine's own loop, `reducer.factorize`, whose result without `rng` is
+kept on the web's map.  So `identity_holds` compares the engine's
+factorization with itself; the independent checks are
+`reducer.invariant_random_order`, which never splits, and the pinned
+prime products the tests and perfbench's `sums` check compare with.
 """
 
 from __future__ import annotations
 
+import math
+
 from .planarmap import CombMap, MapError, _bonds, split, validate
-from .qlaurent import qint
-from .reducer import invariant, simplify
+from .reducer import BIGON_FACTOR, CIRCLE_FACTOR, factorize, invariant, simplify
 
 
 class Decomposition:
@@ -44,8 +40,7 @@ class Decomposition:
         return len(self.primes)
 
     def __repr__(self):
-        sizes = [w.n_vertices for w in self.primes]
-        return f"Decomposition(k={self.k}, l={self.l}, sizes={sizes})"
+        return f"Decomposition(k={self.k}, l={self.l}, sizes={[w.n_vertices for w in self.primes]})"
 
 
 def find_2_edge_cuts(web):
@@ -71,25 +66,7 @@ def decompose(web, rng=None):
         raise MapError("decompose needs a simple web")
     if len(web.map.components()) != 1:
         raise MapError("decompose needs a connected web")
-    primes = []
-    total_l = 0
-    collapsed = 0
-    stack = [web]
-    while stack:
-        w = stack.pop()
-        cuts = find_2_edge_cuts(w)
-        if not cuts:
-            primes.append(w)
-            continue
-        cut = cuts[rng.randrange(len(cuts))] if rng is not None else min(cuts)
-        for side in split(w, cut):
-            side, l = simplify(side)
-            total_l += l
-            # a side has circles only if it collapsed (see the module note)
-            collapsed += side.circles
-            if side.n_vertices:
-                stack.append(side)
-    return Decomposition(primes, total_l, collapsed)
+    return Decomposition(*factorize(web, rng))
 
 
 def product_identity_sides(web, dec):
@@ -99,37 +76,25 @@ def product_identity_sides(web, dec):
 
 def identity_sides(web, dec, prime_values):
     """Both sides of the product identity, given P of each prime in order."""
-    lhs = qint(3) ** (dec.k - 1) * invariant(web)
-    rhs = (-qint(2)) ** dec.l
-    for value in prime_values:
-        rhs = rhs * value
-    return lhs, rhs
+    return CIRCLE_FACTOR ** (dec.k - 1) * invariant(web), math.prod(prime_values, start=BIGON_FACTOR**dec.l)
 
 
 def connected_sum(a, ea, b, eb):
     """Join two webs by deleting an edge in each and cross-connecting.
 
     `ea`, `eb` are darts naming the edges.  The two new edges take the
-    rotation slots of the deleted ones; of the two possible end matchings
-    exactly one embeds on the sphere, and it is selected by validation.
+    rotation slots of the deleted ones: ea joins eb and its partner eb's.
+    Both end matchings would give a web: two arcs across the annulus
+    between the two deleted edges realise either one in the plane, and
+    swapping B's colour classes keeps either bipartite.
     """
     if a.circles or b.circles:
         raise MapError("connected sum acts on webs without circles")
     na = a.map.n_darts
     sigma = list(a.map.sigma) + [d + na for d in b.map.sigma]
-    base_theta = list(a.map.theta) + [d + na for d in b.map.theta]
+    theta = list(a.map.theta) + [d + na for d in b.map.theta]
     p, q = ea, a.map.theta[ea]
     r, s = eb + na, b.map.theta[eb] + na
-    last_error = None
-    for r1, s1 in ((r, s), (s, r)):
-        theta = list(base_theta)
-        theta[p], theta[r1] = r1, p
-        theta[q], theta[s1] = s1, q
-        try:
-            return validate(CombMap(sigma, theta))
-        except MapError as exc:
-            last_error = exc
-    raise MapError(
-        "no planar bipartite matching of the cut ends; "
-        f"orientation constraint violated ({last_error})"
-    )
+    theta[p], theta[r] = r, p
+    theta[q], theta[s] = s, q
+    return validate(CombMap(sigma, theta))

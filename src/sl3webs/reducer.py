@@ -27,30 +27,32 @@ bigon, and both orders give the same web.  Each contraction removes two
 vertices, so every order ends in the same bigon-free form (Newman's
 lemma), and isomorphic webs reach isomorphic forms.
 
-A web that misses the memo is split at its least 2-bond before any
-square is smoothed, if it has one: P(A # B) = P(A) P(B) / [3], where A
-and B are the sides `planarmap.split` closes up with one new edge each.
-Cut at the bond, each side is a tangle with two ends, an endomorphism of
-the defining representation V, so a scalar times the identity strand by
-Schur's lemma (Kuperberg, "Spiders for rank 2 Lie algebras", CMP 1996):
-closing side A alone gives P(A) = a[3], and closing the two together
-gives ab[3].  The product is divided by [3] exactly, by long division,
-which raises on a remainder: every nonempty closed web's P is a multiple
-of [3], since every reduction ends in a circle, so a wrong split fails
-loudly.  Only a bond-free web is smoothed at a square.
+A web that misses the memo and has a 2-bond is valued from its primes:
+P(A # B) = P(A) P(B) / [3], where A and B are the sides `planarmap.split`
+closes up with one new edge each.  Cut at the bond, each side is a
+tangle with two ends, an endomorphism of the defining representation V,
+so a scalar times the identity strand by Schur's lemma (Kuperberg,
+"Spiders for rank 2 Lie algebras", CMP 1996): closing side A alone
+gives P(A) = a[3], and closing the two together gives ab[3].
+`factorize` ends in k primes after l contractions, so P = (-[2])^l
+prod P(prime) / [3]^(k-1) (a side collapsed to a circle would cancel its
+own split), each division exact: long division raises on a remainder,
+and every nonempty closed web's P is a multiple of [3] (every reduction
+ends in a circle).  Only a bond-free web is smoothed at a square.
 
 Values are memoized up to isomorphism, mirror included (sound, as the
 invariant is mirror-invariant), in a `planarmap` isomorphism store.  A
 probe that misses stores an entry with no value before its web is
 reduced: no child is isomorphic to its ancestor, having fewer darts (a
-square's children lose four vertices, and each side of a bond lacks the
-other side's darts), so no probe meets an unfinished entry, and if a
-reduction raises, the next probe of that web reduces it again.  Composite
-webs are stored like any other miss.
+square's children lose four vertices, and a prime of a composite lacks
+the other primes' darts), so no probe meets an unfinished entry, and if
+a reduction raises, the next probe of that web reduces it again.  No
+side of a composite miss is probed, only its primes.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .planarmap import MapError, _bonds, _drop_and_rewire, _IsoStore, split
@@ -232,13 +234,41 @@ def simplify(web):
         uses += 1
 
 
+def factorize(web, rng=None):
+    """(primes, l, c) of a connected bigon-free web: it is split at its least
+    2-bond (a random one with `rng`), each side's bigons are contracted, l
+    in all, and the last side kept is split in turn; c sides collapse to a
+    circle each.  Without `rng` the result is kept on the map: once per map."""
+    if rng is None and web.map._factors is not None:
+        return web.map._factors
+    primes, uses, circles, stack = [], 0, 0, [web]
+    while stack:
+        w = stack.pop()
+        bonds = _bonds(w.map)
+        if not bonds:
+            primes.append(w)
+            continue
+        for side in split(w, bonds[0] if rng is None else rng.choice(bonds)):
+            side, l = simplify(side)
+            uses += l
+            circles += side.circles  # nonzero only if the side collapsed
+            if side.n_vertices:
+                stack.append(side)
+    result = (tuple(primes), uses, circles)
+    if rng is None:
+        web.map._factors = result
+    return result
+
+
 def _reduce(web):
-    # a nonempty connected web without circles or bigons: split at its
-    # least 2-bond if it has one, else smooth it at a square
-    bonds = _bonds(web.map)
-    if bonds:
-        side_a, side_b = split(web, bonds[0])
-        return _div3(invariant(side_a) * invariant(side_b))
+    # a nonempty connected web without circles or bigons: valued from its
+    # primes if it has a 2-bond, else smoothed at a square
+    if _bonds(web.map):
+        primes, uses, _ = factorize(web)
+        value = math.prod(map(invariant, primes), start=BIGON_FACTOR**uses)
+        for _ in primes[1:]:
+            value = _div3(value)
+        return value
     red = find_reducible(web)
     return sum(invariant(child) for child in apply_square(web, red.site))
 
@@ -287,9 +317,7 @@ def invariant(web):
     if n_comps == 0:
         return result
     if n_comps > 1:
-        for comp in web.components():
-            result = result * invariant(comp)
-        return result
+        return math.prod(map(invariant, web.components()), start=result)
     entry = _MEMO.entry(cmap)
     if entry.value is None:
         entry.value = _reduce(web)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
@@ -8,7 +9,7 @@ import sl3webs
 from sl3webs.cli import main, verify_paper
 from sl3webs.planarmap import CombMap, disjoint_union, serialize_web, validate
 from sl3webs.qlaurent import parse_qexpr
-from webfixtures import cube_web, digon_prism_web, hex_prism_web, theta_web
+from webfixtures import cube_web, digon_prism_web, fixture_web, hex_prism_web, theta_web
 
 
 @pytest.fixture
@@ -119,6 +120,31 @@ class TestDecomposeCommand:
             monkeypatch.undo()
             assert rc == 0 and len(calls) == 3
         assert out == "\n".join(expected) + "\n"
+
+    def test_each_junction_is_cut_once(self, capsys, monkeypatch, tmp_path):
+        # decompose's factorization is the one the engine values the sum
+        # by: with the primes' values in the memo, a sum of k primes is
+        # split k - 1 times in all
+        from sl3webs import planarmap, primedec, reducer
+        from test_reducer import prime_sum
+
+        names = ["10_3", "8_1", "9_2", "10_7"]
+        monkeypatch.setattr(reducer, "_MEMO", planarmap._IsoStore())
+        for name in names:
+            sl3webs.invariant(fixture_web(f"prime_{name}"))
+        splits = []
+        split = planarmap.split
+        for module in (primedec, reducer):
+            monkeypatch.setattr(module, "split", lambda web, cut: splits.append(cut) or split(web, cut))
+        rng = random.Random(21)
+        for k in (2, 3, 4):
+            path = tmp_path / f"sum_{k}.dart"
+            path.write_text(serialize_web(prime_sum(names[:k], rng)))
+            splits.clear()
+            rc, out, _ = run(capsys, "decompose", str(path))
+            obj = json.loads(out)
+            assert rc == 0 and obj["k"] == k and obj["identity_holds"] is True
+            assert len(splits) == k - 1
 
     def test_multigraph_rejected(self, capsys, webdir):
         rc, _, err = run(capsys, "decompose", webdir["theta"])

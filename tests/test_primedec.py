@@ -5,6 +5,7 @@ import random
 import pytest
 
 from sl3webs.planarmap import (
+    CombMap,
     MapError,
     canonical_key,
     connectivity,
@@ -80,6 +81,27 @@ class TestConnectedSum:
     def test_circles_rejected(self):
         with pytest.raises(MapError):
             connected_sum(cube_web().with_circles(1), 0, cube_web(), 0)
+
+    def test_both_matchings_are_webs(self):
+        # either pairing of the cut ends is plane (two arcs across the
+        # annulus between the deleted edges) and bipartite (B's colours
+        # can be swapped); connected_sum takes the first
+        primes = catalog_primes()
+        assert len(primes) == 15
+        rng = random.Random(20261020)
+        for _ in range(300):
+            a, b = rng.choice(primes), rng.choice(primes)
+            ea, eb = rng.randrange(a.map.n_darts), rng.randrange(b.map.n_darts)
+            na = a.map.n_darts
+            sigma = list(a.map.sigma) + [d + na for d in b.map.sigma]
+            p, q = ea, a.map.theta[ea]
+            r, s = eb + na, b.map.theta[eb] + na
+            maps = []
+            for r1, s1 in ((r, s), (s, r)):
+                theta = list(a.map.theta) + [d + na for d in b.map.theta]
+                theta[p], theta[r1], theta[q], theta[s1] = r1, p, s1, q
+                maps.append(validate(CombMap(sigma, theta)).map)
+            assert connected_sum(a, ea, b, eb).map == maps[0]
 
 
 class TestFindCuts:

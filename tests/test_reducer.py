@@ -34,7 +34,7 @@ from sl3webs.reducer import (
     reduce_at,
 )
 from test_primedec import random_sums
-from webfixtures import FIXTURES, cube_web, digon_prism_web, fixture_web, hex_prism_web, theta_web
+from webfixtures import FIXTURES, cube_web, digon_expand, digon_prism_web, fixture_web, hex_prism_web, theta_web
 
 
 def empty_web(circles=0):
@@ -132,6 +132,7 @@ def assert_as_validated(child):
     m = child.map
     fresh = validate(CombMap(m.sigma, m.theta), child.circles)
     assert m.faces() == fresh.map.faces()
+    assert m.components() == CombMap(m.sigma, m.theta).components()
     assert reducer._plane_components(m) == len(fresh.map.components())
 
 
@@ -518,6 +519,15 @@ def pinned_prime(name):
     return HalfLaurent({int(e): int(c) for e, c in pinned.items()})
 
 
+def stored_map(entry):
+    """The map an isomorphism-store entry holds, up to mirroring: its packed
+    darts, or once rooted, its BFS word, which interleaves the relabelled
+    rotation (sigma or its inverse) and theta."""
+    if entry.blob is not None:
+        return planarmap._unpack(entry.blob)
+    return CombMap(entry.word[0::2], entry.word[1::2])
+
+
 class TestFactoring:
     def test_one_split(self):
         import sl3webs
@@ -540,6 +550,18 @@ class TestFactoring:
                 webs += [web, shuffled(web, rng)]
         for w in webs:
             assert planarmap._bonds(w.map)
+        # sums joined at a doubled edge, whose sides close up with a bigon,
+        # so the engine's factor (-[2])^l is used; and the digon-prism sums,
+        # which collapse to a circle before the memo.  No side of a
+        # bigon-free web collapses (its last two vertices would be joined
+        # by two of the web's edges), so c is 0 on all of them
+        dcube, dhex = digon_expand(cube_web(), 0), digon_expand(hex_prism_web(), 0)
+        # dart n - 5 of digon_expand's output lies on its fresh doubled edge
+        bookkept = [connected_sum(dcube, dcube.map.n_darts - 5, cube_web(), 0),
+                    connected_sum(dcube, dcube.map.n_darts - 5, dcube, dcube.map.n_darts - 5),
+                    connected_sum(dhex, dhex.map.n_darts - 5, dcube, dcube.map.n_darts - 5)]
+        assert [reducer.factorize(w)[1:] for w in bookkept] == [(1, 0), (2, 0), (2, 0)]
+        for w in webs + bookkept + split_sums():
             assert invariant(w) == invariant_random_order(w, rng)
 
     def test_pinned_prime_products(self, empty_memo):
@@ -591,6 +613,16 @@ class TestFactoring:
         clear_memo()
         invariant(prime_sum(parts, rng))
         assert len(splits) >= 3 and squares and not any(squares)
+
+    def test_only_the_sum_is_stored(self, empty_memo):
+        # a cold sum of four primes is valued from its primes: of the webs
+        # the memo stores, only the sum itself has a bond
+        web = prime_sum(["10_3", "8_1", "9_2", "10_7"], random.Random(4))
+        invariant(web)
+        stored = [stored_map(entry) for bucket in reducer._MEMO.values() for entry in bucket]
+        composites = [m for m in stored if planarmap._bonds(m)]
+        assert len(stored) > 4 and len(composites) == 1
+        assert canonical_key(validate(composites[0])) == canonical_key(web)
 
     def test_exact_division_by_three(self):
         values = [qint(n) * qint(m) for n in range(6) for m in range(6)]
