@@ -32,11 +32,13 @@ from __future__ import annotations
 from .planarmap import (
     CombMap,
     MapError,
+    _bonds,
     _circular_witness,
     _drop_and_rewire,
     _IsoStore,
     canonical_key,
     connectivity,
+    disjoint_union,
     edge_3_coloring,
     from_rotations,
     validate,
@@ -199,6 +201,8 @@ def _first_of_each_class(webs, seen=()):
 
 # n -> {canonical key: circular prime of n vertices}, in key order
 _CIRCULAR_CACHE = {}
+# a converse push's new vertices U = (0, 1, 2), V = (3, 4, 5): edges 0-3, 1-5, 2-4
+_THETA = validate(CombMap((1, 2, 0, 4, 5, 3), (3, 5, 4, 0, 2, 1)))
 
 
 def circular_primes(n):
@@ -274,21 +278,19 @@ def converse_pushing_moves(web):
     as in every 3-connected web; at distance 1, U or V would be joined
     twice to one vertex.  Two edges can only be joined in the plane
     across a face they share, and of the four ways to attach U and V only
-    this one embeds, so these are all the converse pushes.  Every child
-    is still validated.
+    this one embeds, so these are all the converse pushes.  Each is the
+    theta web `_THETA` beside the parent with four edges re-paired, so
+    `_drop_and_rewire`'s no-vertex case builds it, unchecked.
     """
     cmap = web.map
-    n = cmap.n_darts
-    duv, s1, s2, dvu, t1, t2 = range(n, n + 6)
-    sigma = cmap.sigma + (s1, s2, duv, t1, t2, dvu)
+    both = disjoint_union(web, _THETA)
+    _, s1, s2, _, t1, t2 = range(cmap.n_darts, cmap.n_darts + 6)
     results = []
     for face in cmap.faces():
         for i, x in enumerate(face):
             for q in face[i + 3 : i + len(face) - 2 : 2]:
                 y, p = cmap.theta[x], cmap.theta[q]
-                theta = list(cmap.theta) + [dvu, x, p, duv, q, y]
-                theta[x], theta[y], theta[p], theta[q] = s1, t2, s2, t1
-                results.append(validate(CombMap(sigma, theta)))
+                results.append(_drop_and_rewire(both, (), ((x, s1), (y, t2), (p, s2), (q, t1)), 0))
     return results
 
 
@@ -299,15 +301,15 @@ def _prime_layers(n):
     3-connected converse push of each class new to it among the pushes of
     layer m - 2, so circular primes keep the representatives plate
     assembly gives them, and only the pushes kept are keyed.  The converse
-    pushes of primes are simple, so connectivity decides.  That this
-    reaches every prime is not proved: it agrees with the downward closure
-    of the circular layers under pushing moves in the tests.
+    pushes of primes are connected and simple, so a bond scan decides.  That
+    this reaches every prime is not proved: it agrees with the downward
+    closure of the circular layers under pushing moves in the tests.
     """
     below = {}
     for m in range(8, n + 1, 2):
         circular_primes(m)  # fills the cache with the layer's keys
         circular = _CIRCULAR_CACHE[m]
-        pushes = (c for w in below.values() for c in converse_pushing_moves(w) if connectivity(c) == 3)
+        pushes = (c for w in below.values() for c in converse_pushing_moves(w) if not _bonds(c.map))
         found = dict(circular)
         found.update((canonical_key(c), c) for c in _first_of_each_class(pushes, circular.values()))
         yield m, found

@@ -8,9 +8,9 @@ not).  Embeddings are input, never computed: genus 0 is checked through
 Euler's formula per component.
 
 A Web is a cubic bipartite genus-0 map plus a count of vertexless
-circles, validated on input or built by skein surgery that keeps those
-properties.  Multi-edges are allowed (they arise mid-reduction); loops
-never pass validation since they are odd cycles.
+circles, validated on input, or derived unchecked from webs by moves
+that keep those properties.  Multi-edges are allowed (they arise
+mid-reduction); loops never pass validation since they are odd cycles.
 """
 
 from __future__ import annotations
@@ -311,10 +311,10 @@ def from_rotations(neighbors):
 class Web:
     """A cubic bipartite genus-0 map with a circle counter.
 
-    Construct through :func:`validate`, or unchecked in this module: by
-    the rewiring kernel `_drop_and_rewire`, which keeps a web cubic,
-    bipartite and plane, and by `components`.  Either way every component
-    of a Web is plane.
+    Construct through :func:`validate`, or from webs, unchecked, in this
+    module: by the rewiring kernel `_drop_and_rewire`, which keeps a web
+    cubic, bipartite and plane, `components`, `disjoint_union`, `mirror`
+    and `canonical_form`.  Either way every component of a Web is plane.
     """
 
     __slots__ = ("map", "circles")
@@ -383,9 +383,9 @@ def validate(cmap, circles=0):
 
 
 def mirror(web):
-    """Reverse every vertex rotation; an involution up to isomorphism."""
+    """Reverse every vertex rotation, unchecked; an involution up to isomorphism."""
     sigma = web.map.sigma  # a web is cubic, so sigma o sigma inverts sigma
-    return validate(CombMap([sigma[s] for s in sigma], web.map.theta), web.circles)
+    return Web(CombMap._trusted(tuple([sigma[s] for s in sigma]), web.map.theta, None), web.circles, _checked=True)
 
 
 # -- canonical form ----------------------------------------------------------
@@ -589,7 +589,7 @@ def canonical_form(web, include_reflections=True):
 
     A component's canonical word lists (label[rot[d]], label[theta[d]]) in
     label order, so it is the relabeled component's sigma and theta
-    interleaved.
+    interleaved, and the relabelled web is built unchecked.
     """
     sigma_out = []
     theta_out = []
@@ -597,15 +597,16 @@ def canonical_form(web, include_reflections=True):
         off = len(sigma_out)
         sigma_out.extend(l + off for l in word[0::2])
         theta_out.extend(l + off for l in word[1::2])
-    return validate(CombMap(sigma_out, theta_out), web.circles)
+    return Web(CombMap._trusted(tuple(sigma_out), tuple(theta_out), None), web.circles, _checked=True)
 
 
 def disjoint_union(w1, w2):
-    """Place two webs side by side (darts of the second are offset)."""
+    """Place two webs side by side, unchecked; the second's darts and faces are offset."""
     off = w1.map.n_darts
-    sigma = list(w1.map.sigma) + [d + off for d in w2.map.sigma]
-    theta = list(w1.map.theta) + [d + off for d in w2.map.theta]
-    return validate(CombMap(sigma, theta), w1.circles + w2.circles)
+    sigma = w1.map.sigma + tuple([d + off for d in w2.map.sigma])
+    theta = w1.map.theta + tuple([d + off for d in w2.map.theta])
+    faces = w1.map.faces() + tuple(tuple([d + off for d in face]) for face in w2.map.faces())
+    return Web(CombMap._trusted(sigma, theta, faces), w1.circles + w2.circles, _checked=True)
 
 
 # -- isomorphism store -------------------------------------------------------
@@ -754,17 +755,17 @@ def _drop_and_rewire(web, darts, new_pairs, extra_circles):
     """Remove the vertices of the given darts, re-pair the named survivors.
 
     `new_pairs` lists (d, d') theta pairs of surviving darts, whose former
-    partners are dropped (a smoothing or a push) or re-paired (a split,
-    which drops nothing).  A vertex is the sigma-orbit d, sigma d,
-    sigma^2 d of each given dart.  Dart labels are compacted preserving
-    order: the survivors are the runs between the sorted dropped darts,
-    and a dropped dart maps to -1.  With nothing dropped (a split) every
-    label is kept, so sigma is the parent's and nothing is relabelled.
+    partners are dropped (a smoothing or a push) or re-paired (a split, a
+    connected sum or a converse push, which drop nothing).  A vertex is the
+    sigma-orbit d, sigma d, sigma^2 d of each given dart.  Dart labels are
+    compacted preserving order: the survivors are the runs between the
+    sorted dropped darts, and a dropped dart maps to -1.  With nothing
+    dropped every label is kept, so sigma is the parent's.
 
     Callers join the outside legs of a face (or of an edge) inside its
-    disk, or re-pair a bond's darts in their rotation slots, so the child
-    is cubic, bipartite and plane by construction and is built unchecked,
-    with its faces inherited from the parent's.
+    disk, or re-pair edges of one web or of a disjoint union in their
+    rotation slots, so the child is cubic, bipartite and plane by
+    construction and is built unchecked, its faces inherited from the parent's.
     """
     cmap = web.map
     sigma0 = cmap.sigma

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .planarmap import CombMap, MapError, _bonds, split, validate
+from .planarmap import MapError, _bonds, _drop_and_rewire, disjoint_union, split
 from .reducer import BIGON_FACTOR, CIRCLE_FACTOR, factorize, invariant, simplify
 
 
@@ -84,17 +84,13 @@ def connected_sum(a, ea, b, eb):
 
     `ea`, `eb` are darts naming the edges.  The two new edges take the
     rotation slots of the deleted ones: ea joins eb and its partner eb's.
-    Both end matchings would give a web: two arcs across the annulus
-    between the two deleted edges realise either one in the plane, and
-    swapping B's colour classes keeps either bipartite.
+    The sum, `_drop_and_rewire` on the two side by side, is built
+    unchecked: two arcs across the annulus between the deleted edges join
+    their ends in the plane, and swapping B's colours keeps it bipartite.
     """
     if a.circles or b.circles:
         raise MapError("connected sum acts on webs without circles")
     na = a.map.n_darts
-    sigma = list(a.map.sigma) + [d + na for d in b.map.sigma]
-    theta = list(a.map.theta) + [d + na for d in b.map.theta]
     p, q = ea, a.map.theta[ea]
     r, s = eb + na, b.map.theta[eb] + na
-    theta[p], theta[r] = r, p
-    theta[q], theta[s] = s, q
-    return validate(CombMap(sigma, theta))
+    return _drop_and_rewire(disjoint_union(a, b), (), ((p, r), (q, s)), 0)

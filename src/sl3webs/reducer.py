@@ -238,7 +238,8 @@ def factorize(web, rng=None):
     """(primes, l, c) of a connected bigon-free web: it is split at its least
     2-bond (a random one with `rng`), each side's bigons are contracted, l
     in all, and the last side kept is split in turn; c sides collapse to a
-    circle each.  Without `rng` the result is kept on the map: once per map."""
+    circle each.  Without `rng` a composite's result is kept on its map (a
+    prime's would hold its own web, a reference cycle): once per map."""
     if rng is None and web.map._factors is not None:
         return web.map._factors
     primes, uses, circles, stack = [], 0, 0, [web]
@@ -255,16 +256,16 @@ def factorize(web, rng=None):
             if side.n_vertices:
                 stack.append(side)
     result = (tuple(primes), uses, circles)
-    if rng is None:
+    if rng is None and result[0] != (web,):
         web.map._factors = result
     return result
 
 
 def _reduce(web):
     # a nonempty connected web without circles or bigons: valued from its
-    # primes if it has a 2-bond, else smoothed at a square
-    if _bonds(web.map):
-        primes, uses, _ = factorize(web)
+    # primes if it has a 2-bond, else (its only prime) smoothed at a square
+    primes, uses, _ = factorize(web)
+    if primes != (web,):
         value = math.prod(map(invariant, primes), start=BIGON_FACTOR**uses)
         for _ in primes[1:]:
             value = _div3(value)
@@ -308,6 +309,7 @@ def invariant(web):
     memoized across calls.
     """
     web, uses = simplify(web)
+    scaled = uses or web.circles
     result = BIGON_FACTOR**uses
     if web.circles:
         result = result * CIRCLE_FACTOR**web.circles
@@ -321,7 +323,8 @@ def invariant(web):
     entry = _MEMO.entry(cmap)
     if entry.value is None:
         entry.value = _reduce(web)
-    return result * entry.value
+    # a HalfLaurent is immutable, so an unscaled value is returned as stored
+    return result * entry.value if scaled else entry.value
 
 
 def _plane_components(cmap):

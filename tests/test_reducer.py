@@ -10,6 +10,7 @@ from sl3webs.enumerator import _prime_layers, all_primes, circular_primes, conve
 from sl3webs.planarmap import (
     CombMap,
     MapError,
+    canonical_form,
     canonical_key,
     connectivity,
     disjoint_union,
@@ -210,6 +211,65 @@ class TestTrustedChildren:
             for face in w.map.faces():
                 assert len({vof[d] for d in face}) == len(face)
 
+    def test_converse_pushes_pass_validation(self):
+        # every converse push of every prime of 8-22 vertices is built
+        # unchecked, and the census keeps a push on its bond scan alone, so
+        # each must also be connected and simple
+        pushes = [c for _, found in _prime_layers(22) for w in found.values() for c in converse_pushing_moves(w)]
+        for child in pushes:
+            assert_as_validated(child)
+            assert len(child.map.components()) == 1 and child.is_simple()
+        assert len(pushes) == 441
+
+    def test_connected_sums_pass_validation(self):
+        # seeded sums of the prime fixtures, a third of them summed onto
+        # the previous sum, so sums of sums are built too
+        primes = [parse_web(path.read_text()) for path in sorted(FIXTURES.glob("prime_*.dart"))]
+        assert len(primes) == 15
+        rng = random.Random(2022)
+        web = primes[0]
+        for i in range(300):
+            a = web if i % 3 else rng.choice(primes)
+            b = rng.choice(primes)
+            web = connected_sum(a, rng.randrange(a.map.n_darts), b, rng.randrange(b.map.n_darts))
+            assert_as_validated(web)
+            assert web.n_vertices == a.n_vertices + b.n_vertices
+
+    def test_unions_and_relabellings_pass_validation(self):
+        webs = fixture_webs()
+        for i, w in enumerate(webs):
+            other = webs[(i + 1) % len(webs)].with_circles(i % 3)
+            union = disjoint_union(w, other)
+            assert_as_validated(union)
+            assert union.circles == other.circles
+            assert_as_validated(disjoint_union(union, w))
+            assert_as_validated(mirror(other))
+            assert mirror(mirror(w)).map == w.map
+            for refl in (True, False):
+                form = canonical_form(other, refl)
+                assert_as_validated(form)
+                assert form.circles == other.circles and canonical_key(form, refl) == canonical_key(other, refl)
+
+    def test_builders_construct_no_checked_map(self, monkeypatch):
+        # the builders derive webs from webs, so none constructs a checked
+        # CombMap (which every validate call is handed)
+        primes = [parse_web(path.read_text()) for path in sorted(FIXTURES.glob("prime_*.dart"))]
+        webs = fixture_webs()
+        checked = []
+        init = CombMap.__init__
+
+        def counted_init(self, sigma, theta):
+            checked.append(len(sigma))
+            init(self, sigma, theta)
+
+        monkeypatch.setattr(CombMap, "__init__", counted_init)
+        pushes = [c for w in primes for c in converse_pushing_moves(w)]
+        sums = [connected_sum(a, 0, b, 1) for a, b in zip(primes, primes[1:])]
+        unions = [disjoint_union(a, b) for a, b in zip(webs, webs[1:])]
+        relabelled = [f(w) for w in webs for f in (mirror, canonical_form)]
+        assert pushes and sums and unions and relabelled
+        assert checked == []
+
 
 class TestApplySquare:
     def test_cube_children(self):
@@ -367,6 +427,19 @@ class TestMemo:
         assert reducer.invariant(fixture_web("omni_tetrahedron")) == pinned_solid("omni_tetrahedron")
         assert 0 < len(words) < len(probes)
         assert matched and all(id(cmap) in shared for cmap in matched)
+
+    def test_unscaled_hit_multiplies_nothing(self, empty_memo, monkeypatch):
+        # a memo hit on a web with no bigon and no circle returns the stored
+        # value itself: a HalfLaurent is immutable, so nothing is multiplied
+        muls = []
+        mul = HalfLaurent.__mul__
+        for w in (cube_web(), hex_prism_web(), fixture_web("prime_9_1"), fixture_web("omni_tetrahedron")):
+            value = invariant(w)
+            copy = relabelled_mirror(w, w.map.n_darts)
+            monkeypatch.setattr(HalfLaurent, "__mul__", lambda a, b: muls.append(b) or mul(a, b))
+            assert invariant(copy) is value
+            monkeypatch.undo()
+        assert muls == []
 
     def test_failed_reduction_is_retried(self, empty_memo, monkeypatch):
         # the entry is stored before the web is reduced; a reduction that
@@ -613,6 +686,17 @@ class TestFactoring:
         clear_memo()
         invariant(prime_sum(parts, rng))
         assert len(splits) >= 3 and squares and not any(squares)
+
+    def test_bond_scans_on_a_cold_sum(self, empty_memo, monkeypatch):
+        # the sum is scanned for bonds once, by factorize, not once more to
+        # learn that it has one; 14 scans are of its sides, the sides'
+        # primes and the primes' reduction webs
+        scans = []
+        bonds = reducer._bonds
+        monkeypatch.setattr(reducer, "_bonds", lambda cmap: scans.append(cmap.n_darts) or bonds(cmap))
+        web = prime_sum(["10_3", "8_1", "9_2", "10_7"], random.Random(4))
+        invariant(web)
+        assert len(scans) == 15 and scans.count(web.map.n_darts) == 1
 
     def test_only_the_sum_is_stored(self, empty_memo):
         # a cold sum of four primes is valued from its primes: of the webs
