@@ -571,15 +571,21 @@ def isomorphic(w1, w2, include_reflections=True):
     return canonical_key(w1, include_reflections) == canonical_key(w2, include_reflections)
 
 
+def _require_connected(web, need):
+    """Raise MapError(need) naming the web's vertex and component counts
+    unless it is one component, which has vertices."""
+    n_comps = len(web.map.components())
+    if n_comps != 1:
+        raise MapError(f"{need}, got {web.n_vertices} vertices in {n_comps} components")
+
+
 def automorphism_count(web, include_reflections=True):
     """Order of the dart-automorphism group of a connected web.
 
     Counts the (root, chirality) pairs attaining the canonical minimum;
     the group acts freely on rooted darts, so this is the group order.
     """
-    comps = web.map.components()
-    if len(comps) != 1:
-        raise MapError("automorphism_count needs a connected web")
+    _require_connected(web, "automorphism_count needs a connected web with vertices")
     _, hits, _ = _canonical_data(web, include_reflections)[0]
     return hits
 
@@ -858,8 +864,7 @@ def connectivity(web):
     Edge and vertex connectivity agree for simple cubic graphs, and a web
     has no bridge, so this is 2 with a 2-bond and 3 otherwise.
     """
-    if len(web.map.components()) != 1:
-        raise MapError("connectivity needs a connected web")
+    _require_connected(web, "connectivity needs a connected web with vertices")
     if not web.is_simple():
         raise MapError("connectivity is defined on simple webs only")
     return 2 if _bonds(web.map) else 3

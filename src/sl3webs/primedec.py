@@ -3,37 +3,36 @@
 A connected simple web is either 3-connected (prime) or has a 2-edge-cut.
 Splitting at a cut gives two smaller webs, each closed up by one new edge
 along the separating circle; multi-edges produced this way are removed by
-the bigon relation, whose uses are counted in l.  The decomposition is
-unique up to reflections and satisfies the exact identity
+the bigon relation, whose uses are counted in l.  No side collapses to a
+circle (see `reducer`).  The decomposition is unique up to reflections
+and satisfies the exact identity
 
     [3]^(k-1) * P(G) = (-[2])^l * prod_i P(G_i).
 
-A side that collapses to a circle is not a prime; its [3] cancels one
-normalization factor.  `decompose` is its input checks plus the skein
-engine's own loop, `reducer.factorize`, whose result without `rng` is
-kept on the web's map.  So `identity_holds` compares the engine's
-factorization with itself; the independent checks are
-`reducer.invariant_random_order`, which never splits, and the pinned
-prime products the tests and perfbench's `sums` check compare with.
+`decompose` is its input checks plus the skein engine's own loop,
+`reducer.factorize`, whose result is kept on the web's map.  So
+`identity_holds` compares the engine's factorization with itself; the
+independent checks are `reducer.invariant_random_order`, which never
+splits, and the pinned prime products the tests and perfbench's `sums`
+check compare with.
 """
 
 from __future__ import annotations
 
 import math
 
-from .planarmap import MapError, _bonds, _drop_and_rewire, disjoint_union, split
+from .planarmap import MapError, _bonds, _drop_and_rewire, _require_connected, disjoint_union, split
 from .reducer import BIGON_FACTOR, CIRCLE_FACTOR, factorize, invariant, simplify
 
 
 class Decomposition:
     """Prime factors of a connected web plus the relation-(2) use count."""
 
-    __slots__ = ("primes", "l", "collapsed_circles")
+    __slots__ = ("primes", "l")
 
-    def __init__(self, primes, l, collapsed_circles=0):
+    def __init__(self, primes, l):
         self.primes = list(primes)
         self.l = l
-        self.collapsed_circles = collapsed_circles
 
     @property
     def k(self):
@@ -49,24 +48,22 @@ def find_2_edge_cuts(web):
     Edges are named by their smaller dart; empty iff the web is
     3-connected.  A web has no bridge, so these are its 2-bonds.
     """
-    if len(web.map.components()) != 1:
-        raise MapError("cut search needs a connected web")
+    _require_connected(web, "cut search needs a connected web with vertices")
     return _bonds(web.map)
 
 
-def decompose(web, rng=None):
+def decompose(web):
     """Full prime decomposition of a connected simple circle-free web.
 
-    Cuts are chosen lexicographically least (or randomly when `rng` is
-    given; the outcome is order-independent up to isomorphism).
+    Each cut is the least 2-bond of the web or side at hand; the outcome
+    does not depend on the dart labels, up to isomorphism of the primes.
     """
     if web.circles:
         raise MapError("decompose acts on webs without circles")
     if not web.is_simple():
         raise MapError("decompose needs a simple web")
-    if len(web.map.components()) != 1:
-        raise MapError("decompose needs a connected web")
-    return Decomposition(*factorize(web, rng))
+    _require_connected(web, "decompose needs a connected web with vertices")
+    return Decomposition(*factorize(web))
 
 
 def product_identity_sides(web, dec):

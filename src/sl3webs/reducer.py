@@ -35,10 +35,13 @@ so a scalar times the identity strand by Schur's lemma (Kuperberg,
 "Spiders for rank 2 Lie algebras", CMP 1996): closing side A alone
 gives P(A) = a[3], and closing the two together gives ab[3].
 `factorize` ends in k primes after l contractions, so P = (-[2])^l
-prod P(prime) / [3]^(k-1) (a side collapsed to a circle would cancel its
-own split), each division exact: long division raises on a remainder,
-and every nonempty closed web's P is a multiple of [3] (every reduction
-ends in a circle).  Only a bond-free web is smoothed at a square.
+prod P(prime) / [3]^(k-1), each division exact: long division raises on
+a remainder, and every nonempty closed web's P is a multiple of [3]
+(every reduction ends in a circle).  No side of a bigon-free web
+collapses to a circle: a side holds one edge that is not the web's own,
+and so does each contraction's result, so a theta side would join its
+two vertices by two of the web's edges, a bigon.  So V = sum V(prime) +
+2l.  Only a bond-free web is smoothed at a square.
 
 Values are memoized up to isomorphism, mirror included (sound, as the
 invariant is mirror-invariant), in a `planarmap` isomorphism store.  A
@@ -73,21 +76,25 @@ class Reducible(NamedTuple):
 
 
 def find_reducible(web):
-    """Highest-priority site: circle, else bigon, else square (least dart).
-
-    Faces are listed by least dart, so the first face of a size is the
-    least.  Returns None exactly when the web is empty.
-    """
+    """Highest-priority site: circle, else bigon, else square (least dart);
+    None exactly when the web is empty."""
     if web.circles > 0:
         return Reducible("circle")
-    faces = web.map.faces()
-    sizes = list(map(len, faces))
     for kind, size in (("bigon", 2), ("square", 4)):
-        if size in sizes:
-            return Reducible(kind, faces[sizes.index(size)][0])
+        site = _least_dart_on(web.map, size)
+        if site is not None:
+            return Reducible(kind, site)
     if web.map.n_darts:
         raise MapError("no reducible face; input was not a valid closed web")
     return None
+
+
+def _least_dart_on(cmap, size):
+    """The least dart on a face of `size` darts, or None if there is none.
+    Faces are listed by least dart, so the first face of a size holds it."""
+    faces = cmap.faces()
+    sizes = list(map(len, faces))
+    return faces[sizes.index(size)][0] if size in sizes else None
 
 
 def find_all_reducibles(web):
@@ -225,46 +232,40 @@ def simplify(web):
     circles (vertexless output).
     """
     uses = 0
-    while True:
-        faces = web.map.faces()
-        sizes = list(map(len, faces))
-        if 2 not in sizes:
-            return web, uses
-        web, _ = apply_bigon(web, faces[sizes.index(2)][0])
+    while (site := _least_dart_on(web.map, 2)) is not None:
+        web, _ = apply_bigon(web, site)
         uses += 1
+    return web, uses
 
 
-def factorize(web, rng=None):
-    """(primes, l, c) of a connected bigon-free web: it is split at its least
-    2-bond (a random one with `rng`), each side's bigons are contracted, l
-    in all, and the last side kept is split in turn; c sides collapse to a
-    circle each.  Without `rng` a composite's result is kept on its map (a
-    prime's would hold its own web, a reference cycle): once per map."""
-    if rng is None and web.map._factors is not None:
-        return web.map._factors
-    primes, uses, circles, stack = [], 0, 0, [web]
-    while stack:
-        w = stack.pop()
-        bonds = _bonds(w.map)
-        if not bonds:
-            primes.append(w)
-            continue
-        for side in split(w, bonds[0] if rng is None else rng.choice(bonds)):
-            side, l = simplify(side)
-            uses += l
-            circles += side.circles  # nonzero only if the side collapsed
-            if side.n_vertices:
-                stack.append(side)
-    result = (tuple(primes), uses, circles)
-    if rng is None and result[0] != (web,):
-        web.map._factors = result
-    return result
+def factorize(web):
+    """(primes, l) of a connected bigon-free web: it is split at its least
+    2-bond, each side's bigons are contracted, l in all, and the last side
+    kept is split in turn.  The result is kept on the map of the web and
+    of each prime, a prime's as the marker (), which holds no web: each
+    map is scanned for bonds once."""
+    cmap = web.map
+    if cmap._factors is None:
+        primes, uses, stack = [], 0, [web]
+        while stack:
+            w = stack.pop()
+            if bonds := _bonds(w.map):
+                for side in split(w, bonds[0]):
+                    side, l = simplify(side)
+                    uses += l
+                    stack.append(side)
+            else:
+                w.map._factors = ()
+                primes.append(w)
+        if cmap._factors is None:  # a composite; a prime was marked above
+            cmap._factors = (tuple(primes), uses)
+    return cmap._factors or ((web,), 0)
 
 
 def _reduce(web):
     # a nonempty connected web without circles or bigons: valued from its
     # primes if it has a 2-bond, else (its only prime) smoothed at a square
-    primes, uses, _ = factorize(web)
+    primes, uses = factorize(web)
     if primes != (web,):
         value = math.prod(map(invariant, primes), start=BIGON_FACTOR**uses)
         for _ in primes[1:]:
@@ -334,7 +335,7 @@ def _plane_components(cmap):
     return (6 * len(cmap.faces()) - cmap.n_darts) // 12
 
 
-def invariant_random_order(web, rng):
+def invariant_random_order(web, rand):
     """Evaluate with uniformly random site choices; no memo, no component
     splitting.  An independent evaluation path for confluence checks."""
     sites = find_all_reducibles(web)
@@ -342,8 +343,8 @@ def invariant_random_order(web, rng):
         if not web.is_empty():
             raise MapError("stuck on a nonempty web")
         return HalfLaurent.one()
-    red = sites[rng.randrange(len(sites))]
-    return sum(factor * invariant_random_order(child, rng) for child, factor in reduce_at(web, red))
+    red = sites[rand.randrange(len(sites))]
+    return sum(factor * invariant_random_order(child, rand) for child, factor in reduce_at(web, red))
 
 
 def invariant_trace(web):

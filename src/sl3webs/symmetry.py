@@ -20,7 +20,7 @@ candidate is still tested, in increasing order.
 
 from __future__ import annotations
 
-from .planarmap import MapError, automorphism_count
+from .planarmap import _require_connected, automorphism_count
 from .qlaurent import IdealResidue, ideal_generator, mod_reduce, congruent_mod
 from .reducer import invariant
 
@@ -408,12 +408,7 @@ def symmetry_report(web, candidates):
     is necessary-style evidence only, never a proof of symmetry (the
     criterion's fundamental-domain hypothesis is not machine-checked).
     """
-    n_comps = len(web.map.components())
-    if n_comps != 1:
-        raise MapError(
-            f"the web must be connected and have vertices, got {web.n_vertices} "
-            f"vertices in {n_comps} components"
-        )
+    _require_connected(web, "the web must be connected and have vertices")
     p_g = invariant(web)
     report = {
         "invariant": p_g.to_json_obj(),

@@ -32,7 +32,7 @@ from sl3webs.planarmap import (
     mirror,
     validate,
 )
-from sl3webs.primedec import connected_sum, decompose, product_identity_sides
+from sl3webs.primedec import connected_sum, decompose, find_2_edge_cuts, product_identity_sides
 from sl3webs.qlaurent import HalfLaurent, parse_qexpr, qint
 from sl3webs.reducer import clear_memo, invariant, invariant_random_order
 from sl3webs.symmetry import check_quotient, dth_root_search, verify_witness
@@ -116,6 +116,7 @@ class TestCriterion4DecompositionIdentity:
         t0 = time.time()
         parts = [e.web for e in _catalog()]
         rng = random.Random(20260809)
+        multi = moved = 0
         for trial in range(200):
             w = parts[rng.randrange(len(parts))]
             for _ in range(rng.randrange(1, 3)):
@@ -126,11 +127,23 @@ class TestCriterion4DecompositionIdentity:
             dec = decompose(w)
             lhs, rhs = product_identity_sides(w, dec)
             assert lhs == rhs, f"identity failed on trial {trial}"
-            rdec = decompose(w, rng=random.Random(trial))
+            # the same web with its darts shuffled is cut at its own least
+            # bond, which is often another edge pair of the original
+            perm = list(range(w.map.n_darts))
+            random.Random(trial).shuffle(perm)
+            copy = validate(w.map.relabel(perm))
+            rdec = decompose(copy)
             assert (rdec.k, rdec.l) == (dec.k, dec.l), trial
             assert sorted(canonical_key(p) for p in rdec.primes) == sorted(
                 canonical_key(p) for p in dec.primes
             ), trial
+            cuts = find_2_edge_cuts(w)
+            if len(cuts) > 1:
+                back = {new: old for old, new in enumerate(perm)}
+                first = {min(back[d], w.map.theta[back[d]]) for d in find_2_edge_cuts(copy)[0]}
+                multi += 1
+                moved += first != set(cuts[0])
+        assert (multi, moved) == (92, 53)
         elapsed = time.time() - t0
         assert elapsed < 300, f"criterion 4 took {elapsed:.1f}s"
         print(f"ACCEPTANCE 4: PASS (200 sums, identity exact, order-independent, {elapsed:.1f}s)")

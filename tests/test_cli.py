@@ -150,6 +150,22 @@ class TestDecomposeCommand:
         rc, _, err = run(capsys, "decompose", webdir["theta"])
         assert rc == 1 and "simple" in err
 
+    @pytest.mark.parametrize(
+        "web, described",
+        [
+            (validate(CombMap([], [])), "got 0 vertices in 0 components"),
+            (disjoint_union(cube_web(), hex_prism_web()), "got 20 vertices in 2 components"),
+        ],
+        ids=["no_darts", "disconnected"],
+    )
+    def test_needs_connected_web_with_vertices(self, capsys, tmp_path, web, described):
+        # an empty web is named as such, not as a disconnected one
+        path = tmp_path / "bad.dart"
+        path.write_text(serialize_web(web))
+        rc, _, err = run(capsys, "decompose", str(path))
+        assert rc == 1
+        assert f"decompose needs a connected web with vertices, {described}" in err
+
 
 class TestEnumerateCommand:
     def test_count_eight_vertices(self, capsys):

@@ -57,7 +57,7 @@ def random_sums(seed, count):
     return sums
 
 
-SIDES_SHA256 = "240a6ef725181a047dc4ca2367ea6a61421c62f374b2723d007d8252dcb39412"
+SIDES_SHA256 = "80d281306364b1b37b9e5347e0e130b66ca05d294c5dc925186280a044182f55"
 
 
 class TestConnectedSum:
@@ -122,6 +122,12 @@ class TestFindCuts:
     def test_chain_of_three(self):
         w = connected_sum(cube_sum_cube(), 0, cube_web(), 0)
         assert len(find_2_edge_cuts(w)) >= 2
+
+    def test_needs_connected_web_with_vertices(self):
+        for web, described in ((validate(CombMap([], [])), "got 0 vertices in 0 components"),
+                               (disjoint_union(cube_web(), cube_web()), "got 16 vertices in 2 components")):
+            with pytest.raises(MapError, match=f"cut search needs a connected web with vertices, {described}"):
+                find_2_edge_cuts(web)
 
     def test_matches_naive_pair_scan(self):
         def disconnects(w, edges):
@@ -240,7 +246,7 @@ class TestSplit:
                 for side in split(w, cut):
                     h.update(serialize_web(side).encode())
             dec = decompose(w)
-            h.update(f"l={dec.l} collapsed={dec.collapsed_circles}\n".encode())
+            h.update(f"l={dec.l}\n".encode())
             for p in dec.primes:
                 h.update(serialize_web(p).encode())
         assert h.hexdigest() == SIDES_SHA256
@@ -295,6 +301,40 @@ class TestRelationTwoBookkeeping:
         assert lhs == rhs
 
 
+    def test_no_side_collapses(self):
+        # a side of a bigon-free web holds one edge that is not the web's
+        # own, and so does each contraction's result, so no side contracts
+        # to a circle: every prime has vertices, and the primes lack two
+        # vertices of the web per contraction.  Seeded sums of catalog
+        # primes, and sums joined at digon_expand's doubled edges
+        from webfixtures import digon_expand
+
+        primes = catalog_primes()
+        rng = random.Random(20261021)
+
+        def doubled():
+            # a prime with a doubled edge, and a dart on one of its copies
+            p = rng.choice(primes)
+            w = digon_expand(p, rng.randrange(p.map.n_darts))
+            return w, w.map.n_darts - 5
+
+        sums = random_sums(20261021, 20)
+        joined = []
+        for _ in range(20):
+            w, e = doubled()
+            for _ in range(rng.randrange(1, 4)):
+                other, f = doubled()
+                w = connected_sum(w, e, other, f)
+                e = rng.randrange(w.map.n_darts)
+            joined.append(w)
+        for w in sums + joined:
+            dec = decompose(w)
+            assert all(p.n_vertices for p in dec.primes)
+            assert w.n_vertices == sum(p.n_vertices for p in dec.primes) + 2 * dec.l
+            # each summand joined at a doubled edge keeps one bigon
+            assert dec.l == (dec.k if w in joined else 0)
+
+
 class TestDecompose:
     def test_cube_is_prime(self):
         dec = decompose(cube_web())
@@ -324,8 +364,9 @@ class TestDecompose:
         base = decompose(w)
         base_keys = sorted(canonical_key(p) for p in base.primes)
         for seed in range(6):
-            rng = random.Random(seed)
-            dec = decompose(w, rng=rng)
+            perm = list(range(w.map.n_darts))
+            random.Random(seed).shuffle(perm)
+            dec = decompose(validate(w.map.relabel(perm)))
             assert (dec.k, dec.l) == (base.k, base.l)
             assert sorted(canonical_key(p) for p in dec.primes) == base_keys
 

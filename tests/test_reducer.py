@@ -626,14 +626,16 @@ class TestFactoring:
         # sums joined at a doubled edge, whose sides close up with a bigon,
         # so the engine's factor (-[2])^l is used; and the digon-prism sums,
         # which collapse to a circle before the memo.  No side of a
-        # bigon-free web collapses (its last two vertices would be joined
-        # by two of the web's edges), so c is 0 on all of them
+        # bigon-free web collapses, so every prime has vertices
         dcube, dhex = digon_expand(cube_web(), 0), digon_expand(hex_prism_web(), 0)
         # dart n - 5 of digon_expand's output lies on its fresh doubled edge
         bookkept = [connected_sum(dcube, dcube.map.n_darts - 5, cube_web(), 0),
                     connected_sum(dcube, dcube.map.n_darts - 5, dcube, dcube.map.n_darts - 5),
                     connected_sum(dhex, dhex.map.n_darts - 5, dcube, dcube.map.n_darts - 5)]
-        assert [reducer.factorize(w)[1:] for w in bookkept] == [(1, 0), (2, 0), (2, 0)]
+        assert [reducer.factorize(w)[1] for w in bookkept] == [1, 2, 2]
+        for w in bookkept:
+            for prime in reducer.factorize(w)[0]:
+                assert prime.n_vertices and not planarmap._bonds(prime.map)
         for w in webs + bookkept + split_sums():
             assert invariant(w) == invariant_random_order(w, rng)
 
@@ -688,15 +690,16 @@ class TestFactoring:
         assert len(splits) >= 3 and squares and not any(squares)
 
     def test_bond_scans_on_a_cold_sum(self, empty_memo, monkeypatch):
-        # the sum is scanned for bonds once, by factorize, not once more to
-        # learn that it has one; 14 scans are of its sides, the sides'
-        # primes and the primes' reduction webs
+        # every map is scanned for bonds once: the sum by factorize, not
+        # once more to learn that it has one; its six sides, four of them
+        # primes, whose own _reduce reads the marker factorize left; and
+        # four webs the primes' reductions meet
         scans = []
         bonds = reducer._bonds
-        monkeypatch.setattr(reducer, "_bonds", lambda cmap: scans.append(cmap.n_darts) or bonds(cmap))
+        monkeypatch.setattr(reducer, "_bonds", lambda cmap: scans.append(cmap) or bonds(cmap))
         web = prime_sum(["10_3", "8_1", "9_2", "10_7"], random.Random(4))
         invariant(web)
-        assert len(scans) == 15 and scans.count(web.map.n_darts) == 1
+        assert len(scans) == 11 and len(set(map(id, scans))) == 11 and scans[0] is web.map
 
     def test_only_the_sum_is_stored(self, empty_memo):
         # a cold sum of four primes is valued from its primes: of the webs
