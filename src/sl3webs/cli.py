@@ -149,6 +149,8 @@ def _cmd_symmetry_check(args):
 
 
 def _cmd_symmetry_root(args):
+    if args.web is not None and args.expr is not None:
+        raise MapError("symmetry-root takes a web file or --expr, not both")
     if args.expr is not None:
         target = parse_qexpr(args.expr)
     else:
@@ -171,6 +173,7 @@ def verify_paper(n_max=20):
     """
     entries = build_catalog(n_max)
     rows = [r for r in TABLE_ROWS if r.vertex_count <= n_max]
+    transcribed = {r.name: r.invariant() for r in rows}
     sizes = {n: 0 for n in range(8, n_max + 1, 2)}
     for e in entries:
         sizes[e.vertex_count] += 1
@@ -189,21 +192,21 @@ def verify_paper(n_max=20):
             match = None
             if not r.suspect:
                 for e in egroup:
-                    if e.invariant == r.invariant():
+                    if e.invariant == transcribed[r.name]:
                         match = e
                         break
             if match is None and egroup:
                 match = egroup[0]
             if match is not None:
                 egroup.remove(match)
-            exact = match is not None and match.invariant == r.invariant()
+            exact = match is not None and match.invariant == transcribed[r.name]
             row_reports.append(
                 {
                     "row": r.name,
                     "suspect": r.suspect,
                     "structural_match": match is not None,
                     "invariant_exact": exact,
-                    "transcribed": r.invariant().pretty(),
+                    "transcribed": transcribed[r.name].pretty(),
                     "computed": None if match is None else match.invariant.pretty(),
                     "generated_name": None if match is None else match.name,
                 }

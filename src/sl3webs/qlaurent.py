@@ -326,11 +326,39 @@ def parse_qpoly(text: str) -> HalfLaurent:
 # -- quotient rings Z[q^(±1/2)] / (d, [3]^d - [3]) --------------------------
 
 
-def ideal_generator(d: int) -> HalfLaurent:
-    """The polynomial generator [3]^d - [3] of the congruence ideal."""
+def ideal_generator(d: int, modulus: int) -> HalfLaurent:
+    """The polynomial generator [3]^d - [3] of the congruence ideal, with
+    its coefficients reduced into [0, modulus).
+
+    The coefficients are reduced at every step of the power, so a large d
+    never expands [3]^d over Z (whose coefficients have about d/2 digits).
+    [3]^d = q^(-d) (1 + q + q^2)^d, and the trinomial power is taken by
+    square-and-multiply on coefficient lists packed into one int each, one
+    slot per coefficient, so every product runs in C.
+    """
     if d < 2:
         raise ValueError("modulus must be at least 2")
-    return qint(3) ** d - qint(3)
+    m = modulus
+    width = ((2 * d + 1) * (m - 1) ** 2).bit_length() // 8 + 1  # bytes a slot holds
+
+    def pack(coeffs):
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+    def product(a, b):
+        raw = (pack(a) * pack(b)).to_bytes((len(a) + len(b) - 1) * width, "little")
+        return [int.from_bytes(raw[i : i + width], "little") % m for i in range(0, len(raw), width)]
+
+    power, base, e = [1], [1, 1, 1], d
+    while e:
+        if e & 1:
+            power = product(power, base)
+        e >>= 1
+        if e:
+            base = product(base, base)
+    terms = {2 * i - 2 * d: c for i, c in enumerate(power)}
+    for k in (-2, 0, 2):
+        terms[k] = (terms[k] - 1) % m
+    return HalfLaurent(terms)
 
 
 class IdealResidue:
@@ -418,8 +446,7 @@ def mod_reduce(p: HalfLaurent, d: int) -> IdealResidue:
     """
     if d < 2:
         raise ValueError("modulus must be at least 2")
-    gen = ideal_generator(d)
-    g = {k: c % d for k, c in gen.items() if c % d}
+    g = dict(ideal_generator(d, d).items())
     work = {k: c % d for k, c in p.items() if c % d}
     hi, lo = 2 * d, -2 * d
 

@@ -10,15 +10,21 @@ the question without touching the big one.  Every witness is re-verified
 exactly before being reported, and running out of budget is reported as
 such, never as non-existence.
 
-The mod-2 components of d = 2 and d = 6 (the 2^24-element ring of the
-order-6 question) are scanned bit-packed and table-driven: squaring is
-additive in characteristic 2, so with d = 2^a + 2^b and a candidate split
-into high and low bits h + l, x^d = h^d + l^d + C_h(l) with C_h linear in
-l.  Each candidate's power is then a few XORs of table entries, and every
+A component ring with prime modulus p has characteristic p, so the
+Frobenius F(x) = x^p is F_p-linear: the generic scan writes d in base p
+and applies each F^k(x) as one product with F's matrix, so a candidate's
+p-th power costs one matrix product, not log2(p) ring products.  The
+mod-2 components of d = 2 and d = 6 (the 2^24-element ring of the order-6
+question) are its bit-packed case: with d = 2^a + 2^b and a candidate
+split into high and low bits h + l, x^d = h^d + l^d + C_h(l), where F^a,
+F^b and C_h are GF(2)-linear, so every image is an XOR of basis images
+and each candidate's power a few XORs of table entries.  Either way every
 candidate is still tested, in increasing order.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 from .planarmap import _require_connected, automorphism_count
 from .qlaurent import IdealResidue, ideal_generator, mod_reduce, congruent_mod
@@ -94,6 +100,10 @@ def _prime_power_factors(d):
     return sorted(factors)
 
 
+def _is_prime(m):
+    return m > 1 and all(m % p for p in range(2, isqrt(m) + 1))
+
+
 def _crt_pair(a1, m1, a2, m2):
     # moduli coprime; standard reconstruction
     inv = pow(m1, -1, m2)
@@ -113,20 +123,55 @@ class _ComponentRing:
     their offsets and coefficients.  The window is returned as a fresh
     array by the final reduction, not as a view, which would keep the
     whole (2W - 1)-row buffer alive for as long as the product is held.
+
+    For a prime modulus p the ring has characteristic p, so the Frobenius
+    F(x) = x^p is F_p-linear; `frobenius` holds its W x W matrix (column j
+    the image of window position j, as float64: every entry of a product
+    with it is an integer sum below W p^2 < 2^53, so exact).  Its build
+    costs about one product of W candidates, more than square-and-multiply
+    spends on a call of fewer, and that cost grows as W^3: built on every
+    prime ring, it would turn a tiny budget at a large d, which tests one
+    or a few candidates, into seconds of set-up.  So only the first `pow`
+    of at least W candidates builds it, and only where a chunk holds W
+    candidates under `_chunk_size`'s 32 MiB rule (d <= 362); until then,
+    and for prime-power moduli, it is None.
     """
 
     def __init__(self, d, m):
         self.d = d
         self.m = m
-        self.W = 4 * d
-        gen = ideal_generator(d)
-        terms = sorted((k, c % m) for k, c in gen.items() if c % m)
+        self.W = W = 4 * d
+        terms = sorted(ideal_generator(d, m).items())
         keys = np.array([k for k, _ in terms], dtype=np.int64)
         coeffs = np.array([c for _, c in terms], dtype=np.int64)[:, None]
         # a row above the window folds into the rows of every term but the
         # top one, a row below it into those of every term but the bottom one
         self.down, self.down_coeffs = keys[:-1] - 2 * d, coeffs[:-1]
         self.up, self.up_coeffs = keys[1:] + 2 * d, coeffs[1:]
+        self.frobenius = None
+        self._frobenius_fits = _is_prime(m) and _chunk_size(W) >= W
+
+    def _frobenius_matrix(self):
+        """Column j is F(y^(j - 2d)) = z^(j - 2d), y = q^(1/2): F is a ring
+        map and z = y^p is a window monomial (p <= d).  The powers of z and
+        of 1/z are built by doubling, z^K..z^(2K-1) as one product of
+        z^0..z^(K-1) with z^K, so the build costs about one product of W
+        candidates."""
+        d, W, p = self.d, self.W, self.m
+        images = np.empty((W, W), dtype=np.float64)
+        for sign, count in ((1, 2 * d), (-1, 2 * d + 1)):
+            z = np.zeros((W, 1), dtype=np.int64)
+            z[2 * d + sign * p] = 1
+            powers = np.zeros((W, 1), dtype=np.int64)
+            powers[2 * d] = 1
+            while powers.shape[1] < count:
+                top = self.mul(powers[:, -1:], z)
+                powers = np.hstack([powers, self.mul(powers, top)])
+            if sign == 1:
+                images[:, 2 * d :] = powers[:, :count]
+            else:
+                images[:, : 2 * d + 1] = powers[:, count - 1 :: -1]
+        return images
 
     def mul(self, A, B):
         """Product of (W, n) arrays with entries in [0, m)."""
@@ -143,22 +188,45 @@ class _ComponentRing:
             P[r + self.up] -= self.up_coeffs * (P[r] % m)
         return P[2 * d : 6 * d] % m
 
-    def pow(self, A, e):
-        """A^e for every row of the (candidates, W) array A, as (candidates, W).
-
-        Square-and-multiply from the lowest set bit of e, with no final
-        squaring: x^3 costs two products.
-        """
-        base = np.remainder(A.T, self.m, order="C")
+    def _power(self, x, e):
+        """x^e for the (W, n) array x (None for e = 0), by square-and-
+        multiply from the lowest set bit of e, with no final squaring."""
         result = None
         while e:
             if e & 1:
-                result = base if result is None else self.mul(result, base)
+                result = x if result is None else self.mul(result, x)
             e >>= 1
             if e:
-                base = self.mul(base, base)
+                x = self.mul(x, x)
+        return result
+
+    def pow(self, A, e):
+        """A^e for every row of the (candidates, W) array A, as (candidates, W).
+
+        e is written in base b and x^e = prod_k (x^(b^k))^(e_k), where
+        x -> x^b is one product with the Frobenius matrix (b = p) or, with
+        no matrix (prime-power moduli, windows too wide for it, fewer than
+        W candidates before it is built), a squaring (b = 2, which is
+        square-and-multiply: x^3 costs two products).  With the matrix x^p
+        costs one matrix product, and only the digits e_k < p are powered
+        by square-and-multiply.
+        """
+        x = np.remainder(A.T, self.m, order="C")
+        if self.frobenius is None and self._frobenius_fits and x.shape[1] >= self.W:
+            self.frobenius = self._frobenius_matrix()
+        b = 2 if self.frobenius is None else self.m
+        result = None
+        while e:
+            e, digit = divmod(e, b)
+            if digit:
+                power = self._power(x, digit)
+                result = power if result is None else self.mul(result, power)
+            if e and self.frobenius is None:
+                x = self.mul(x, x)
+            elif e:
+                x = (self.frobenius @ x.astype(np.float64)).astype(np.int64) % self.m
         if result is None:
-            result = np.zeros_like(base)
+            result = np.zeros_like(x)
             result[2 * self.d] = 1  # the constant monomial q^0
         return result.T
 
@@ -223,11 +291,9 @@ def _mod2_product(d):
     broadcast against each other.
     """
     W = 4 * d
-    gen = ideal_generator(d)
     H = 0  # generator bits anchored at its bottom term
-    for k, c in gen.items():
-        if c % 2:
-            H |= 1 << (k + 2 * d)
+    for k, _ in ideal_generator(d, 2).items():
+        H |= 1 << (k + 2 * d)
 
     def redmul(a, b):
         z = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
@@ -254,9 +320,15 @@ def _mod2_powers(d, exponent, support, count):
     as rows h (the bits above the lowest min(12, support)) by columns l
     (the lowest bits): x^e = h^e + l^e + C_h(l), where doubling the
     images of C_h on the basis bits of l gives C_h(l) for every l as
-    XORs (see `_search_component_mod2`).  The ring product runs on the
-    tables (2^12 low powers, the block's rows and their basis images),
-    never on single candidates.
+    XORs (see `_search_component_mod2`).
+
+    F^a, F^b and h -> C_h are GF(2)-linear too, so they are taken on the
+    basis bits once and spread over their XOR spans: the low bits' span
+    gives F^a(l), F^b(l) for all 2^12 columns, and the span of the high
+    bits that vary inside one block (its 256 rows at most) gives F^a(h),
+    F^b(h) and C_h(e_j), to which each block XORs the images of its fixed
+    higher bits.  The ring product `_mod2_product` runs only on basis
+    images, on the 2^12 low powers, and once per block for h^e.
     """
     a = (exponent - 1).bit_length() - 1
     rest = exponent - (1 << a)
@@ -269,27 +341,41 @@ def _mod2_powers(d, exponent, support, count):
             x = redmul(x, x)
         return x
 
+    def span(images, bits):
+        """XOR of images[j] over the set bits j of each index below 2^bits."""
+        out = np.zeros((1 << bits,) + images.shape[1:], dtype=np.uint64)
+        for j in range(bits):
+            out[1 << j : 2 << j] = out[: 1 << j] ^ images[j]
+        return out
+
     lo = min(12, support)
     L = 1 << lo
-    low = np.arange(L, dtype=np.uint64)
-    low_powers = redmul(frobenius(low, a), frobenius(low, b))
-    basis = np.uint64(1) << np.arange(lo, dtype=np.uint64)
+    basis = np.uint64(1) << np.arange(support, dtype=np.uint64)
     basis_a, basis_b = frobenius(basis, a), frobenius(basis, b)
+    low_powers = redmul(span(basis_a, lo), span(basis_b, lo))
+    # row j: C_h(e_i) for h the j-th high basis bit and every low bit i
+    high_a, high_b = basis_a[lo:], basis_b[lo:]
+    cross = redmul(high_a[:, None], basis_b[None, :lo]) ^ redmul(
+        high_b[:, None], basis_a[None, :lo]
+    )
+    inner = min(support, 20) - lo  # high bits that vary inside a block
+    span_a, span_b, span_cross = span(high_a, inner), span(high_b, inner), span(cross, inner)
     block = 1 << 20
     for start in range(0, count, block):
         stop = min(count, start + block)
         rows = -(-(stop - start) // L)
-        high = np.arange(start >> lo, (start >> lo) + rows, dtype=np.uint64) << np.uint64(lo)
-        high_a, high_b = frobenius(high, a), frobenius(high, b)
-        cross = redmul(high_a[:, None], basis_b[None, :]) ^ redmul(
-            high_b[:, None], basis_a[None, :]
-        )
+        fixed = [j for j in range(inner, support - lo) if start >> (lo + j) & 1]
+        h_a = span_a[:rows] ^ np.bitwise_xor.reduce(high_a[fixed])
+        h_b = span_b[:rows] ^ np.bitwise_xor.reduce(high_b[fixed])
+        rows_cross = span_cross[:rows] ^ np.bitwise_xor.reduce(cross[fixed], axis=0)
+        # column 0 holds h^e, and doubling carries it into every column
         table = np.empty((rows, L), dtype=np.uint64)
-        table[:, 0] = 0
+        table[:, 0] = redmul(h_a, h_b)
         for j in range(lo):
-            table[:, 1 << j : 2 << j] = table[:, : 1 << j] ^ cross[:, j : j + 1]
+            np.bitwise_xor(
+                table[:, : 1 << j], rows_cross[:, j : j + 1], out=table[:, 1 << j : 2 << j]
+            )
         table ^= low_powers[None, :]
-        table ^= redmul(high_a, high_b)[:, None]
         yield start, table.ravel()[: stop - start]
 
 

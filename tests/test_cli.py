@@ -9,6 +9,7 @@ import sl3webs
 from sl3webs.cli import main, verify_paper
 from sl3webs.planarmap import CombMap, disjoint_union, serialize_web, validate
 from sl3webs.qlaurent import parse_qexpr
+from sl3webs.tables import TableRow
 from webfixtures import cube_web, digon_prism_web, fixture_web, hex_prism_web, theta_web
 
 
@@ -268,6 +269,17 @@ class TestSymmetryCommands:
         assert f"the web must be connected and have vertices, {described}" in err
         assert "automorphism_count" not in err
 
+    def test_root_rejects_web_file_and_expr_together(self, capsys, webdir):
+        for web in ("/nonexistent.dart", webdir["hexprism"]):
+            rc, out, err = run(capsys, "symmetry-root", web, "2", "--expr", "[2]^2[3]")
+            assert rc == 1 and out == ""
+            assert "a web file or --expr, not both" in err
+
+    def test_root_needs_web_file_or_expr(self, capsys):
+        rc, out, err = run(capsys, "symmetry-root", "2")
+        assert rc == 1 and out == ""
+        assert "symmetry-root needs a web file or --expr" in err
+
     def test_root_from_web(self, capsys, webdir):
         rc, out, _ = run(capsys, "symmetry-root", webdir["hexprism"], "3")
         obj = json.loads(out)
@@ -305,6 +317,19 @@ class TestVerifyPaper:
         assert report["summary"]["rows_total"] == 3
         assert report["summary"]["exact_invariants"] == 3
         assert report["unlisted_webs"] == []
+
+    def test_each_row_parsed_once(self, monkeypatch):
+        parsed = []
+        row_invariant = TableRow.invariant
+
+        def counted(row):
+            parsed.append(row.name)
+            return row_invariant(row)
+
+        monkeypatch.setattr(TableRow, "invariant", counted)
+        report = verify_paper(n_max=20)
+        assert sorted(parsed) == sorted(d["row"] for d in report["rows"])
+        assert len(parsed) == report["summary"]["rows_total"] == 15
 
     def test_slack_flag_rejected(self, capsys):
         err = usage_error(capsys, "verify-paper", "--max-vertices", "12", "--slack", "2")

@@ -14,6 +14,13 @@ from sl3webs.qlaurent import (
 )
 
 
+def is_prime_power(m):
+    p = next(p for p in range(2, m + 1) if m % p == 0)  # least prime factor
+    while m % p == 0:
+        m //= p
+    return m == 1
+
+
 def random_poly(rng, max_terms=6, max_halfexp=8, max_coeff=9):
     terms = {}
     for _ in range(rng.randrange(max_terms + 1)):
@@ -167,7 +174,17 @@ class TestPretty:
 class TestIdealResidue:
     def test_generator_reduces_to_zero(self):
         for d in (2, 3, 5, 6):
-            assert mod_reduce(ideal_generator(d), d).is_zero()
+            assert mod_reduce(qint(3) ** d - qint(3), d).is_zero()
+
+    def test_generator_reduced_at_every_step(self):
+        # against [3]^d - [3] expanded over Z and reduced afterwards, for
+        # every prime power m dividing d and for d itself (mod_reduce's)
+        for d in range(2, 61):
+            exact = qint(3) ** d - qint(3)
+            prime_powers = [m for m in range(2, d + 1) if d % m == 0 and is_prime_power(m)]
+            for m in prime_powers + [d]:
+                reduced = HalfLaurent({k: c % m for k, c in exact.items()})
+                assert ideal_generator(d, m) == reduced, (d, m)
 
     def test_coefficient_ideal(self):
         for d in (2, 3, 4):

@@ -217,16 +217,22 @@ class TestMod2Kernel:
 
 class TestComponentRingOracle:
     """The component ring against IdealResidue products reduced mod m: the
-    dict-based polynomial code shares nothing with the ring's arrays."""
+    dict-based polynomial code shares nothing with the ring's arrays.  A
+    prime m powers through the Frobenius matrix, m = 4, 8 and 9 by
+    square-and-multiply; the exponents give both paths multi-digit base-m
+    exponents."""
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 9, 10, 12, 47])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 9, 10, 12, 47])
     def test_products_and_powers(self, d):
         rng = random.Random(600 + d)
         for m in _prime_power_factors(d):
             ring = _ComponentRing(d, m)
+            # W candidates, so that a prime m builds the Frobenius matrix on
+            # the first pow; the oracle checks the first six
             A, B = (
                 np.array(
-                    [[rng.randrange(m) for _ in range(4 * d)] for _ in range(6)], dtype=np.int64
+                    [[rng.randrange(m) for _ in range(4 * d)] for _ in range(4 * d)],
+                    dtype=np.int64,
                 )
                 for _ in range(2)
             )
@@ -234,11 +240,27 @@ class TestComponentRingOracle:
             def expect(x):
                 return [c % m for c in x.coeffs]
 
-            for a, b, ab in zip(A, B, ring.mul(A.T, B.T).T):
+            for a, b, ab in zip(A[:6], B[:6], ring.mul(A[:6].T, B[:6].T).T):
                 assert expect(IdealResidue(d, a) * IdealResidue(d, b)) == ab.tolist(), (d, m)
-            for e in (0, 1, 2, d):
-                for a, ae in zip(A, ring.pow(A, e)):
+            for e in (0, 1, 2, 3, d, d + 1, 2 * d + 5, m * m, m * m + 1):
+                for a, ae in zip(A[:6], ring.pow(A, e)):
                     assert expect(IdealResidue(d, a) ** e) == ae.tolist(), (d, m, e)
+            assert (ring.frobenius is None) == (m in (4, 8, 9)), (d, m)
+
+    @pytest.mark.parametrize("d", [5, 47])
+    def test_frobenius_matrix_waits_for_w_candidates(self, d):
+        # its build costs about one product of W candidates, so fewer are
+        # powered by square-and-multiply, as at a tiny budget; both agree
+        rng = np.random.default_rng(d)
+        W = 4 * d
+        A = rng.integers(0, d, size=(W, W), dtype=np.int64)
+        ring = _ComponentRing(d, d)
+        exponents = (d, d + 1, 2 * d + 5, d * d + 1)
+        few = [ring.pow(A[: W - 1], e) for e in exponents]
+        assert ring.frobenius is None
+        for e, powers in zip(exponents, few):
+            assert np.array_equal(ring.pow(A, e)[: W - 1], powers), e
+        assert ring.frobenius is not None
 
 
 class TestSymmetryReport:
