@@ -3,23 +3,27 @@
 A degree-d symmetry candidate is tested through the congruence
 P(G) = P(G/Gamma_d)^d modulo the ideal (d, [3]^d - [3]); independently,
 the d-th power residue search decides whether ANY alpha^d hits P(G) in the
-finite quotient ring.  For prime d the whole ring (d^(4d) elements) is
-scanned; composite d splits by CRT into prime-power component rings which
-are scanned smallest first, so an obstruction in a small component settles
-the question without touching the big one.  Every witness is re-verified
-exactly before being reported, and running out of budget is reported as
-such, never as non-existence.
+finite quotient ring.  Composite d splits by CRT into prime-power
+component rings which are searched smallest first, so an obstruction in a
+small component settles the question without touching the big one.  Every
+witness is re-verified exactly before being reported, and running out of
+budget is reported as such, never as non-existence.
 
 A component ring with prime modulus p has characteristic p, so the
-Frobenius F(x) = x^p is F_p-linear: the generic scan writes d in base p
-and applies each F^k(x) as one product with F's matrix, so a candidate's
+Frobenius F(x) = x^p is F_p-linear.  For prime d the one component is
+Z/d and x^d = F(x), so a d-th root of t is a solution of the linear
+system F x = t over F_d: one row reduction decides it, and the solution
+with every free variable 0 is the least root in the scan's order, which
+`_solve_component` reports with the outcome and count the scan would
+have.  Composite d is scanned.  The generic scan writes d in base p and
+applies each F^k(x) as one product with F's matrix, so a candidate's
 p-th power costs one matrix product, not log2(p) ring products.  The
-mod-2 components of d = 2 and d = 6 (the 2^24-element ring of the order-6
-question) are its bit-packed case: with d = 2^a + 2^b and a candidate
-split into high and low bits h + l, x^d = h^d + l^d + C_h(l), where F^a,
-F^b and C_h are GF(2)-linear, so every image is an XOR of basis images
-and each candidate's power a few XORs of table entries.  Either way every
-candidate is still tested, in increasing order.
+mod-2 component of d = 6 (the 2^24-element ring of the order-6 question)
+is its bit-packed case: with d = 2^a + 2^b and a candidate split into
+high and low bits h + l, x^d = h^d + l^d + C_h(l), where F^a, F^b and C_h
+are GF(2)-linear, so every image is an XOR of basis images and each
+candidate's power a few XORs of table entries.  Every scan tests every
+candidate, in increasing order.
 """
 
 from __future__ import annotations
@@ -134,7 +138,8 @@ class _ComponentRing:
     or a few candidates, into seconds of set-up.  So only the first `pow`
     of at least W candidates builds it, and only where a chunk holds W
     candidates under `_chunk_size`'s 32 MiB rule (d <= 362); until then,
-    and for prime-power moduli, it is None.
+    and for prime-power moduli, it is None.  `_search_component` solves
+    for a prime d's roots with the same matrix, under the same rule.
     """
 
     def __init__(self, d, m):
@@ -380,7 +385,8 @@ def _mod2_powers(d, exponent, support, count):
 
 
 def _search_component_mod2(d, target, exponent, budget, support):
-    """Bit-packed scan of a mod-2 component (d = 2, and the 2^24 space of d = 6).
+    """Bit-packed scan of a mod-2 component: the 2^24 space of d = 6, and
+    d = 2 on a budget below W = 8 (from W on, d = 2 is solved).
 
     Every candidate id in [0, min(2^support, budget)) is tested, in
     increasing order, so a hit is the least witness in that encoding; a
@@ -412,7 +418,65 @@ def _search_component_mod2(d, target, exponent, budget, support):
     return None, count, count == space
 
 
+def _solve_component(ring, target, budget, support):
+    """The least d-th root of `target` in the ring of a prime d = p, by one
+    linear solve, returned as `_search_component_generic` returns it.
+
+    x^p is the Frobenius, so the roots on the low `support` positions are
+    the solutions of F x = target over F_p, F restricted to those columns.
+    Row-reducing [F | target] with the columns pivoted in increasing
+    window position leaves each pivot a function of the free variables of
+    higher position only.  Candidate i has digit (i // p^pos) % p at
+    position pos, so of two candidates the one smaller at the highest
+    differing position comes first, and the solution with every free
+    variable 0 is the least: any other agrees with it above its highest
+    nonzero free variable and is larger there.  With cap =
+    min(p^support, budget), a root below cap counts as tested to the end
+    of its chunk (at most cap); otherwise cap counts as tested, and the
+    component is exhausted iff cap is the whole space.  (At d = 2 the
+    whole space, 2^8, lies inside one chunk of either the generic or the
+    mod-2 scan.)
+    """
+    p, W = ring.m, ring.W
+    space = p**support
+    cap = min(space, budget)
+    A = np.empty((W, support + 1), dtype=np.int64)
+    A[:, :support] = ring._frobenius_matrix()[:, :support]
+    A[:, support] = target
+    A %= p
+    rank = 0
+    pivots = []
+    for j in range(support):
+        nonzero = np.flatnonzero(A[rank:, j])
+        if not nonzero.size:
+            continue
+        i = rank + int(nonzero[0])
+        A[[rank, i]] = A[[i, rank]]
+        A[rank, j:] = A[rank, j:] * pow(int(A[rank, j]), -1, p) % p
+        factors = A[:, j].copy()
+        factors[rank] = 0
+        rows = np.flatnonzero(factors)
+        A[rows, j:] = (A[rows, j:] - factors[rows, None] * A[rank, j:]) % p
+        pivots.append(j)
+        rank += 1
+    if not A[rank:, support].any():
+        witness = [0] * W
+        for r, j in enumerate(pivots):
+            witness[j] = int(A[r, support])
+        least = sum(c * p**pos for pos, c in enumerate(witness))
+        if least < cap:
+            chunk = _chunk_size(W)
+            return tuple(witness), min(cap, (least // chunk + 1) * chunk), True
+    return None, cap, cap == space
+
+
 def _search_component(d, m, target, exponent, budget, support):
+    # a prime d solves where its scan would build the Frobenius matrix:
+    # with at least W candidates to test in the first chunk
+    if exponent == m and min(m**support, budget) >= 4 * d:
+        ring = _ComponentRing(d, m)
+        if ring._frobenius_fits:
+            return _solve_component(ring, target, budget, support)
     if m == 2 and 8 * d - 2 <= 63:
         return _search_component_mod2(d, target, exponent, budget, support)
     return _search_component_generic(d, m, target, exponent, budget, support)
@@ -431,12 +495,16 @@ def _approx(n):
 def dth_root_search(p, d, budget=DEFAULT_BUDGET, support_limit=None):
     """Decide whether some alpha has alpha^d = p in Z[q^(±1/2)]/(d, [3]^d-[3]).
 
-    Exhaustive over the d^(4d)-element ring for prime d; composite d splits
-    by CRT into prime-power component rings, scanned smallest first (a root
-    exists iff one exists in every component).  `budget` caps the total
-    number of candidates tested; exceeding it yields budget_exhausted,
-    never a false not_found.  `support_limit` restricts candidates to the
-    low window positions (testing hook for small composite cases).
+    For prime d, x^d is the Frobenius and one linear solve over F_d
+    decides the d^(4d)-element ring (`_solve_component`), where a scan
+    would power at least W candidates with the Frobenius matrix; its
+    result, `searched` included, is the one the scan in increasing order
+    would give.  Composite d splits by CRT into prime-power component
+    rings, scanned smallest first (a root exists iff one exists in every
+    component).  `budget` caps the total number of candidates tested;
+    exceeding it yields budget_exhausted, never a false not_found.
+    `support_limit` restricts candidates to the low window positions
+    (testing hook for small cases).
     """
     if d < 2:
         raise ValueError(f"the order d must be at least 2, got {d}")

@@ -219,8 +219,9 @@ class TestSymmetryCommands:
         assert rc == 0 and obj["outcome"] == "found"
 
     def test_root_generic_scan_found(self, capsys):
-        # d = 3 has no mod-2 component: the generic ring scan finds the
-        # witness in its first 2^14 chunk
+        # d = 3 is prime: one linear solve over F_3 finds the least
+        # witness, and `searched` counts to the end of the first 2^14
+        # chunk, where the generic ring scan finds it
         rc, out, _ = run(capsys, "symmetry-root", "--expr", "[2]^4[3]+2[2]^2[3]", "3")
         obj = json.loads(out)
         assert rc == 0 and obj["outcome"] == "found"

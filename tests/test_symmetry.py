@@ -13,19 +13,22 @@ from sl3webs.qlaurent import (
 )
 from sl3webs.reducer import invariant
 from sl3webs.symmetry import (
+    DEFAULT_BUDGET,
     _ComponentRing,
     _chunk_size,
     _ids_to_digits,
     _mod2_powers,
     _prime_power_factors,
+    _search_component,
     _search_component_generic,
     _search_component_mod2,
+    _solve_component,
     check_quotient,
     dth_root_search,
     symmetry_report,
     verify_witness,
 )
-from webfixtures import cube_web, digon_prism_web, hex_prism_web, theta_web
+from webfixtures import FIXTURES, cube_web, digon_prism_web, fixture_web, hex_prism_web, theta_web
 
 P61 = parse_qexpr("[2]^4[3]+2[2]^2[3]")
 
@@ -117,7 +120,11 @@ class TestRootSearch:
             assert (2 * W - 1) * chunk * 8 <= 32 << 20
 
     def test_generic_scan_uses_the_chunk_rule(self, monkeypatch):
-        # powers are stubbed to zero (no hit): only the chunking is exercised
+        # powers are stubbed to zero, and the target is nonzero mod 2, so
+        # nothing hits: only the chunking is exercised.  A prime d is
+        # solved, not scanned; d = 34 is composite, its mod-2 component is
+        # scanned first, and its window (W = 136) shrinks the chunk below
+        # 2^14.
         sizes = []
 
         def no_power(self, A, e):
@@ -125,9 +132,29 @@ class TestRootSearch:
             return np.zeros_like(A)
 
         monkeypatch.setattr(_ComponentRing, "pow", no_power)
-        res = dth_root_search(qint(2), 47, budget=20000)
+        res = dth_root_search(qint(1), 34, budget=20000)
         assert res.outcome == "budget_exhausted" and res.searched == 20000
-        assert sizes == [_chunk_size(188), 20000 - _chunk_size(188)]
+        assert _chunk_size(136) < 1 << 14
+        assert sizes == [_chunk_size(136), 20000 - _chunk_size(136)]
+
+    @pytest.mark.parametrize("d", [5, 47])
+    def test_tiny_budget_builds_no_frobenius_matrix(self, monkeypatch, d):
+        # the matrix costs about one product of W candidates: a budget
+        # below W scans by square-and-multiply, W or more solves with it
+        builds = []
+        build = _ComponentRing._frobenius_matrix
+
+        def counted(self):
+            builds.append(self.m)
+            return build(self)
+
+        monkeypatch.setattr(_ComponentRing, "_frobenius_matrix", counted)
+        res = dth_root_search(qint(2), d, budget=4 * d - 1)
+        assert res.outcome == "budget_exhausted" and res.searched == 4 * d - 1
+        assert builds == []
+        res = dth_root_search(qint(2), d, budget=4 * d)
+        assert res.searched == 4 * d
+        assert builds == [d]
 
 
 class TestCrtConsistency:
@@ -169,6 +196,68 @@ class TestCrtConsistency:
             res = dth_root_search(target, 6, support_limit=support)
             assert res.outcome == "found"
             assert verify_witness(target, 6, res.witness)
+
+
+class TestPrimeSolve:
+    """A prime d's linear solve against the scans it replaces, called
+    directly: the witness, the tested count and the exhausted flag must be
+    identical, at budgets on both sides of the least witness id, of one
+    chunk and of the whole space."""
+
+    EXPRS = ("[2]^4[3]+2[2]^2[3]", "[3]", "[2]^2[3]")
+
+    @staticmethod
+    def _targets(d):
+        paths = sorted(FIXTURES.glob("prime_*.dart"))
+        polys = [invariant(fixture_web(path.stem)) for path in paths]
+        polys += [parse_qexpr(e) for e in TestPrimeSolve.EXPRS]
+        # no square root mod (2, [3]^2 - [3]), and no cube root mod 3
+        polys.append(HalfLaurent.monomial(-4) + qint(2))
+        return [tuple(c % d for c in mod_reduce(p, d).coeffs) for p in polys]
+
+    def _agree(self, d, target, support):
+        W = 4 * d
+        space = d**support
+        ring = _ComponentRing(d, d)
+        least = _solve_component(ring, target, space, support)[0]
+        budgets = {W - 1, W, _chunk_size(W), space, DEFAULT_BUDGET}
+        if least is not None:
+            i = sum(c * d**pos for pos, c in enumerate(least))
+            budgets |= {i, i + 1}
+        for budget in sorted(budgets):
+            solved = _solve_component(ring, target, budget, support)
+            assert _search_component(d, d, target, d, budget, support) == solved
+            scans = [_search_component_generic(d, d, target, d, budget, support)]
+            if d == 2:
+                scans.append(_search_component_mod2(d, target, d, budget, support))
+            for scanned in scans:
+                assert scanned == solved, (d, target, support, budget)
+        return least is not None
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_full_window(self, d):
+        found = [self._agree(d, t, 4 * d) for t in self._targets(d)]
+        assert all(found[:-1]) and not found[-1]
+
+    def test_witness_beyond_a_scans_reach(self):
+        # the least 5th root has id 12471516876: a scan would power about
+        # 1.2e10 candidates first, the solve reports the end of its chunk
+        res = dth_root_search(P61, 5, budget=5**20)
+        assert res.outcome == "found" and res.searched == 761201 * (1 << 14)
+        coeffs = res.witness.coeffs
+        assert sum(c * 5**pos for pos, c in enumerate(coeffs)) == 12471516876
+
+    @pytest.mark.parametrize("d, support", [(5, 5), (7, 4)])
+    def test_low_support(self, d, support):
+        # the low `support` positions hold few candidates; alpha^d with
+        # alpha among them gives targets that are found
+        rng = random.Random(d)
+        targets = self._targets(d)
+        for _ in range(4):
+            alpha = [rng.randrange(d) for _ in range(support)] + [0] * (4 * d - support)
+            targets.append(tuple(c % d for c in (IdealResidue(d, alpha) ** d).coeffs))
+        found = sum(self._agree(d, t, support) for t in targets)
+        assert found >= 4
 
 
 class TestMod2Kernel:
