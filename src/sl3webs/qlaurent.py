@@ -337,7 +337,9 @@ def ideal_generator(d: int, modulus: int) -> HalfLaurent:
     slot per coefficient, so every product runs in C.
     """
     if d < 2:
-        raise ValueError("modulus must be at least 2")
+        raise ValueError(f"the order d must be at least 2, got {d}")
+    if modulus < 2:
+        raise ValueError(f"the modulus must be at least 2, got {modulus}")
     m = modulus
     width = ((2 * d + 1) * (m - 1) ** 2).bit_length() // 8 + 1  # bytes a slot holds
 

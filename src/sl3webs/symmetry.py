@@ -15,20 +15,29 @@ Z/d and x^d = F(x), so a d-th root of t is a solution of the linear
 system F x = t over F_d: one row reduction decides it, and the solution
 with every free variable 0 is the least root in the scan's order, which
 `_solve_component` reports with the outcome and count the scan would
-have.  Composite d is scanned.  The generic scan writes d in base p and
-applies each F^k(x) as one product with F's matrix, so a candidate's
-p-th power costs one matrix product, not log2(p) ring products.  The
-mod-2 component of d = 6 (the 2^24-element ring of the order-6 question)
-is its bit-packed case: with d = 2^a + 2^b and a candidate split into
-high and low bits h + l, x^d = h^d + l^d + C_h(l), where F^a, F^b and C_h
-are GF(2)-linear, so every image is an XOR of basis images and each
-candidate's power a few XORs of table entries.  Every scan tests every
-candidate, in increasing order.
+have.  A composite d's prime component (p exactly dividing d) is
+F_p[y]/(G), G = y^(2d) ([3]^d - [3]), y = q^(1/2); factored over F_p,
+G splits the ring into local pieces F_p[y]/(g^e) (`_local_pieces`), in
+which a d-th power is told from a valuation, one power in the residue
+field and one F_p-linear membership test (`_has_root`).  A component
+with no root is so decided, with the count its scan would report;
+composite d is otherwise scanned, and the scan stays the one finder of
+witnesses.  The generic scan writes d in base p and applies each F^k(x)
+as one product with F's matrix, so a candidate's p-th power costs one
+matrix product, not log2(p) ring products.  The mod-2 component of d = 6
+(the 2^24-element ring of the order-6 question) is its bit-packed case:
+with d = 2^a + 2^b and a candidate split into high and low bits h + l,
+x^d = h^d + l^d + C_h(l), where F^a, F^b and C_h are GF(2)-linear, so
+every image is an XOR of basis images and each candidate's power a few
+XORs of table entries.  Every scan tests every candidate, in increasing
+order.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from itertools import zip_longest
+from math import gcd, isqrt
+from random import Random
 
 from .planarmap import _require_connected, automorphism_count
 from .qlaurent import IdealResidue, ideal_generator, mod_reduce, congruent_mod
@@ -385,8 +394,10 @@ def _mod2_powers(d, exponent, support, count):
 
 
 def _search_component_mod2(d, target, exponent, budget, support):
-    """Bit-packed scan of a mod-2 component: the 2^24 space of d = 6, and
-    d = 2 on a budget below W = 8 (from W on, d = 2 is solved).
+    """Bit-packed scan of a mod-2 component: the 2^24 space of d = 6 where
+    it has a root (one with none is decided, see `_has_root`) or only low
+    positions are searched, and d = 2 on a budget below W = 8 (from W on,
+    d = 2 is solved).
 
     Every candidate id in [0, min(2^support, budget)) is tested, in
     increasing order, so a hit is the least witness in that encoding; a
@@ -418,6 +429,27 @@ def _search_component_mod2(d, target, exponent, budget, support):
     return None, count, count == space
 
 
+def _echelon(A, p, columns):
+    """Row-reduce the int64 array A over F_p in place, pivoting on its
+    first `columns` columns in increasing order; returns the pivot columns,
+    pivot r in row r."""
+    rank, pivots = 0, []
+    for j in range(columns):
+        nonzero = np.flatnonzero(A[rank:, j])
+        if not nonzero.size:
+            continue
+        i = rank + int(nonzero[0])
+        A[[rank, i]] = A[[i, rank]]
+        A[rank, j:] = A[rank, j:] * pow(int(A[rank, j]), -1, p) % p
+        factors = A[:, j].copy()
+        factors[rank] = 0
+        rows = np.flatnonzero(factors)
+        A[rows, j:] = (A[rows, j:] - factors[rows, None] * A[rank, j:]) % p
+        pivots.append(j)
+        rank += 1
+    return pivots
+
+
 def _solve_component(ring, target, budget, support):
     """The least d-th root of `target` in the ring of a prime d = p, by one
     linear solve, returned as `_search_component_generic` returns it.
@@ -444,22 +476,8 @@ def _solve_component(ring, target, budget, support):
     A[:, :support] = ring._frobenius_matrix()[:, :support]
     A[:, support] = target
     A %= p
-    rank = 0
-    pivots = []
-    for j in range(support):
-        nonzero = np.flatnonzero(A[rank:, j])
-        if not nonzero.size:
-            continue
-        i = rank + int(nonzero[0])
-        A[[rank, i]] = A[[i, rank]]
-        A[rank, j:] = A[rank, j:] * pow(int(A[rank, j]), -1, p) % p
-        factors = A[:, j].copy()
-        factors[rank] = 0
-        rows = np.flatnonzero(factors)
-        A[rows, j:] = (A[rows, j:] - factors[rows, None] * A[rank, j:]) % p
-        pivots.append(j)
-        rank += 1
-    if not A[rank:, support].any():
+    pivots = _echelon(A, p, support)
+    if not A[len(pivots) :, support].any():
         witness = [0] * W
         for r, j in enumerate(pivots):
             witness[j] = int(A[r, support])
@@ -470,13 +488,178 @@ def _solve_component(ring, target, budget, support):
     return None, cap, cap == space
 
 
+# Polynomials over F_p: lists of coefficients in [0, p), lowest degree
+# first, with no trailing zeros ([] is 0).
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _psub(a, b, p):
+    return _trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _pmul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, c in enumerate(a):
+        if c:
+            out[i : i + len(b)] = [x + c * y for x, y in zip(out[i : i + len(b)], b)]
+    return _trim([x % p for x in out])
+
+
+def _pdivmod(a, b, p):
+    a, n, inv = list(a), len(b) - 1, pow(b[-1], -1, p)
+    q = [0] * max(len(a) - n, 0)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = q[i - n] = a[i] * inv % p
+        if c:
+            a[i - n : i + 1] = [(x - c * y) % p for x, y in zip(a[i - n : i + 1], b)]
+    return _trim(q), _trim(a[:n])
+
+
+def _pgcd(a, b, p):
+    """The monic gcd of a and b, not both 0."""
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    return _pmul(a, [pow(a[-1], -1, p)], p)
+
+
+def _ppowmod(a, e, f, p):
+    """a^e mod f, deg f >= 1."""
+    result, a = [1], _pdivmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            result = _pdivmod(_pmul(result, a, p), f, p)[1]
+        e >>= 1
+        if e:
+            a = _pdivmod(_pmul(a, a, p), f, p)[1]
+    return result
+
+
+def _factor(f, p):
+    """[(g, e)]: the monic irreducible g with g^e exactly dividing the
+    monic f over F_p.  A squarefree split (where c' = 0, c(y) = r(y^p) =
+    r(y)^p), a distinct-degree split (gcd(f, y^(p^i) - y) collects the
+    factors of degree i), then Cantor and Zassenhaus's equal-degree split:
+    a splits where its trace a + a^2 + ... + a^(2^(i-1)) (p = 2), or
+    a^((p^i-1)/2) - 1, is 0 mod some factors only, as for half of all a,
+    drawn from a fixed seed so the factors come in one order every run."""
+
+    def squarefree(f):
+        df = _trim([i * c % p for i, c in enumerate(f)][1:])
+        c = _pgcd(f, df, p) if df else f
+        w, e, out = _pdivmod(f, c, p)[0], 1, []
+        while len(w) > 1:  # w: the factors of multiplicity e or more
+            y = _pgcd(w, c, p)
+            if len(w) > len(y):
+                out.append((_pdivmod(w, y, p)[0], e))
+            w, c, e = y, _pdivmod(c, y, p)[0], e + 1
+        return out + [(h, e * p) for h, e in squarefree(c[::p])] if len(c) > 1 else out
+
+    rng = Random(0)
+
+    def equal_degree(f, i):
+        while len(f) - 1 > i:
+            a = _trim([rng.randrange(p) for _ in range(len(f) - 1)])
+            if p == 2:
+                t = b = a
+                for _ in range(i - 1):
+                    b = _ppowmod(b, 2, f, 2)
+                    t = _psub(t, b, 2)
+            else:
+                t = _psub(_ppowmod(a, (p**i - 1) // 2, f, p), [1], p)
+            g = _pgcd(f, t, p)
+            if 1 < len(g) < len(f):
+                return equal_degree(g, i) + equal_degree(_pdivmod(f, g, p)[0], i)
+        return [f]
+
+    out = []
+    for f, e in squarefree(f):
+        i, h = 1, [0, 1]
+        while 2 * i < len(f):
+            h = _ppowmod(h, p, f, p)  # y^(p^i) mod f
+            g = _pgcd(f, _psub(h, [0, 1], p), p)
+            if len(g) > 1:
+                out += [(g, e) for g in equal_degree(g, i)]
+                f = _pdivmod(f, g, p)[0]
+                h = _pdivmod(h, f, p)[1]
+            i += 1
+        if len(f) > 1:
+            out.append((f, e))
+    return out
+
+
+def _local_pieces(d, p):
+    """The factors g^e of G = y^(2d) ([3]^d - [3]) over F_p, y = q^(1/2):
+    the mod-p component ring is F_p[y]/(G) = prod F_p[y]/(g^e) by CRT."""
+    G = [0] * (4 * d + 1)
+    for k, c in ideal_generator(d, p).items():
+        G[k + 2 * d] = c
+    return _factor(G, p)
+
+
+def _has_root(target, d, p, pieces=None):
+    """Whether the window `target` of the mod-p component ring is a d-th
+    power, decided in the local pieces L = F_p[y]/(g^e) (`pieces`, by
+    default `_local_pieces(d, p)`) without powering any element.
+
+    The window holds T = y^(2d) t, and y^(2d) = (y^2)^d with y a unit, so
+    T is a d-th power iff t is, and iff it is one in every piece.  In L,
+    T = 0 is 0^d; otherwise T = g^v u, u a unit mod g^k, k = e - v, and
+    T = (g^w s)^d iff v = dw and u = s^d mod g^k.  With q = p^(deg g) and
+    d = p^a d', p not dividing d', a unit u of L_k = F_p[y]/(g^k) is a
+    d-th power iff (i) u^((q-1)/gcd(d, q-1)) = 1 mod g, a d-th power in
+    the field F_q, and (ii) u lies in R = F^a(L_k), the F_p-span of the
+    y^(j p^a) mod g^k (F the Frobenius, F_p-linear).  For the d-th powers
+    of L_k are the d'-th powers of the subring R, local with residue field
+    F^a(F_q) = F_q; its units are the Teichmueller lifts of F_q^* times
+    its 1-units, a p-group on which x -> x^d' is a bijection (Hensel), and
+    on F_q^* the d'-th and d-th powers agree.
+    """
+    T, pa = _trim([c % p for c in target]), gcd(d, p ** d.bit_length())  # p^a
+    for g, e in _local_pieces(d, p) if pieces is None else pieces:
+        powers = [[1]]  # g^0, ..., g^e
+        for _ in range(e):
+            powers.append(_pmul(powers[-1], g, p))
+        u, v = _pdivmod(T, powers[e], p)[1], 0
+        if not u:
+            continue
+        while not _pdivmod(u, g, p)[1]:
+            u, v = _pdivmod(u, g, p)[0], v + 1
+        q = p ** (len(g) - 1)
+        if v % d or _ppowmod(u, (q - 1) // gcd(d, q - 1), g, p) != [1]:
+            return False
+        gk = powers[e - v]
+        n = len(gk) - 1  # deg u < n
+        z, column = _ppowmod([0, 1], pa, gk, p), [1]
+        A = np.zeros((n, n + 1), dtype=np.int64)
+        for j in range(n):
+            A[: len(column), j] = column
+            column = _pdivmod(_pmul(column, z, p), gk, p)[1]
+        A[: len(u), n] = u
+        if A[len(_echelon(A, p, n)) :, n].any():
+            return False
+    return True
+
+
 def _search_component(d, m, target, exponent, budget, support):
+    space = m**support
+    cap = min(space, budget)
     # a prime d solves where its scan would build the Frobenius matrix:
     # with at least W candidates to test in the first chunk
-    if exponent == m and min(m**support, budget) >= 4 * d:
+    if exponent == m and cap >= 4 * d:
         ring = _ComponentRing(d, m)
         if ring._frobenius_fits:
             return _solve_component(ring, target, budget, support)
+    # a composite d's prime component with no root is decided from its
+    # local pieces, with the count the scan would report (cap, exhausted
+    # iff cap is the whole space); a root's witness is scanned for
+    if exponent == d != m and _is_prime(m) and support == 4 * d and cap >= 4 * d:
+        if not _has_root(target, d, m):
+            return None, cap, cap == space
     if m == 2 and 8 * d - 2 <= 63:
         return _search_component_mod2(d, target, exponent, budget, support)
     return _search_component_generic(d, m, target, exponent, budget, support)
@@ -500,9 +683,11 @@ def dth_root_search(p, d, budget=DEFAULT_BUDGET, support_limit=None):
     would power at least W candidates with the Frobenius matrix; its
     result, `searched` included, is the one the scan in increasing order
     would give.  Composite d splits by CRT into prime-power component
-    rings, scanned smallest first (a root exists iff one exists in every
-    component).  `budget` caps the total number of candidates tested;
-    exceeding it yields budget_exhausted, never a false not_found.
+    rings, searched smallest first (a root exists iff one exists in every
+    component); a prime component with no root is decided from its local
+    pieces (`_has_root`), every other one scanned.  `budget` caps the
+    total number of candidates tested; exceeding it yields
+    budget_exhausted, never a false not_found.
     `support_limit` restricts candidates to the low window positions
     (testing hook for small cases).
     """

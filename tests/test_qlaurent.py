@@ -186,6 +186,16 @@ class TestIdealResidue:
                 reduced = HalfLaurent({k: c % m for k, c in exact.items()})
                 assert ideal_generator(d, m) == reduced, (d, m)
 
+    def test_generator_names_a_too_small_order(self):
+        with pytest.raises(ValueError, match="the order d must be at least 2, got 1"):
+            ideal_generator(1, 2)
+
+    @pytest.mark.parametrize("modulus", [1, 0])
+    def test_generator_names_a_too_small_modulus(self, modulus):
+        # modulus 1 used to give the zero polynomial, 0 a ZeroDivisionError
+        with pytest.raises(ValueError, match=f"the modulus must be at least 2, got {modulus}"):
+            ideal_generator(6, modulus)
+
     def test_coefficient_ideal(self):
         for d in (2, 3, 4):
             assert mod_reduce(d * qint(2), d).is_zero()

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -11,12 +12,16 @@ from sl3webs.qlaurent import (
     parse_qexpr,
     qint,
 )
+from sl3webs import symmetry
 from sl3webs.reducer import invariant
 from sl3webs.symmetry import (
     DEFAULT_BUDGET,
     _ComponentRing,
     _chunk_size,
+    _factor,
+    _has_root,
     _ids_to_digits,
+    _local_pieces,
     _mod2_powers,
     _prime_power_factors,
     _search_component,
@@ -258,6 +263,142 @@ class TestPrimeSolve:
             targets.append(tuple(c % d for c in (IdealResidue(d, alpha) ** d).coeffs))
         found = sum(self._agree(d, t, support) for t in targets)
         assert found >= 4
+
+
+def _mulmod(a, b, G, p):
+    """a b mod the monic G over F_p, on coefficient tuples of length deg G."""
+    n = len(G) - 1
+    out = [0] * (2 * n)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for i in range(2 * n - 1, n - 1, -1):
+        c = out[i] % p
+        for j in range(n + 1):
+            out[i - n + j] -= c * G[j]
+    return tuple(x % p for x in out[:n])
+
+
+def _polmul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+class TestLocalPieces:
+    """The d-th power criterion of a composite d's prime components: the
+    factorization into local pieces, `_has_root` against every d-th power
+    of small rings, the 2^24 ring of d = 6 mod 2, and the searches it
+    decides against the scans it replaces."""
+
+    @staticmethod
+    def _random_modulus(rng, p, max_degree):
+        # a product of random monic factors, each taken once or more
+        G = [1]
+        while len(G) < 3:
+            for _ in range(rng.randrange(1, 4)):
+                h = [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1]
+                for _ in range(rng.randrange(1, 4)):
+                    if len(G) + len(h) - 2 <= max_degree:
+                        G = _polmul(G, h, p)
+        return G
+
+    def test_has_root_against_every_dth_power(self):
+        rng = random.Random(27)
+        rings = []
+        for p, max_degree, orders in ((2, 8, (4, 6, 8, 12)), (3, 5, (6, 9, 12)), (5, 4, (10, 25))):
+            for _ in range(10):
+                rings.append((p, self._random_modulus(rng, p, max_degree), rng.choice(orders)))
+        # pieces g^e with e > d, where a valuation v = d > 0 is reachable:
+        # y^5 (y^2 + y + 1) at d = 4 over F_2, (y + 1)^7 at d = 6 over F_3
+        seventh = [1]
+        for _ in range(7):
+            seventh = _polmul(seventh, [1, 1], 3)
+        rings += [(2, _polmul([0] * 5 + [1], [1, 1, 1], 2), 4), (3, seventh, 6)]
+        rootless = 0
+        for p, G, d in rings:
+            pieces = _factor(G, p)
+            product = [1]
+            for g, e in pieces:
+                for _ in range(e):
+                    product = _polmul(product, g, p)
+            assert product == G, (p, G, pieces)
+            elements = list(itertools.product(range(p), repeat=len(G) - 1))
+            one = (1,) + (0,) * (len(G) - 2)
+            powers = set()
+            for x in elements:
+                power, base, e = one, x, d
+                while e:
+                    if e & 1:
+                        power = _mulmod(power, base, G, p)
+                    base, e = _mulmod(base, base, G, p), e >> 1
+                powers.add(power)
+            rootless += len(elements) - len(powers)
+            for t in elements:
+                assert _has_root(t, d, p, pieces) == (t in powers), (p, G, d, t)
+        assert rootless > 0
+
+    def test_sixth_powers_of_the_mod2_ring(self):
+        # the pieces the criterion reads at d = 6 mod 2, of dimensions 4, 8,
+        # 8 and 4
+        pieces = _local_pieces(6, 2)
+        assert sorted((len(g) - 1, e) for g, e in pieces) == [(1, 4), (2, 2), (4, 2), (4, 2)]
+        seen = np.zeros(1 << 24, dtype=bool)
+        for _, powers in _mod2_powers(6, 6, 24, 1 << 24):
+            seen[powers] = True
+        sixth = np.flatnonzero(seen)
+        assert sixth.size == 216
+        others = np.random.default_rng(6).choice(np.flatnonzero(~seen), size=2000, replace=False)
+        for ids, verdict in ((sixth, True), (others, False)):
+            for i in ids.tolist():
+                assert _has_root([(i >> j) & 1 for j in range(24)], 6, 2, pieces) is verdict, i
+
+    EXPRS = ("[2]^4[3]+2[2]^2[3]", "[3]", "[2]^2[3]", "2", "[2]")
+    CASES = [("prime_*", 6, 1100000)] + [(e, d, 50000) for e in EXPRS for d in (6, 10, 14, 15)]
+
+    @pytest.mark.parametrize("source, d, budget", CASES)
+    def test_decided_searches_equal_the_scans(self, monkeypatch, source, d, budget):
+        # a search in which `_has_root` never says no scans exactly as with
+        # it stubbed to yes, so only the others are run again
+        if source == "prime_*":
+            paths = sorted(FIXTURES.glob(source + ".dart"))
+            polys = [invariant(fixture_web(path.stem)) for path in paths]
+        else:
+            polys = [parse_qexpr(source)]
+        decide = symmetry._has_root
+        verdicts = []
+
+        def recorded(*args):
+            verdicts.append(decide(*args))
+            return verdicts[-1]
+
+        for poly in polys:
+            verdicts.clear()
+            monkeypatch.setattr(symmetry, "_has_root", recorded)
+            decided = dth_root_search(poly, d, budget=budget).to_json_obj()
+            if all(verdicts):
+                continue
+            monkeypatch.setattr(symmetry, "_has_root", lambda *args: True)
+            assert dth_root_search(poly, d, budget=budget).to_json_obj() == decided, (source, d)
+
+    def test_a_rootless_mod3_component_is_not_scanned(self, monkeypatch):
+        # prime_7_1 at d = 6: its mod-2 component has a root, its mod-3
+        # component none; the 32505856 candidates left for it are counted,
+        # not scanned
+        scanned = []
+        scan = symmetry._search_component_generic
+
+        def recorded(d, m, *args):
+            scanned.append(m)
+            return scan(d, m, *args)
+
+        monkeypatch.setattr(symmetry, "_search_component_generic", recorded)
+        res = dth_root_search(invariant(fixture_web("prime_7_1")), 6)
+        assert res.outcome == "budget_exhausted" and res.searched == DEFAULT_BUDGET
+        assert "mod-3" in res.detail and "32505856" in res.detail
+        assert 3 not in scanned
 
 
 class TestMod2Kernel:
