@@ -24,13 +24,16 @@ with no root is so decided, with the count its scan would report;
 composite d is otherwise scanned, and the scan stays the one finder of
 witnesses.  The generic scan writes d in base p and applies each F^k(x)
 as one product with F's matrix, so a candidate's p-th power costs one
-matrix product, not log2(p) ring products.  The mod-2 component of d = 6
-(the 2^24-element ring of the order-6 question) is its bit-packed case:
-with d = 2^a + 2^b and a candidate split into high and low bits h + l,
-x^d = h^d + l^d + C_h(l), where F^a, F^b and C_h are GF(2)-linear, so
-every image is an XOR of basis images and each candidate's power a few
-XORs of table entries.  Every scan tests every candidate, in increasing
-order.
+matrix product, not log2(p) ring products.  F's matrix is built from
+monomial images, with no ring product: the image of y^(j+1) is that of
+y^j times y^p, its entries shifted by p positions and the p that leave
+the window folded back through the generator.  The mod-2 component of
+d = 6 (the 2^24-element ring of the order-6 question) is its bit-packed
+case: with d = 2^a + 2^b and a candidate split into high and low bits
+h + l, x^d = h^d + l^d + C_h(l), where F^a, F^b and C_h are GF(2)-linear,
+so every image is an XOR of basis images and each candidate's power a
+few XORs of table entries.  Every scan tests every candidate, in
+increasing order.
 """
 
 from __future__ import annotations
@@ -140,15 +143,17 @@ class _ComponentRing:
     For a prime modulus p the ring has characteristic p, so the Frobenius
     F(x) = x^p is F_p-linear; `frobenius` holds its W x W matrix (column j
     the image of window position j, as float64: every entry of a product
-    with it is an integer sum below W p^2 < 2^53, so exact).  Its build
-    costs about one product of W candidates, more than square-and-multiply
-    spends on a call of fewer, and that cost grows as W^3: built on every
-    prime ring, it would turn a tiny budget at a large d, which tests one
-    or a few candidates, into seconds of set-up.  So only the first `pow`
-    of at least W candidates builds it, and only where a chunk holds W
+    with it is an integer sum below W p^2 < 2^53, so exact).  Its columns
+    are the monomials y^(p (j - 2d)), each its neighbour shifted by p
+    positions with the p leaving entries folded back, so the build costs
+    W products of a W x p fold matrix with a vector, about W^2 p
+    multiply-adds and no ring product: at most a quarter of one product
+    of W candidates with the matrix (W^3).  So the scan builds it on the
+    first `pow` of at least W candidates, and only where a chunk holds W
     candidates under `_chunk_size`'s 32 MiB rule (d <= 362); until then,
-    and for prime-power moduli, it is None.  `_search_component` solves
-    for a prime d's roots with the same matrix, under the same rule.
+    and for prime-power moduli, it is None.  `_search_component` solves for a
+    prime d's roots with the same matrix under its own rule: at least W
+    candidates to test, and the matrix within 32 MiB (d <= 512).
     """
 
     def __init__(self, d, m):
@@ -166,26 +171,40 @@ class _ComponentRing:
         self._frobenius_fits = _is_prime(m) and _chunk_size(W) >= W
 
     def _frobenius_matrix(self):
-        """Column j is F(y^(j - 2d)) = z^(j - 2d), y = q^(1/2): F is a ring
-        map and z = y^p is a window monomial (p <= d).  The powers of z and
-        of 1/z are built by doubling, z^K..z^(2K-1) as one product of
-        z^0..z^(K-1) with z^K, so the build costs about one product of W
-        candidates."""
+        """Column j is F(y^(j - 2d)) = y^(p (j - 2d)), y = q^(1/2), reduced
+        into the window.  Column 2d is the constant monomial; column j + 1
+        is column j times y^p: its top p entries leave the window, to the
+        rows `outside` in folding order, and the rest move up by p.  Below
+        2d, column j - 1 is column j times y^(-p), the bottom p leaving.
+        The leaving entries are folded back through the generator, as `mul`
+        folds a product's overflow rows; the fold is linear, so it is taken
+        once on the p unit rows, and each column costs one product of its
+        leaving entries with their images (exact: p terms below p^2)."""
         d, W, p = self.d, self.W, self.m
-        images = np.empty((W, W), dtype=np.float64)
-        for sign, count in ((1, 2 * d), (-1, 2 * d + 1)):
-            z = np.zeros((W, 1), dtype=np.int64)
-            z[2 * d + sign * p] = 1
-            powers = np.zeros((W, 1), dtype=np.int64)
-            powers[2 * d] = 1
-            while powers.shape[1] < count:
-                top = self.mul(powers[:, -1:], z)
-                powers = np.hstack([powers, self.mul(powers, top)])
-            if sign == 1:
-                images[:, 2 * d :] = powers[:, :count]
-            else:
-                images[:, : 2 * d + 1] = powers[:, count - 1 :: -1]
+        images = np.zeros((W, W), dtype=np.float64)
+        images[2 * d, 2 * d] = 1
+        for columns, outside, offsets, coeffs, leave, stay, land in (
+            (range(2 * d + 1, W), range(W + 2 * p - 1, W + p - 1, -1), self.down, self.down_coeffs,
+             slice(W - p, W), slice(W - p), slice(p, W)),
+            (range(2 * d - 1, -1, -1), range(p), self.up, self.up_coeffs,
+             slice(p), slice(p, W), slice(W - p)),
+        ):
+            P = np.zeros((W + 2 * p, p), dtype=np.int64)  # the window: rows p..W+p-1
+            P[sorted(outside), np.arange(p)] = 1
+            self._fold(P, outside, offsets, coeffs)
+            fold = (P[p : W + p] % p).astype(np.float64)
+            for j in columns:
+                column = images[:, j - columns.step]
+                images[:, j] = fold @ column[leave]
+                images[land, j] += column[stay]
+                images[:, j] %= p
         return images
+
+    def _fold(self, P, rows, offsets, coeffs):
+        """Fold each of `rows` of P, in order, into the rows at `offsets`
+        from it: subtract P[r] mod m times the generator anchored at r."""
+        for r in rows:
+            P[r + offsets] -= coeffs * (P[r] % self.m)
 
     def mul(self, A, B):
         """Product of (W, n) arrays with entries in [0, m)."""
@@ -196,10 +215,8 @@ class _ComponentRing:
             if row.any():
                 P[i : i + W] += row * B
         P %= m
-        for r in range(2 * W - 2, 6 * d - 1, -1):
-            P[r + self.down] -= self.down_coeffs * (P[r] % m)
-        for r in range(2 * d):
-            P[r + self.up] -= self.up_coeffs * (P[r] % m)
+        self._fold(P, range(2 * W - 2, 6 * d - 1, -1), self.down, self.down_coeffs)
+        self._fold(P, range(2 * d), self.up, self.up_coeffs)
         return P[2 * d : 6 * d] % m
 
     def _power(self, x, e):
@@ -439,12 +456,16 @@ def _echelon(A, p, columns):
         if not nonzero.size:
             continue
         i = rank + int(nonzero[0])
-        A[[rank, i]] = A[[i, rank]]
-        A[rank, j:] = A[rank, j:] * pow(int(A[rank, j]), -1, p) % p
+        if i != rank:
+            A[[rank, i]] = A[[i, rank]]
+        pivot = int(A[rank, j])
+        if pivot != 1:
+            A[rank, j:] = A[rank, j:] * pow(pivot, -1, p) % p
         factors = A[:, j].copy()
         factors[rank] = 0
         rows = np.flatnonzero(factors)
-        A[rows, j:] = (A[rows, j:] - factors[rows, None] * A[rank, j:]) % p
+        if rows.size:
+            A[rows, j:] = (A[rows, j:] - factors[rows, None] * A[rank, j:]) % p
         pivots.append(j)
         rank += 1
     return pivots
@@ -648,12 +669,11 @@ def _has_root(target, d, p, pieces=None):
 def _search_component(d, m, target, exponent, budget, support):
     space = m**support
     cap = min(space, budget)
-    # a prime d solves where its scan would build the Frobenius matrix:
-    # with at least W candidates to test in the first chunk
-    if exponent == m and cap >= 4 * d:
-        ring = _ComponentRing(d, m)
-        if ring._frobenius_fits:
-            return _solve_component(ring, target, budget, support)
+    # a prime d solves once it has W candidates to test (fewer are scanned
+    # by square-and-multiply, with no W x W build) and while the float64
+    # W x W Frobenius matrix fits in 32 MiB (d <= 512)
+    if exponent == m and _is_prime(m) and cap >= 4 * d and 8 * (4 * d) ** 2 <= 32 << 20:
+        return _solve_component(_ComponentRing(d, m), target, budget, support)
     # a composite d's prime component with no root is decided from its
     # local pieces, with the count the scan would report (cap, exhausted
     # iff cap is the whole space); a root's witness is scanned for
@@ -679,13 +699,13 @@ def dth_root_search(p, d, budget=DEFAULT_BUDGET, support_limit=None):
     """Decide whether some alpha has alpha^d = p in Z[q^(±1/2)]/(d, [3]^d-[3]).
 
     For prime d, x^d is the Frobenius and one linear solve over F_d
-    decides the d^(4d)-element ring (`_solve_component`), where a scan
-    would power at least W candidates with the Frobenius matrix; its
-    result, `searched` included, is the one the scan in increasing order
-    would give.  Composite d splits by CRT into prime-power component
-    rings, searched smallest first (a root exists iff one exists in every
-    component); a prime component with no root is decided from its local
-    pieces (`_has_root`), every other one scanned.  `budget` caps the
+    decides the d^(4d)-element ring (`_solve_component`) once the budget
+    covers W candidates, for d <= 512; its result, `searched` included,
+    is the one the scan in increasing order would give.  Composite d
+    splits by CRT into prime-power component rings, searched smallest
+    first (a root exists iff one exists in every component); a prime
+    component with no root is decided from its local pieces
+    (`_has_root`), every other one scanned.  `budget` caps the
     total number of candidates tested; exceeding it yields
     budget_exhausted, never a false not_found.
     `support_limit` restricts candidates to the low window positions

@@ -144,8 +144,10 @@ class TestRootSearch:
 
     @pytest.mark.parametrize("d", [5, 47])
     def test_tiny_budget_builds_no_frobenius_matrix(self, monkeypatch, d):
-        # the matrix costs about one product of W candidates: a budget
-        # below W scans by square-and-multiply, W or more solves with it
+        # a budget below W scans by square-and-multiply and builds no
+        # matrix, W or more solves with it: the build (about W^2 p) and
+        # the row reduction (up to W^3) outgrow a handful of candidates at
+        # a large d (0.8 s against 0.2 s for one candidate at d = 347)
         builds = []
         build = _ComponentRing._frobenius_matrix
 
@@ -251,6 +253,41 @@ class TestPrimeSolve:
         assert res.outcome == "found" and res.searched == 761201 * (1 << 14)
         coeffs = res.witness.coeffs
         assert sum(c * 5**pos for pos, c in enumerate(coeffs)) == 12471516876
+
+    def test_solve_beyond_the_chunk_rule(self, monkeypatch):
+        # at d = 367 a chunk holds fewer than W = 1468 candidates, so the
+        # scan builds no Frobenius matrix; the solve has its own rule (the
+        # W x W matrix within 32 MiB) and reports the scan's outcome and
+        # count, two chunks of 1429
+        solves = []
+        solve = symmetry._solve_component
+
+        def spied(ring, target, budget, support):
+            solves.append((ring.d, budget))
+            return solve(ring, target, budget, support)
+
+        monkeypatch.setattr(symmetry, "_solve_component", spied)
+        assert _chunk_size(4 * 367) == 1429
+        res = dth_root_search(qint(2), 367, budget=2 * 1429)
+        assert solves == [(367, 2858)]
+        assert res.outcome == "budget_exhausted" and res.searched == 2858
+        assert res.detail == (
+            "mod-367 component space 367^1468 (about 8.5e+3764 candidates) "
+            "exceeds the remaining budget of 2858 candidates"
+        )
+
+    def test_no_solve_beyond_32_mib(self, monkeypatch):
+        # 521 is the least prime whose float64 W x W matrix exceeds 32 MiB
+        # (d <= 512 fits): it is scanned (stubbed here), never solved
+        calls = []
+        monkeypatch.setattr(symmetry, "_solve_component", lambda *args: calls.append("solve"))
+        monkeypatch.setattr(
+            symmetry, "_search_component_generic", lambda *args: calls.append("scan")
+        )
+        assert 8 * (4 * 521) ** 2 > 32 << 20 >= 8 * (4 * 512) ** 2
+        for d in (509, 521):
+            _search_component(d, d, (0,) * (4 * d), d, 4 * d, 4 * d)
+        assert calls == ["solve", "scan"]
 
     @pytest.mark.parametrize("d, support", [(5, 5), (7, 4)])
     def test_low_support(self, d, support):
@@ -477,10 +514,25 @@ class TestComponentRingOracle:
                     assert expect(IdealResidue(d, a) ** e) == ae.tolist(), (d, m, e)
             assert (ring.frobenius is None) == (m in (4, 8, 9)), (d, m)
 
+    @pytest.mark.parametrize("d", range(2, 61))
+    def test_frobenius_columns_are_reduced_monomials(self, d):
+        # column j is y^(p (j - 2d)), y = q^(1/2), reduced by the dict-based
+        # mod_reduce; reducing mod d and then mod p is reducing mod p, as
+        # p divides d and the elimination is linear
+        for m in _prime_power_factors(d):
+            p = next(q for q in range(2, m + 1) if m % q == 0)
+            F = _ComponentRing(d, p)._frobenius_matrix()
+            for j in range(4 * d):
+                monomial = HalfLaurent.monomial(p * (j - 2 * d))
+                want = [c % p for c in mod_reduce(monomial, d).coeffs]
+                assert F[:, j].tolist() == want, (d, p, j)
+
     @pytest.mark.parametrize("d", [5, 47])
     def test_frobenius_matrix_waits_for_w_candidates(self, d):
-        # its build costs about one product of W candidates, so fewer are
-        # powered by square-and-multiply, as at a tiny budget; both agree
+        # the build (about W^2 p) is at most a quarter of one product of W
+        # candidates with the matrix (W^3), so the first pow of W builds
+        # it; fewer are powered by square-and-multiply, as at a tiny
+        # budget; both agree
         rng = np.random.default_rng(d)
         W = 4 * d
         A = rng.integers(0, d, size=(W, W), dtype=np.int64)
