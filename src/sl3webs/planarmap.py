@@ -647,8 +647,9 @@ def _shape(cmap):
     costs rooted matches, never a wrong answer.
     """
     flen = cmap.face_lengths()
-    theta = cmap.theta
-    return hash(tuple(sorted(tuple(sorted([flen[theta[d]] for d in face])) for face in cmap.faces())))
+    ftheta = list(map(flen.__getitem__, cmap.theta))
+    across = ftheta.__getitem__
+    return hash(tuple(sorted([tuple(sorted(map(across, face))) for face in cmap.faces()])))
 
 
 def _unpack(blob):
@@ -668,19 +669,40 @@ def _rooting(cmap):
     return _least_roots(_rotations(cmap, True))
 
 
-def _rooted_match(cmap, roots, word):
+def _rooted_match(cmap, least, word):
     """Whether `word` is the BFS word of one of a connected map's roots.
 
-    With `roots` from `_rooting(cmap)` and `word` that of a rooted entry
-    of the same least class, this holds iff the two maps are isomorphic,
-    mirror included: an isomorphism carries the entry's first root to one
-    of these, and equal words relabel one map into the other.  Each root
-    is abandoned at its first label that differs.
+    `least` and `word` are a rooted entry's least class and the word of
+    its first root of that class.  This holds iff the two maps are
+    isomorphic, mirror included: an isomorphism carries the entry's root
+    to a root of the same class, and equal words relabel one map into the
+    other.  So only the roots of that class are tried, sigma's first and
+    then the mirror rotation's, built only if those fail; each root is
+    abandoned at its first label that differs.  The class digits are read
+    as `_least_roots` packs them.
     """
     theta = cmap.theta
-    if len(word) != 2 * len(theta):
+    n = len(theta)
+    if len(word) != 2 * n:
         return False
-    lab = [-1] * len(theta)
+    base = n + 1
+    top, mid, low = least // base**2, least // base % base, least % base
+    flen = cmap.face_lengths()
+    sigma = cmap.sigma
+    # the darts on faces of length top; their theta images lie on mirror
+    # faces of that length
+    ends = [d for face in cmap.faces() if len(face) == top for d in face]
+
+    def mirror_roots():
+        rot = [sigma[s] for s in sigma]
+        for d in map(theta.__getitem__, ends):
+            if flen[d] == mid and flen[rot[d]] == low:
+                yield rot, d
+
+    roots = itertools.chain(
+        ((sigma, d) for d in ends if flen[theta[d]] == mid and flen[theta[sigma[d]]] == low), mirror_roots()
+    )
+    lab = [-1] * n
     order = ()
     for rot, root in roots:
         for d in order:
@@ -700,9 +722,10 @@ class _IsoStore(dict):
     empty is a certain miss; it is stored as its packed darts and face
     lengths, which is all that rooting it later reads.  An entry a
     probe meets in a shared bucket is rooted once: it keeps its least root
-    class and the BFS word of its first root of that class, and a probe of
-    the same class is a hit iff the BFS from one of its own roots of that
-    class, either rotation, reproduces the word.  No canonical form is
+    class and the BFS word of its first root of that class, and a probe is
+    a hit iff the BFS from one of its own roots of that class, either
+    rotation, reproduces the word.  The probe itself is never classed:
+    only its darts of the entry's class are read.  No canonical form is
     computed: each root is abandoned at its first differing label.
     """
 
@@ -710,13 +733,11 @@ class _IsoStore(dict):
         """The entry of the stored map isomorphic to a connected map, or
         else a new stored entry for it with value None."""
         bucket = self.setdefault(_shape(cmap), [])
-        if bucket:
-            least, roots = _rooting(cmap)
-            for entry in bucket:
-                if entry.word is None:
-                    entry.root()
-                if entry.least == least and _rooted_match(cmap, roots, entry.word):
-                    return entry
+        for entry in bucket:
+            if entry.word is None:
+                entry.root()
+            if _rooted_match(cmap, entry.least, entry.word):
+                return entry
         bucket.append(_Entry(cmap))
         return bucket[-1]
 

@@ -11,6 +11,7 @@ criterion.
 
 from __future__ import annotations
 
+import functools
 import re
 
 
@@ -34,6 +35,15 @@ class HalfLaurent:
                     clean[k] = c
         self._terms = clean
         self._hash = None
+
+    @classmethod
+    def _of(cls, terms):
+        """A polynomial on a dict of int keys and nonzero int values, kept
+        as it is: the arithmetic's own results, which need no check."""
+        p = cls.__new__(cls)
+        p._terms = terms
+        p._hash = None
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -102,12 +112,13 @@ class HalfLaurent:
         out = dict(self._terms)
         for k, c in o._terms.items():
             out[k] = out.get(k, 0) + c
-        return HalfLaurent(out)
+        # a fresh dict is sized to its terms: a memo keeps its sums
+        return HalfLaurent._of({k: c for k, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HalfLaurent({k: -c for k, c in self._terms.items()})
+        return HalfLaurent._of({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -130,7 +141,7 @@ class HalfLaurent:
             for k2, c2 in o._terms.items():
                 k = k1 + k2
                 out[k] = out.get(k, 0) + c1 * c2
-        return HalfLaurent(out)
+        return HalfLaurent._of({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -326,9 +337,11 @@ def parse_qpoly(text: str) -> HalfLaurent:
 # -- quotient rings Z[q^(±1/2)] / (d, [3]^d - [3]) --------------------------
 
 
+@functools.cache
 def ideal_generator(d: int, modulus: int) -> HalfLaurent:
     """The polynomial generator [3]^d - [3] of the congruence ideal, with
-    its coefficients reduced into [0, modulus).
+    its coefficients reduced into [0, modulus).  Kept per (d, modulus): a
+    HalfLaurent is immutable.
 
     The coefficients are reduced at every step of the power, so a large d
     never expands [3]^d over Z (whose coefficients have about d/2 digits).
@@ -444,42 +457,29 @@ def mod_reduce(p: HalfLaurent, d: int) -> IdealResidue:
     by eliminating against the generator, whose extreme terms q^(±d) both
     have coefficient 1.  Eliminations from the top only insert exponents
     >= -2d and ones from the bottom only insert exponents <= 2d-1, so the
-    procedure terminates with a unique representative.
+    procedure terminates with a unique representative.  So the top terms
+    are eliminated in one falling sweep and then the bottom terms in one
+    rising sweep, over a dense list of the coefficients.
     """
     if d < 2:
         raise ValueError("modulus must be at least 2")
-    g = dict(ideal_generator(d, d).items())
-    work = {k: c % d for k, c in p.items() if c % d}
+    g = ideal_generator(d, d)._terms
     hi, lo = 2 * d, -2 * d
-
-    def eliminate(k):
-        c = work.pop(k)
-        shift = k - hi if k >= hi else k - lo
-        for j, gc in g.items():
-            jj = j + shift
-            if jj == k:
-                continue
-            v = (work.get(jj, 0) - c * gc) % d
-            if v:
-                work[jj] = v
-            else:
-                work.pop(jj, None)
-
-    while work:
-        top = max(work)
-        if top >= hi:
-            eliminate(top)
-            continue
-        bottom = min(work)
-        if bottom < lo:
-            eliminate(bottom)
-            continue
-        break
-
-    coeffs = [0] * (4 * d)
-    for k, c in work.items():
-        coeffs[k + 2 * d] = c
-    return IdealResidue(d, coeffs)
+    terms = p._terms
+    low = min([lo, *terms])
+    work = [0] * (max([hi, *terms]) + 1 - low)
+    for k, c in terms.items():
+        work[k - low] = c % d
+    # eliminating at k subtracts c q^(shift/2) g, whose term at k is c;
+    # a coefficient is reduced mod d when it is read
+    top = [(j - hi, gc) for j, gc in g.items() if j != hi]
+    bottom = [(j - lo, gc) for j, gc in g.items() if j != lo]
+    for k in [*range(len(work) - 1, hi - low - 1, -1), *range(lo - low)]:
+        c = work[k] % d
+        if c:
+            for j, gc in top if k >= hi - low else bottom:
+                work[k + j] -= c * gc
+    return IdealResidue(d, work[lo - low : hi - low])
 
 
 def congruent_mod(p: HalfLaurent, r: HalfLaurent, d: int) -> bool:

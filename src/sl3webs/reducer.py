@@ -14,10 +14,15 @@ several.  Every nonempty web admits a move (all faces are even, so
 Euler's formula forces a face of degree <= 4) and every move strictly
 shrinks (vertices, circles), so reduction terminates.
 
-`invariant` first contracts every bigon, least dart first, and multiplies
-by (-[2])^l once for the l contractions; only then does it strip circles,
-split components and probe the memo.  So the memo holds bigon-free webs
-only, and a reduced web is split at a bond or smoothed at a square.  A
+`invariant` first contracts every bigon and multiplies by (-[2])^l once
+for the l contractions; only then does it strip circles, split
+components and probe the memo.  So the memo holds bigon-free webs only,
+and a reduced web is split at a bond or smoothed at a square.  The
+contractions run as one cascade (`_cascade`), which follows the bigons
+each contraction closes and rewires the web once; `simplify` seeds it
+with the web's own bigons, and `_reduce` with the two new edges of each
+smoothing of its square, so a child reaches the memo already bigon-free
+and is valued times (-[2])^u for its u contractions.  A
 bigon has exactly one child, so memoizing it shares nothing.  Values
 cannot change, since each contraction is the bigon relation itself.  No
 hit is lost, since a web's bigon-free form is unique up to isomorphism:
@@ -25,7 +30,10 @@ two bigons of a web other than the theta share no vertex (a vertex on
 two would carry a triple edge), so contracting one leaves the other a
 bigon, and both orders give the same web.  Each contraction removes two
 vertices, so every order ends in the same bigon-free form (Newman's
-lemma), and isomorphic webs reach isomorphic forms.
+lemma), and isomorphic webs reach isomorphic forms.  Contraction is
+local surgery on labelled darts, so every order reaches the same
+labelled web: the cascade's result is byte for byte that of
+`apply_bigon` at the least dart, applied until no bigon is left.
 
 A web that misses the memo and has a 2-bond is valued from its primes:
 P(A # B) = P(A) P(B) / [3], where A and B are the sides `planarmap.split`
@@ -55,6 +63,7 @@ side of a composite miss is probed, only its primes.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -224,18 +233,76 @@ def clear_memo():
 
 
 def simplify(web):
-    """Contract bigon faces, least dart first, until none remain; returns
-    (web, uses).
+    """Contract bigon faces until none remain; returns (web, uses).
 
-    Every doubled edge of a cubic bipartite genus-0 web bounds a bigon face
-    on one side, so the result is simple unless the web collapsed to
-    circles (vertexless output).
+    The cascade `_cascade` seeded with the web's own bigons: the result is
+    the one a loop of `apply_bigon` at the least dart reaches, byte for
+    byte, built with one rewiring.  Every doubled edge of a cubic
+    bipartite genus-0 web bounds a bigon face on one side, so the result
+    is simple unless the web collapsed to circles (vertexless output).
     """
-    uses = 0
-    while (site := _least_dart_on(web.map, 2)) is not None:
-        web, _ = apply_bigon(web, site)
+    seeds = [face[0] for face in web.map.faces() if len(face) == 2]
+    return _cascade(web, (), (), seeds) if seeds else (web, 0)
+
+
+def _cascade(web, face, pairs, seeds):
+    """(child, uses): drop the vertices of `face`'s darts, re-pair the
+    surviving darts of `pairs`, and contract every bigon that an edge of
+    `seeds` (a list of darts, one per edge, consumed) bounds, `uses`
+    contractions in all; one `_drop_and_rewire`.
+
+    An edge x-y bounds a bigon iff theta(sigma y) = sigma^2 x (the face
+    x, sigma y) or theta(sigma x) = sigma^2 y (the same with x and y
+    swapped).  In the first case the bigon's legs are sigma x and
+    sigma^2 y, and contracting it joins their partners, or closes them
+    into a circle when the legs are one edge (a theta); the joined edge is
+    checked in turn.  A face that a contraction changes runs through the
+    joined edge, so a bigon the cascade creates is always found.  Two
+    bigons of a web other than the theta share no vertex, so every order
+    of contractions reaches the same labelled web (the `reducer`
+    docstring): this one is `apply_bigon`'s, least dart first, byte for
+    byte.
+    """
+    sigma = web.map.sigma
+    theta = list(web.map.theta)
+    moved = []
+    for a, b in pairs:
+        theta[a] = b
+        theta[b] = a
+        moved += (a, b)
+    dropped = list(face)
+    dead = {x for d in face for x in (d, sigma[d], sigma[sigma[d]])}
+    uses = circles = 0
+    while seeds:
+        x = seeds.pop()
+        if x in dead:
+            continue
+        y = theta[x]
+        if theta[sigma[y]] != sigma[sigma[x]]:
+            x, y = y, x
+            if theta[sigma[y]] != sigma[sigma[x]]:
+                continue
+        sx, sy = sigma[x], sigma[y]
+        s2y = sigma[sy]
+        dead.update((x, sx, sigma[sx], y, sy, s2y))
+        dropped += (x, y)
         uses += 1
-    return web, uses
+        a, b = theta[sx], theta[s2y]
+        if a == s2y:
+            circles += 1
+        else:
+            theta[a] = b
+            theta[b] = a
+            moved += (a, b)
+            seeds.append(a)
+    new_pairs = {(a, theta[a]) for a in moved if a not in dead and a < theta[a]}
+    return _drop_and_rewire(web, dropped, new_pairs, circles), uses
+
+
+@functools.cache
+def _bigon_power(uses):
+    """(-[2])^uses, shared: a HalfLaurent is immutable."""
+    return BIGON_FACTOR**uses
 
 
 def factorize(web):
@@ -267,12 +334,22 @@ def _reduce(web):
     # primes if it has a 2-bond, else (its only prime) smoothed at a square
     primes, uses = factorize(web)
     if primes != (web,):
-        value = math.prod(map(invariant, primes), start=BIGON_FACTOR**uses)
+        value = math.prod(map(invariant, primes), start=_bigon_power(uses))
         for _ in primes[1:]:
             value = _div3(value)
         return value
-    red = find_reducible(web)
-    return sum(invariant(child) for child in apply_square(web, red.site))
+    face, legs = _disk(web, find_reducible(web).site, "square", 4)
+    # a leg's partner is off the square: a second edge between square
+    # vertices would be a bigon, or join two vertices of one colour
+    t0, t1, t2, t3 = map(web.map.theta.__getitem__, legs)
+    smoothings = (((t0, t1), (t2, t3)), ((t1, t2), (t3, t0)))
+    return sum(_scaled(*_cascade(web, face, pairs, [pairs[0][0], pairs[1][0]])) for pairs in smoothings)
+
+
+def _scaled(child, uses):
+    """(-[2])^uses P(child)."""
+    value = invariant(child)
+    return _bigon_power(uses) * value if uses else value
 
 
 def _div3(value):
@@ -311,7 +388,7 @@ def invariant(web):
     """
     web, uses = simplify(web)
     scaled = uses or web.circles
-    result = BIGON_FACTOR**uses
+    result = _bigon_power(uses)
     if web.circles:
         result = result * CIRCLE_FACTOR**web.circles
         web = web.with_circles(0)

@@ -305,6 +305,79 @@ class TestApplySquare:
         assert invariant(a) + invariant(b) == invariant(w)
 
 
+def bigon_loop(web):
+    """The reference for `simplify`: apply_bigon at the least dart of a
+    2-face until none is left; (web, uses)."""
+    uses = 0
+    while bigons := [face[0] for face in web.map.faces() if len(face) == 2]:
+        web, _ = apply_bigon(web, bigons[0])
+        uses += 1
+    return web, uses
+
+
+def assert_same_result(got, want):
+    """Equal (web, uses) pairs, the webs byte for byte: darts, faces and
+    circles."""
+    (a, ua), (b, ub) = got, want
+    assert ua == ub and a.circles == b.circles
+    assert (a.map.sigma, a.map.theta, a.map.faces()) == (b.map.sigma, b.map.theta, b.map.faces())
+
+
+def multi_edge_webs():
+    """Webs with doubled edges: thetas, digon prisms and expansions, bigon
+    chains, sums joined at doubled edges and sums of digon prisms, with
+    their mirror images and the reduce_at children of each."""
+    dcube, dhex = digon_expand(cube_web(), 0), digon_expand(hex_prism_web(), 0)
+    webs = [theta_web(), digon_prism_web(), dcube, dhex, digon_expand(dcube, dcube.map.n_darts - 5)]
+    webs += [connected_sum(dcube, dcube.map.n_darts - 5, cube_web(), 0),
+             connected_sum(dcube, dcube.map.n_darts - 5, dcube, dcube.map.n_darts - 5),
+             connected_sum(dhex, dhex.map.n_darts - 5, dcube, dcube.map.n_darts - 5)]
+    for name, seed in (("prime_4_1", 5), ("prime_9_1", 6), ("omni_tetrahedron", 7)):
+        web = fixture_web(name)
+        rng = random.Random(seed)
+        for dart in rng.sample(range(web.map.n_darts), 4):
+            web = with_bigon(web, dart)
+        for _ in range(2):
+            web = with_bigon(web, web.map.n_darts - 3)
+        webs.append(web)
+    webs += split_sums()
+    webs += [mirror(w) for w in webs]
+    return webs + children_of(webs)
+
+
+class TestCascade:
+    def test_simplify_is_the_bigon_loop(self):
+        webs = fixture_webs() + multi_edge_webs()
+        assert sum(bigon_loop(w)[1] > 0 for w in webs) > 100
+        for w in webs:
+            assert_same_result(reducer.simplify(w), bigon_loop(w))
+
+    def test_square_children_are_the_loop(self, empty_memo, monkeypatch):
+        # every square the engine smooths on the solids: its two cascades,
+        # in order, are apply_square's children after the bigon loop
+        smoothed = {}
+        cascade = reducer._cascade
+
+        def spy(web, face, pairs, seeds):
+            result = cascade(web, face, pairs, seeds)
+            if face:
+                smoothed.setdefault(id(web), (web, face[0], []))[2].append(result)
+            return result
+
+        monkeypatch.setattr(reducer, "_cascade", spy)
+        for path in sorted(FIXTURES.glob("omni_*.dart")):
+            assert invariant(parse_web(path.read_text())) == pinned_solid(path.stem)
+        assert len(smoothed) == 660
+        contracted = 0
+        for web, site, results in smoothed.values():
+            wants = list(map(bigon_loop, apply_square(web, site)))
+            assert len(results) == 2
+            for got, want in zip(results, wants):
+                assert_same_result(got, want)
+                contracted += got[1]
+        assert contracted > 0
+
+
 class TestInvariant:
     def test_circle(self):
         assert invariant(empty_web(1)) == HalfLaurent({2: 1, 0: 1, -2: 1})
@@ -380,6 +453,18 @@ class TestMemo:
             assert invariant(relabelled_mirror(w, zlib.crc32(name.encode()))) == value
             assert calls == []
             monkeypatch.undo()
+
+    def test_every_fixture_hits_mirrored_and_relabelled(self):
+        # a probe is never classed: its roots of the stored entry's class,
+        # in either rotation, find the entry of any relabelled or mirrored copy
+        for k, w in enumerate(fixture_webs()):
+            if len(w.map.components()) != 1:
+                continue
+            store = planarmap._IsoStore()
+            entry = store.entry(w.map)
+            for copy in (mirror(w), shuffled(w, random.Random(k)), relabelled_mirror(w, k)):
+                assert store.entry(copy.map) is entry
+            assert entry.word is not None and sum(map(len, store.values())) == 1
 
     def test_one_shape_bucket(self, empty_memo, monkeypatch):
         # every web shares one bucket: entries are keyed lazily and scanned
@@ -659,18 +744,19 @@ class TestFactoring:
         splits = []
         squares = []
         split = reducer.split
-        apply = reducer.apply_square
+        cascade = reducer._cascade
 
         def counted_split(web, cut):
             splits.append(web.n_vertices)
             return split(web, cut)
 
-        def checked_square(web, site):
-            squares.append(bool(planarmap._bonds(web.map)))
-            return apply(web, site)
+        def checked_square(web, face, pairs, seeds):
+            if face:  # a square's smoothing, not a bigon cascade
+                squares.append(bool(planarmap._bonds(web.map)))
+            return cascade(web, face, pairs, seeds)
 
         monkeypatch.setattr(reducer, "split", counted_split)
-        monkeypatch.setattr(reducer, "apply_square", checked_square)
+        monkeypatch.setattr(reducer, "_cascade", checked_square)
         parts = ["10_3", "8_1", "9_2", "10_7"]
         for name in parts:
             invariant(fixture_web(f"prime_{name}"))
