@@ -60,7 +60,7 @@ def _cmd_decompose(args):
     web = _read_web(args.web)
     dec = decompose(web)
     values = [invariant(p) for p in dec.primes]
-    lhs, rhs = identity_sides(web, dec, values)
+    lhs, rhs = identity_sides(dec, values)
     holds = lhs == rhs
     if args.pretty:
         lines = [f"k={dec.k} l={dec.l} identity_holds={holds}"]

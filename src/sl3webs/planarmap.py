@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import array
 import itertools
+import struct
 from collections import Counter
 from operator import itemgetter
 
@@ -619,23 +620,38 @@ def disjoint_union(w1, w2):
 
 
 class _Entry:
-    """A stored map's value, with the map's packed darts and face lengths
-    until a probe of the same shape roots the entry: then the map's least
-    root class and the BFS word of its first root of that class."""
+    """A stored map's value and its packed labels, sigma then theta, with
+    its packed face lengths until a probe of the same shape roots the
+    entry: then the map's least root class and the BFS word of its first
+    root of that class, packed as the labels are."""
 
-    __slots__ = ("blob", "least", "word", "value")
+    __slots__ = ("labels", "flen", "least", "word", "value")
 
     def __init__(self, cmap):
-        self.blob = array.array("i", [*cmap.sigma, *cmap.theta, *cmap.face_lengths()]).tobytes()
+        n = cmap.n_darts
+        self.labels = _pack(n, cmap.sigma + cmap.theta)
+        self.flen = _pack(n, cmap.face_lengths())
         self.least = self.word = self.value = None
 
     def root(self):
-        """Replace the packed darts by the least class and rooted word."""
-        cmap = _unpack(self.blob)
+        """Root the entry, dropping its face lengths."""
+        cmap = _unpack(self)
+        n = cmap.n_darts
         self.least, roots = _rooting(cmap)
         rot, root = roots[0]
-        self.word = array.array("i", _rooted_word(cmap.theta, rot, root, [-1] * cmap.n_darts)[1])
-        self.blob = None
+        self.word = array.array(_code(n), _pack(n, _rooted_word(cmap.theta, rot, root, [-1] * n)[1]))
+        self.flen = None
+
+
+def _code(n):
+    """The struct code of the narrowest int that holds the labels and face
+    lengths of a map of n darts, all at most n: int16 below 2^15 darts."""
+    return "h" if n < 1 << 15 else "i"
+
+
+def _pack(n, values):
+    """Ints of a map of n darts, at most n each, packed by `_code(n)`."""
+    return struct.pack(f"{len(values)}{_code(n)}", *values)
 
 
 def _shape(cmap):
@@ -652,14 +668,16 @@ def _shape(cmap):
     return hash(tuple(sorted([tuple(sorted(map(across, face))) for face in cmap.faces()])))
 
 
-def _unpack(blob):
-    """The map an `_Entry` packed, unchecked: it was a web's map.  Its face
-    lengths come with it, so rooting it walks no face."""
-    packed = array.array("i")
-    packed.frombytes(blob)
-    n = len(packed) // 3
-    cmap = CombMap._trusted(tuple(packed[:n]), tuple(packed[n : 2 * n]), None)
-    cmap._face_len = packed[2 * n :].tolist()
+def _unpack(entry):
+    """The map an unrooted `_Entry` packed, unchecked: it was a web's map.
+    Its face lengths come with it, so rooting it walks no face."""
+    # the 2n labels take 4n bytes at int16; int32 is used from 2^15 darts,
+    # where a quarter of their 8n bytes is past 2^15 too
+    code = _code(len(entry.labels) // 4)
+    labels = memoryview(entry.labels).cast(code).tolist()
+    n = len(labels) // 2
+    cmap = CombMap._trusted(tuple(labels[:n]), tuple(labels[n:]), None)
+    cmap._face_len = memoryview(entry.flen).cast(code).tolist()
     return cmap
 
 
@@ -717,29 +735,50 @@ class _IsoStore(dict):
     """Connected maps up to isomorphism, mirror included, each with a
     value: shape -> entries of that shape, in insertion order.
 
-    The shape (the faces, each by the lengths of its neighbouring faces)
-    is invariant under relabelling and mirroring, so a map whose bucket is
-    empty is a certain miss; it is stored as its packed darts and face
-    lengths, which is all that rooting it later reads.  An entry a
-    probe meets in a shared bucket is rooted once: it keeps its least root
-    class and the BFS word of its first root of that class, and a probe is
-    a hit iff the BFS from one of its own roots of that class, either
-    rotation, reproduces the word.  The probe itself is never classed:
-    only its darts of the entry's class are read.  No canonical form is
-    computed: each root is abandoned at its first differing label.
+    A probe first looks up the hash of its labels (sigma, theta) in
+    `by_labels`, which maps the labels' hash of each entry to the entry; it
+    is a hit iff the entry's packed labels equal the probe's byte for byte,
+    so a hash collision only costs the shape path.  A tuple of ints hashes
+    without PYTHONHASHSEED.
+
+    Otherwise the shape decides: the shape (the faces, each by the lengths
+    of its neighbouring faces) is invariant under relabelling and
+    mirroring, so a map whose bucket is empty is a certain miss; it is
+    stored as its packed labels and face lengths, which is all that
+    rooting it later reads.  An entry a probe meets in a shared bucket is
+    rooted once: it keeps its least root class and the BFS word of its
+    first root of that class, and a probe is a hit iff the BFS from one of
+    its own roots of that class, either rotation, reproduces the word.
+    The probe itself is never classed: only its darts of the entry's class
+    are read.  No canonical form is computed: each root is abandoned at
+    its first differing label.
     """
+
+    def __init__(self):
+        super().__init__()
+        self.by_labels = {}
+
+    def clear(self):
+        super().clear()
+        self.by_labels.clear()
 
     def entry(self, cmap):
         """The entry of the stored map isomorphic to a connected map, or
         else a new stored entry for it with value None."""
+        key = hash((cmap.sigma, cmap.theta))
+        found = self.by_labels.get(key)
+        if found is not None and found.labels == _pack(cmap.n_darts, cmap.sigma + cmap.theta):
+            return found
         bucket = self.setdefault(_shape(cmap), [])
         for entry in bucket:
             if entry.word is None:
                 entry.root()
             if _rooted_match(cmap, entry.least, entry.word):
                 return entry
-        bucket.append(_Entry(cmap))
-        return bucket[-1]
+        entry = _Entry(cmap)
+        bucket.append(entry)
+        self.by_labels[key] = entry
+        return entry
 
 
 # -- connectivity ------------------------------------------------------------
@@ -1121,6 +1160,8 @@ def _parse_dart(lines):
             ds = _parse_int_list(ln.split(":", 1)[1], no)
             if len(ds) != 2:
                 raise FormatError("edge line needs exactly two darts", no)
+            if ds[0] == ds[1]:
+                raise FormatError(f"edge line pairs dart {ds[0]} with itself", no)
             pairs.append((ds, no))
             continue
         raise FormatError(f"unrecognized line {ln!r}", no)

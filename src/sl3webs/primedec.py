@@ -10,9 +10,12 @@ and satisfies the exact identity
     [3]^(k-1) * P(G) = (-[2])^l * prod_i P(G_i).
 
 `decompose` is its input checks plus the skein engine's own loop,
-`reducer.factorize`, whose result is kept on the web's map.  So
-`identity_holds` compares the engine's factorization with itself; the
-independent checks are `reducer.invariant_random_order`, which never
+`reducer.factorize`, whose result is kept on the web's map.
+`identity_sides` takes P(G) from the primes' values, as the engine's
+composite branch does (`reducer.sum_value`), so the sum itself is never
+valued or memoized: `identity_holds` checks that [3]^(k-1) divides
+(-[2])^l prod P(G_i) exactly, and a remainder raises ArithmeticError.
+The independent checks are `reducer.invariant_random_order`, which never
 splits, and the pinned prime products the tests and perfbench's `sums`
 check compare with.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .planarmap import MapError, _bonds, _drop_and_rewire, _require_connected, disjoint_union, split
-from .reducer import BIGON_FACTOR, CIRCLE_FACTOR, factorize, invariant, simplify
+from .reducer import CIRCLE_FACTOR, _bigon_power, factorize, simplify, sum_value
 
 
 class Decomposition:
@@ -66,14 +69,15 @@ def decompose(web):
     return Decomposition(*factorize(web))
 
 
-def product_identity_sides(web, dec):
-    """Evaluate both sides of [3]^(k-1) P(G) = (-[2])^l prod P(G_i)."""
-    return identity_sides(web, dec, [invariant(p) for p in dec.primes])
+def identity_sides(dec, prime_values):
+    """Both sides of the product identity, given P of each prime in order.
 
-
-def identity_sides(web, dec, prime_values):
-    """Both sides of the product identity, given P of each prime in order."""
-    return CIRCLE_FACTOR ** (dec.k - 1) * invariant(web), math.prod(prime_values, start=BIGON_FACTOR**dec.l)
+    P(G) is the right side divided by [3]^(k-1) (`reducer.sum_value`, as
+    the engine values a composite), which raises ArithmeticError unless
+    the division is exact.
+    """
+    rhs = math.prod(prime_values, start=_bigon_power(dec.l))
+    return CIRCLE_FACTOR ** (dec.k - 1) * sum_value(rhs, dec.k), rhs
 
 
 def connected_sum(a, ea, b, eb):

@@ -43,9 +43,10 @@ so a scalar times the identity strand by Schur's lemma (Kuperberg,
 "Spiders for rank 2 Lie algebras", CMP 1996): closing side A alone
 gives P(A) = a[3], and closing the two together gives ab[3].
 `factorize` ends in k primes after l contractions, so P = (-[2])^l
-prod P(prime) / [3]^(k-1), each division exact: long division raises on
-a remainder, and every nonempty closed web's P is a multiple of [3]
-(every reduction ends in a circle).  No side of a bigon-free web
+prod P(prime) / [3]^(k-1) (`sum_value`, which `primedec.identity_sides`
+shares), each division exact: long division raises on a remainder, and
+every nonempty closed web's P is a multiple of [3] (every reduction
+ends in a circle).  No side of a bigon-free web
 collapses to a circle: a side holds one edge that is not the web's own,
 and so does each contraction's result, so a theta side would join its
 two vertices by two of the web's edges, a bigon.  So V = sum V(prime) +
@@ -334,16 +335,23 @@ def _reduce(web):
     # primes if it has a 2-bond, else (its only prime) smoothed at a square
     primes, uses = factorize(web)
     if primes != (web,):
-        value = math.prod(map(invariant, primes), start=_bigon_power(uses))
-        for _ in primes[1:]:
-            value = _div3(value)
-        return value
+        return sum_value(math.prod(map(invariant, primes), start=_bigon_power(uses)), len(primes))
     face, legs = _disk(web, find_reducible(web).site, "square", 4)
     # a leg's partner is off the square: a second edge between square
     # vertices would be a bigon, or join two vertices of one colour
     t0, t1, t2, t3 = map(web.map.theta.__getitem__, legs)
     smoothings = (((t0, t1), (t2, t3)), ((t1, t2), (t3, t0)))
     return sum(_scaled(*_cascade(web, face, pairs, [pairs[0][0], pairs[1][0]])) for pairs in smoothings)
+
+
+def sum_value(product, k):
+    """P of a connected sum of k primes from (-[2])^l prod P(prime), the
+    product of its primes' values and of its l contractions' factors:
+    the product / [3]^(k-1), each division exact (`_div3` raises on a
+    remainder)."""
+    for _ in range(k - 1):
+        product = _div3(product)
+    return product
 
 
 def _scaled(child, uses):

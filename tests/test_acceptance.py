@@ -32,7 +32,7 @@ from sl3webs.planarmap import (
     mirror,
     validate,
 )
-from sl3webs.primedec import connected_sum, decompose, find_2_edge_cuts, product_identity_sides
+from sl3webs.primedec import connected_sum, decompose, find_2_edge_cuts, identity_sides
 from sl3webs.qlaurent import HalfLaurent, parse_qexpr, qint
 from sl3webs.reducer import clear_memo, invariant, invariant_random_order
 from sl3webs.symmetry import check_quotient, dth_root_search, verify_witness
@@ -125,8 +125,8 @@ class TestCriterion4DecompositionIdentity:
                     w, rng.randrange(w.map.n_darts), other, rng.randrange(other.map.n_darts)
                 )
             dec = decompose(w)
-            lhs, rhs = product_identity_sides(w, dec)
-            assert lhs == rhs, f"identity failed on trial {trial}"
+            lhs, rhs = identity_sides(dec, [invariant(p) for p in dec.primes])
+            assert lhs == rhs == qint(3) ** (dec.k - 1) * invariant(w), f"identity failed on trial {trial}"
             # the same web with its darts shuffled is cut at its own least
             # bond, which is often another edge pair of the original
             perm = list(range(w.map.n_darts))

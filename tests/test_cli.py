@@ -99,8 +99,8 @@ class TestDecomposeCommand:
         assert obj["identity_holds"] is True
 
     def test_pretty_reuses_the_prime_values(self, capsys, monkeypatch, tmp_path):
-        # one evaluation per prime and one of the whole web, in both modes;
-        # the pretty text reads the values the identity was built from
+        # one evaluation per prime, in both modes, and none of the whole
+        # web; the pretty text reads the values the identity was built from
         from sl3webs import cli, primedec
         from sl3webs.primedec import connected_sum
 
@@ -114,12 +114,12 @@ class TestDecomposeCommand:
             expected.append(f"prime {i}: {w.n_vertices} vertices, P = {sl3webs.invariant(w).pretty()}")
         for argv in (("decompose", str(path)), ("decompose", str(path), "--pretty")):
             calls = []
-            for module in (cli, primedec):
-                engine = module.invariant
-                monkeypatch.setattr(module, "invariant", lambda web, engine=engine: calls.append(web) or engine(web))
+            engine = cli.invariant
+            monkeypatch.setattr(cli, "invariant", lambda web: calls.append(web) or engine(web))
             rc, out, _ = run(capsys, *argv)
             monkeypatch.undo()
-            assert rc == 0 and len(calls) == 3
+            assert rc == 0 and len(calls) == 2
+        assert not hasattr(primedec, "invariant")
         assert out == "\n".join(expected) + "\n"
 
     def test_each_junction_is_cut_once(self, capsys, monkeypatch, tmp_path):
@@ -146,6 +146,28 @@ class TestDecomposeCommand:
             obj = json.loads(out)
             assert rc == 0 and obj["k"] == k and obj["identity_holds"] is True
             assert len(splits) == k - 1
+
+    def test_cold_sum_stores_no_composite(self, capsys, monkeypatch, tmp_path):
+        # P of the sum comes from its primes' values: a cold sum of four
+        # primes is never probed or stored, and each prime is probed once
+        from sl3webs import cli, planarmap, reducer
+        from test_reducer import prime_sum, stored_map
+
+        store = planarmap._IsoStore()
+        monkeypatch.setattr(reducer, "_MEMO", store)
+        path = tmp_path / "sum_4.dart"
+        path.write_text(serialize_web(prime_sum(["10_3", "8_1", "9_2", "10_7"], random.Random(4))))
+        decs, probes = [], []
+        decompose, entry = cli.decompose, store.entry
+        monkeypatch.setattr(cli, "decompose", lambda web: decs.append(decompose(web)) or decs[-1])
+        monkeypatch.setattr(store, "entry", lambda cmap: probes.append(cmap) or entry(cmap))
+        rc, out, _ = run(capsys, "decompose", str(path))
+        assert rc == 0 and json.loads(out)["identity_holds"] is True
+        ((dec,),) = (decs,)
+        assert dec.k == 4
+        assert [sum(cmap is p.map for cmap in probes) for p in dec.primes] == [1] * 4
+        stored = [stored_map(e) for bucket in store.values() for e in bucket]
+        assert len(stored) > 4 and not any(planarmap._bonds(m) for m in stored)
 
     def test_multigraph_rejected(self, capsys, webdir):
         rc, _, err = run(capsys, "decompose", webdir["theta"])

@@ -577,6 +577,15 @@ class TestFormats:
         with pytest.raises(FormatError):
             parse_map(bad)
 
+    def test_edge_pairing_a_dart_with_itself(self):
+        # the line is blamed, not a dart it leaves unpaired (dart 3) or
+        # the involution check, which names no line
+        for edges, line, dart in (("e: 0 1\ne: 2 2\ne: 4 5\n", 5, 2), ("e: 0 0\ne: 1 1\ne: 2 3\ne: 4 5\n", 4, 0)):
+            with pytest.raises(FormatError) as exc:
+                parse_map("darts: 6\nv 1: 0 2 4\nv 2: 1 3 5\n" + edges)
+            assert exc.value.line == line
+            assert str(exc.value) == f"line {line}: edge line pairs dart {dart} with itself"
+
     def test_degree_flagged_at_validate_not_parse(self):
         cmap, _ = parse_map("darts: 4\nv 1: 0 2\nv 2: 1 3\ne: 0 1\ne: 2 3\n")
         with pytest.raises(NotCubic):

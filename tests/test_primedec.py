@@ -18,7 +18,7 @@ from sl3webs.primedec import (
     connected_sum,
     decompose,
     find_2_edge_cuts,
-    product_identity_sides,
+    identity_sides,
     simplify,
     split,
 )
@@ -55,6 +55,13 @@ def random_sums(seed, count):
                               other, rng.randrange(other.map.n_darts))
         sums.append(w)
     return sums
+
+
+def assert_identity(w, dec):
+    """[3]^(k-1) P(G) = (-[2])^l prod P(G_i), both sides from
+    identity_sides and P(G) once more from the engine."""
+    lhs, rhs = identity_sides(dec, [invariant(p) for p in dec.primes])
+    assert lhs == rhs == qint(3) ** (dec.k - 1) * invariant(w)
 
 
 SIDES_SHA256 = "80d281306364b1b37b9e5347e0e130b66ca05d294c5dc925186280a044182f55"
@@ -297,8 +304,7 @@ class TestRelationTwoBookkeeping:
         dec = decompose(g)
         assert dec.k == 2 and dec.l == 2
         assert all(isomorphic(p, cube_web()) for p in dec.primes)
-        lhs, rhs = product_identity_sides(g, dec)
-        assert lhs == rhs
+        assert_identity(g, dec)
 
 
     def test_no_side_collapses(self):
@@ -356,8 +362,24 @@ class TestDecompose:
     def test_product_identity_simple_cases(self):
         for w in (cube_web(), cube_sum_cube(), connected_sum(cube_web(), 2, hex_prism_web(), 7)):
             dec = decompose(w)
-            lhs, rhs = product_identity_sides(w, dec)
-            assert lhs == rhs
+            assert_identity(w, dec)
+
+    def test_identity_sides_raise_on_a_remainder(self):
+        # P of the sum is divided exactly by [3]^(k-1).  Every prime's P is
+        # a multiple of [3], so one value off by one still divides: the
+        # other k - 1 supply [3]^(k-1).  Two values off by one leave a
+        # remainder
+        w = connected_sum(cube_sum_cube(), 3, hex_prism_web(), 5)
+        dec = decompose(w)
+        assert dec.k == 3
+        values = [invariant(p) for p in dec.primes]
+        for i in range(dec.k):
+            off = values[:i] + [values[i] + 1] + values[i + 1 :]
+            lhs, rhs = identity_sides(dec, off)
+            assert lhs == rhs != qint(3) ** 2 * invariant(w)
+            off[i - 1] = off[i - 1] + 1
+            with pytest.raises(ArithmeticError):
+                identity_sides(dec, off)
 
     def test_order_independence(self):
         w = connected_sum(cube_sum_cube(), 1, hex_prism_web(), 4)
@@ -381,8 +403,7 @@ class TestDecompose:
                 eb = rng.randrange(other.map.n_darts)
                 w = connected_sum(w, ea, other, eb)
             dec = decompose(w)
-            lhs, rhs = product_identity_sides(w, dec)
-            assert lhs == rhs
+            assert_identity(w, dec)
             for p in dec.primes:
                 assert p.is_simple()
                 assert find_2_edge_cuts(p) == []

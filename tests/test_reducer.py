@@ -179,14 +179,24 @@ class TestTrustedChildren:
         assert len(fixtures) == 22
         for child in children_of(fixtures):
             m = child.map
-            got = planarmap._unpack(planarmap._Entry(m).blob)
+            got = planarmap._unpack(planarmap._Entry(m))
             assert got == m
             assert got.face_lengths() == CombMap(m.sigma, m.theta).face_lengths()
             assert got.faces() == CombMap(m.sigma, m.theta).faces()
 
+    def test_entries_pack_at_int32_from_two_to_the_fifteen_darts(self):
+        # below 2^15 darts the labels and face lengths fit int16
+        for n in (2**15 - 2, 2**15, 2**15 + 2):
+            m = CombMap(list(range(n)), [d ^ 1 for d in range(n)])
+            entry = planarmap._Entry(m)
+            assert len(entry.labels) == 2 * len(entry.flen) == 2 * n * (2 if n < 2**15 else 4)
+            got = planarmap._unpack(entry)
+            assert got == m and got.face_lengths() == m.face_lengths()
+
     def test_rooting_an_entry_walks_no_face(self, monkeypatch):
         # the packed entry carries its face lengths, which is all that
-        # rooting reads of the faces
+        # rooting reads of the faces; rooting drops them and keeps the
+        # labels
         entries = []
         for name in ("prime_9_1", "omni_tetrahedron"):
             w = fixture_web(name)
@@ -197,8 +207,9 @@ class TestTrustedChildren:
 
         monkeypatch.setattr(planarmap, "_orbits", no_walk)
         for entry, (least, roots) in entries:
+            labels = entry.labels
             entry.root()
-            assert entry.blob is None and entry.least == least
+            assert entry.flen is None and entry.labels is labels and entry.least == least
 
     def test_faces_have_distinct_vertices(self):
         # a web has no bridge, so each component is a 2-connected cubic
@@ -497,9 +508,9 @@ class TestMemo:
                 shared.add(id(cmap))
             return value
 
-        def counted_unpack(blob):
-            words.append(blob)
-            return unpack(blob)
+        def counted_unpack(entry):
+            words.append(entry)
+            return unpack(entry)
 
         def counted_match(cmap, roots, stored):
             matched.append(cmap)
@@ -525,6 +536,34 @@ class TestMemo:
             assert invariant(copy) is value
             monkeypatch.undo()
         assert muls == []
+
+    def test_identical_labels_hit_without_a_shape(self, monkeypatch):
+        # a fresh map with a stored web's labels is answered by the label
+        # lookup: no shape, no rooted match
+        store = planarmap._IsoStore()
+        w = fixture_web("omni_tetrahedron")
+        entry = store.entry(w.map)
+        calls = []
+        for name in ("_shape", "_rooted_match"):
+            fn = getattr(planarmap, name)
+            monkeypatch.setattr(planarmap, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        assert store.entry(CombMap(list(w.map.sigma), list(w.map.theta))) is entry
+        assert calls == []
+        # a relabelled copy still hits through the shape path
+        assert store.entry(shuffled(w, random.Random(5)).map) is entry
+        assert calls == ["_shape", "_rooted_match"]
+
+    def test_label_hash_alone_is_no_hit(self, monkeypatch):
+        # the label dict sends the probe's hash to another entry: that
+        # entry's labels differ, so the shape path decides
+        store = planarmap._IsoStore()
+        cube, prism = cube_web().map, hex_prism_web().map
+        other = store.entry(prism)
+        probe = shuffled(cube_web(), random.Random(2)).map
+        monkeypatch.setitem(store.by_labels, hash((probe.sigma, probe.theta)), other)
+        entry = store.entry(probe)
+        assert entry is not other and entry.labels == planarmap._pack(probe.n_darts, probe.sigma + probe.theta)
+        assert store.entry(cube) is entry
 
     def test_failed_reduction_is_retried(self, empty_memo, monkeypatch):
         # the entry is stored before the web is reduced; a reduction that
@@ -679,10 +718,10 @@ def pinned_prime(name):
 
 def stored_map(entry):
     """The map an isomorphism-store entry holds, up to mirroring: its packed
-    darts, or once rooted, its BFS word, which interleaves the relabelled
-    rotation (sigma or its inverse) and theta."""
-    if entry.blob is not None:
-        return planarmap._unpack(entry.blob)
+    labels and face lengths, or once rooted, its BFS word, which
+    interleaves the relabelled rotation (sigma or its inverse) and theta."""
+    if entry.word is None:
+        return planarmap._unpack(entry)
     return CombMap(entry.word[0::2], entry.word[1::2])
 
 
