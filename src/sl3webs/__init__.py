@@ -16,12 +16,10 @@ from .planarmap import (
     disjoint_union,
     edge_3_coloring,
     from_rotations,
-    is_circular,
     isomorphic,
     mirror,
     parse_map,
     parse_web,
-    polygon_levels,
     serialize_map,
     serialize_web,
     validate,
@@ -31,32 +29,19 @@ from .enumerator import (
     assemble_web,
     build_catalog,
     circular_primes,
-    dim_inv,
     even_partitions,
-    is_admissible,
     normal_chord_diagrams,
-    pushing_moves,
 )
-from .primedec import Decomposition, connected_sum, decompose, find_2_edge_cuts, simplify, split
+from .primedec import Decomposition, connected_sum, decompose, simplify, split
 from .qlaurent import (
     HalfLaurent,
     IdealResidue,
     congruent_mod,
     mod_reduce,
     parse_qexpr,
-    parse_qpoly,
     qint,
 )
-from .reducer import (
-    Reducible,
-    apply_bigon,
-    apply_circle,
-    apply_square,
-    find_reducible,
-    invariant,
-    invariant_trace,
-    reduce_at,
-)
+from .reducer import Reducible, find_reducible, invariant
 from .symmetry import RootSearchResult, check_quotient, dth_root_search, symmetry_report
 
 __all__ = [name for name in dir() if not name.startswith("_")]

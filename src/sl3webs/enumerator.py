@@ -23,8 +23,9 @@ Manvel and McKay (JCTB 38, 1985) generate the 3-connected cubic bipartite
 plane graphs upward from the cube by a small set of expansions; the
 converse pushing move has not been checked against their operations.
 
-The Clebsch-Gordan recursion for dim Inv(V_a1 x ... x V_aN) counts normal
-chord diagrams independently and cross-checks the enumeration.
+The tests count the normal chord diagrams of every plate independently,
+by the Clebsch-Gordan recursion for dim Inv(V_a1 x ... x V_aN) (`dim_inv`
+in `tests/oracles.py`), which cross-checks the enumeration.
 """
 
 from __future__ import annotations
@@ -88,40 +89,6 @@ def even_partitions(n):
     return sorted(plates)
 
 
-def is_admissible(a, b, c):
-    """Triangle condition |a-b| <= c <= a+b for even weights."""
-    for w in (a, b, c):
-        if w < 0 or w % 2:
-            raise ValueError("weights must be even and non-negative")
-    return abs(a - b) <= c <= a + b
-
-
-def dim_inv(weights):
-    """dim Inv(V_w1 x ... x V_wN) by the Clebsch-Gordan recursion.
-
-    Fuses factors left to right; the intermediate weight w contributes
-    whenever (prev, next, w) is admissible, and only finitely many w occur.
-    """
-    weights = list(weights)
-    for w in weights:
-        if w < 0 or w % 2:
-            raise ValueError("weights must be even and non-negative")
-    if not weights:
-        return 1
-    if len(weights) == 1:
-        return 1 if weights[0] == 0 else 0
-    if len(weights) == 2:
-        return 1 if weights[0] == weights[1] else 0
-    state = {weights[0]: 1}
-    for a in weights[1:-1]:
-        nxt = {}
-        for w, count in state.items():
-            for w2 in range(abs(w - a), w + a + 1, 2):
-                nxt[w2] = nxt.get(w2, 0) + count
-        state = nxt
-    return state.get(weights[-1], 0)
-
-
 def _side_index(plate):
     sides = []
     for i, a in enumerate(plate):
@@ -131,7 +98,8 @@ def _side_index(plate):
 
 def normal_chord_diagrams(plate):
     """All non-crossing perfect matchings of the plate boundary with no
-    chord inside one side; the count equals dim_inv(plate).
+    chord inside one side; the count is dim Inv(V_a1 x ... x V_aN) for the
+    plate's sides a1, ..., aN (`dim_inv` in `tests/oracles.py`).
 
     The matchings of each interval [lo, hi) are memoized per plate, so an
     interval that admits none is ruled out once.  A matching of [lo, hi)
@@ -218,52 +186,6 @@ def circular_primes(n):
     return list(_CIRCULAR_CACHE[n].values())
 
 
-def pushing_moves(web):
-    """Apply the pushing move at every edge; -2 vertices per result.
-
-    At an edge u-v the two endpoints vanish, their remaining same-side
-    strands fuse pairwise (the planar, color-respecting reconnection),
-    leaving two fresh edges A-B and C-D.  Returns the child of every site
-    whose child is a simple web; sites with parallel edges at u or v are
-    discarded.  The fused strands run inside the disk of the edge and
-    each joins a neighbour of u to one of v, so the child is cubic,
-    bipartite and plane by construction and is built unchecked.
-
-    Simplicity is decided from the parent's adjacency before any surgery.
-    The child keeps the parent's edges away from u and v and gains A-B
-    and C-D, so it is simple iff every parallel pair of the parent
-    touches u or v, and neither new edge parallels a parent edge
-    (which survives, as A, B, C, D are not u or v) or the other new edge.
-    A and C neighbour u, B and D neighbour v, so in a bipartite web no
-    edge is a loop and A-B can only repeat C-D as (A, B) = (C, D).
-    """
-    cmap = web.map
-    sigma, theta = cmap.sigma, cmap.theta
-    vof = cmap.vertex_table()
-    adjacent = set()
-    parallel = set()  # ordered vertex pairs joined by two or more edges
-    for d, t in enumerate(theta):
-        pair = (vof[d], vof[t])
-        if pair in adjacent:
-            parallel.add(pair)
-        adjacent.add(pair)
-    out = []
-    for d, t in cmap.edges():
-        u, v = vof[d], vof[t]
-        if any(u not in p and v not in p for p in parallel):
-            continue
-        s1, s2 = sigma[d], sigma[sigma[d]]
-        t1, t2 = sigma[t], sigma[sigma[t]]
-        ends = (theta[s1], theta[t2], theta[s2], theta[t1])
-        va, vb, vc, vd = (vof[x] for x in ends)
-        if {va, vb, vc, vd} & {u, v}:
-            continue  # parallel edges at the site
-        if (va, vb) in adjacent or (vc, vd) in adjacent or (va, vb) == (vc, vd):
-            continue
-        out.append(_drop_and_rewire(web, (d, t), ((ends[0], ends[1]), (ends[2], ends[3])), 0))
-    return out
-
-
 def converse_pushing_moves(web):
     """Every converse pushing move of a web (+2 vertices per result).
 
@@ -303,7 +225,8 @@ def _prime_layers(n):
     assembly gives them, and only the pushes kept are keyed.  The converse
     pushes of primes are connected and simple, so a bond scan decides.  That
     this reaches every prime is not proved: it agrees with the downward
-    closure of the circular layers under pushing moves in the tests.
+    closure of the circular layers under pushing moves in the tests
+    (`pushing_moves` in `tests/oracles.py`).
     """
     below = {}
     for m in range(8, n + 1, 2):

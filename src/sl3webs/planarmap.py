@@ -1016,54 +1016,26 @@ def edge_3_coloring(web):
     return out
 
 
-def _face_adjacency(cmap):
-    """The list face -> set of faces across its edges."""
-    fof = cmap.face_table()
-    adj = [set() for _ in cmap.faces()]
-    for d, t in cmap.edges():
-        adj[fof[d]].add(fof[t])
-        adj[fof[t]].add(fof[d])
-    return adj
-
-
-def polygon_levels(web, dec, exterior_face):
-    """Dual-graph distance from each polygon of `dec` to the exterior face."""
-    if exterior_face in dec.polygon_faces:
-        raise MapError("exterior face must not be a polygon of the decomposition")
-    adj = _face_adjacency(web.map)
-    dist = {exterior_face: 0}
-    queue = [exterior_face]  # grows while it is read
-    for f in queue:
-        for g in adj[f]:
-            if g not in dist:
-                dist[g] = dist[f] + 1
-                queue.append(g)
-    return {p: dist[p] for p in dec.polygon_faces}
-
-
-def circular_witness(web):
-    """(decomposition, exterior face) making every polygon level 1, or None.
-
-    A polygon is at level 1 iff it shares an edge with the exterior face,
-    so the first non-polygon face, decomposition by decomposition, whose
-    neighbours include every polygon is the witness.
-    """
-    return _circular_witness(web.map, edge_3_coloring(web))
-
-
 def _circular_witness(cmap, decs):
-    """`circular_witness` over the given decompositions of the map."""
-    adj = _face_adjacency(cmap)
+    """(decomposition, exterior face) among `decs` that puts every polygon
+    at level 1, or None when the web is not circular.
+
+    A polygon's level is its dual-graph distance from the exterior face
+    (`polygon_levels` in `tests/oracles.py`), so it is 1 iff the two share
+    an edge: the witness is the first non-polygon face, decomposition by
+    decomposition, whose neighbours include every polygon.
+    """
+    fof = cmap.face_table()
+    near = [set() for _ in cmap.faces()]
+    for d, t in cmap.edges():
+        near[fof[d]].add(fof[t])
+        near[fof[t]].add(fof[d])
     for dec in decs:
         polyset = set(dec.polygon_faces)
-        for f, near in enumerate(adj):
-            if f not in polyset and polyset <= near:
+        for f, adj in enumerate(near):
+            if f not in polyset and polyset <= adj:
                 return dec, f
     return None
-
-
-def is_circular(web):
-    return circular_witness(web) is not None
 
 
 # -- file formats ------------------------------------------------------------

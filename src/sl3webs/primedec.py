@@ -15,16 +15,18 @@ and satisfies the exact identity
 composite branch does (`reducer.sum_value`), so the sum itself is never
 valued or memoized: `identity_holds` checks that [3]^(k-1) divides
 (-[2])^l prod P(G_i) exactly, and a remainder raises ArithmeticError.
-The independent checks are `reducer.invariant_random_order`, which never
-splits, and the pinned prime products the tests and perfbench's `sums`
-check compare with.
+The independent checks are `invariant_random_order` in `tests/oracles.py`,
+which never splits, and the pinned prime products the tests and
+perfbench's `sums` check compare with.
 """
 
 from __future__ import annotations
 
 import math
 
-from .planarmap import MapError, _bonds, _drop_and_rewire, _require_connected, disjoint_union, split
+# split and simplify are not called here: the package exports them from
+# this module, which is where perfbench's tracer finds them
+from .planarmap import MapError, _drop_and_rewire, _require_connected, disjoint_union, split
 from .reducer import CIRCLE_FACTOR, _bigon_power, factorize, simplify, sum_value
 
 
@@ -43,16 +45,6 @@ class Decomposition:
 
     def __repr__(self):
         return f"Decomposition(k={self.k}, l={self.l}, sizes={[w.n_vertices for w in self.primes]})"
-
-
-def find_2_edge_cuts(web):
-    """All unordered edge pairs whose removal disconnects the web.
-
-    Edges are named by their smaller dart; empty iff the web is
-    3-connected.  A web has no bridge, so these are its 2-bonds.
-    """
-    _require_connected(web, "cut search needs a connected web with vertices")
-    return _bonds(web.map)
 
 
 def decompose(web):

@@ -293,47 +293,6 @@ def parse_qexpr(text: str) -> HalfLaurent:
     return total
 
 
-_QPOLY_TERM = re.compile(
-    r"\s*(?P<sign>[+-]?)\s*(?P<coeff>\d+)?"
-    r"(?:(?P<q>q)(?:\^(?:(?P<int>-?\d+)|\((?P<num>-?\d+)/2\)))?)?"
-)
-
-
-def parse_qpoly(text: str) -> HalfLaurent:
-    """Parse the raw monomial form produced by HalfLaurent.pretty()."""
-    pos = 0
-    total = HalfLaurent.zero()
-    stripped = text.strip()
-    if stripped == "0":
-        return total
-    first = True
-    while pos < len(text):
-        if text[pos:].strip() == "":
-            break
-        m = _QPOLY_TERM.match(text, pos)
-        if m is None or m.end() == pos or (m.group("coeff") is None and m.group("q") is None):
-            raise QExprError("expected a monomial", pos)
-        if not first and not m.group("sign"):
-            raise QExprError("missing '+' or '-' between terms", pos)
-        sign = -1 if m.group("sign") == "-" else 1
-        coeff = int(m.group("coeff")) if m.group("coeff") else 1
-        if m.group("q"):
-            if m.group("int") is not None:
-                k = 2 * int(m.group("int"))
-            elif m.group("num") is not None:
-                k = int(m.group("num"))
-            else:
-                k = 2
-        else:
-            k = 0
-        total = total + HalfLaurent.monomial(k, sign * coeff)
-        pos = m.end()
-        first = False
-    if first:
-        raise QExprError("empty expression", 0)
-    return total
-
-
 # -- quotient rings Z[q^(±1/2)] / (d, [3]^d - [3]) --------------------------
 
 

@@ -32,8 +32,9 @@ bigon, and both orders give the same web.  Each contraction removes two
 vertices, so every order ends in the same bigon-free form (Newman's
 lemma), and isomorphic webs reach isomorphic forms.  Contraction is
 local surgery on labelled darts, so every order reaches the same
-labelled web: the cascade's result is byte for byte that of
-`apply_bigon` at the least dart, applied until no bigon is left.
+labelled web: the cascade's result is byte for byte that of contracting
+the bigon at the least dart until none is left, the loop the tests run
+with `apply_bigon` from `tests/oracles.py`.
 
 A web that misses the memo and has a 2-bond is valued from its primes:
 P(A # B) = P(A) P(B) / [3], where A and B are the sides `planarmap.split`
@@ -107,26 +108,6 @@ def _least_dart_on(cmap, size):
     return faces[sizes.index(size)][0] if size in sizes else None
 
 
-def find_all_reducibles(web):
-    """Every applicable site: the circle first, then faces by least dart."""
-    out = []
-    if web.circles > 0:
-        out.append(Reducible("circle"))
-    for face in web.map.faces():
-        if len(face) == 2:
-            out.append(Reducible("bigon", face[0]))
-        elif len(face) == 4:
-            out.append(Reducible("square", face[0]))
-    return out
-
-
-def apply_circle(web):
-    """Remove one vertexless circle; factor [3]."""
-    if web.circles < 1:
-        raise MapError("no circle to remove")
-    return web.with_circles(web.circles - 1), CIRCLE_FACTOR
-
-
 def _disk(web, site, kind, size):
     """The darts of the face through `site` and its outside legs.
 
@@ -143,89 +124,6 @@ def _disk(web, site, kind, size):
     return face, tuple(cmap.sigma[d] for d in face)
 
 
-def _smooth(web, face, legs, arcs):
-    """Remove a face's vertices, joining its legs along the given arcs.
-
-    Strand chains alternate arc hops and edge hops through legs; chains
-    with free ends become new edges, closed chains become circles.
-    """
-    theta = web.map.theta
-    arc = {}
-    for a, b in arcs:
-        arc[a] = b
-        arc[b] = a
-    legset = set(legs)
-    visited = set()
-    new_pairs = []
-    circles = 0
-    for l in legs:
-        t = theta[l]
-        if t in legset or l in visited:
-            continue
-        end1 = t
-        cur = l
-        while True:
-            visited.add(cur)
-            cur2 = arc[cur]
-            visited.add(cur2)
-            nxt = theta[cur2]
-            if nxt in legset:
-                cur = nxt
-            else:
-                new_pairs.append((end1, nxt))
-                break
-    remaining = legset - visited
-    while remaining:
-        start = remaining.pop()
-        circles += 1
-        cur = start
-        while True:
-            cur2 = arc[cur]
-            remaining.discard(cur2)
-            nxt = theta[cur2]
-            if nxt == start:
-                break
-            remaining.discard(nxt)
-            cur = nxt
-    return _drop_and_rewire(web, face, new_pairs, circles)
-
-
-def apply_bigon(web, site):
-    """Contract a degree-2 face; factor -[2].
-
-    The one-arc smoothing: the two bigon vertices disappear and their legs
-    join, so the outside edges splice into one, or close into a circle
-    when they are one edge (theta graph).
-    """
-    face, (a, b) = _disk(web, site, "bigon", 2)
-    return _smooth(web, face, (a, b), ((a, b),)), BIGON_FACTOR
-
-
-def apply_square(web, site):
-    """Split a degree-4 face into its two planar smoothings.
-
-    One smoothing joins legs (0,1) and (2,3), the other (1,2) and (3,0).
-    Both children lose exactly the four square vertices.
-    """
-    face, legs = _disk(web, site, "square", 4)
-    child_a = _smooth(web, face, legs, ((legs[0], legs[1]), (legs[2], legs[3])))
-    child_b = _smooth(web, face, legs, ((legs[1], legs[2]), (legs[3], legs[0])))
-    return child_a, child_b
-
-
-def reduce_at(web, red):
-    """Apply the relation at one site: [(child, factor), ...], whose
-    weighted sum of invariants is the invariant of `web`."""
-    if red.kind == "circle":
-        return [apply_circle(web)]
-    if red.kind == "bigon":
-        return [apply_bigon(web, red.site)]
-    if red.kind == "square":
-        one = HalfLaurent.one()
-        return [(child, one) for child in apply_square(web, red.site)]
-    raise ValueError(f"unknown relation kind {red.kind!r}")
-
-
 _MEMO = _IsoStore()
 
 
@@ -237,10 +135,11 @@ def simplify(web):
     """Contract bigon faces until none remain; returns (web, uses).
 
     The cascade `_cascade` seeded with the web's own bigons: the result is
-    the one a loop of `apply_bigon` at the least dart reaches, byte for
-    byte, built with one rewiring.  Every doubled edge of a cubic
-    bipartite genus-0 web bounds a bigon face on one side, so the result
-    is simple unless the web collapsed to circles (vertexless output).
+    the one a loop of `apply_bigon` (`tests/oracles.py`) at the least dart
+    reaches, byte for byte, built with one rewiring.  Every doubled edge
+    of a cubic bipartite genus-0 web bounds a bigon face on one side, so
+    the result is simple unless the web collapsed to circles (vertexless
+    output).
     """
     seeds = [face[0] for face in web.map.faces() if len(face) == 2]
     return _cascade(web, (), (), seeds) if seeds else (web, 0)
@@ -261,8 +160,8 @@ def _cascade(web, face, pairs, seeds):
     joined edge, so a bigon the cascade creates is always found.  Two
     bigons of a web other than the theta share no vertex, so every order
     of contractions reaches the same labelled web (the `reducer`
-    docstring): this one is `apply_bigon`'s, least dart first, byte for
-    byte.
+    docstring): this one is that of `apply_bigon` (`tests/oracles.py`),
+    least dart first, byte for byte.
     """
     sigma = web.map.sigma
     theta = list(web.map.theta)
@@ -418,41 +317,3 @@ def _plane_components(cmap):
     plane, as every Web's are: each has V - E + F = 2, and n darts make
     V = n/3 and E = n/2, so there are (6F - n)/12."""
     return (6 * len(cmap.faces()) - cmap.n_darts) // 12
-
-
-def invariant_random_order(web, rand):
-    """Evaluate with uniformly random site choices; no memo, no component
-    splitting.  An independent evaluation path for confluence checks."""
-    sites = find_all_reducibles(web)
-    if not sites:
-        if not web.is_empty():
-            raise MapError("stuck on a nonempty web")
-        return HalfLaurent.one()
-    red = sites[rand.randrange(len(sites))]
-    return sum(factor * invariant_random_order(child, rand) for child, factor in reduce_at(web, red))
-
-
-def invariant_trace(web):
-    """Evaluate with the priority rule and return (value, reduction tree).
-
-    The tree records each applied relation, its site, and its factor; no
-    memoization, so use on desk-size webs only.
-    """
-    red = find_reducible(web)
-    if red is None:
-        return HalfLaurent.one(), {"relation": "empty", "value": "1"}
-    total = HalfLaurent.zero()
-    children = []
-    pairs = reduce_at(web, red)
-    for child, factor in pairs:
-        val, sub = invariant_trace(child)
-        total = total + factor * val
-        children.append(sub)
-    node = {
-        "relation": red.kind,
-        "site": red.site,
-        "factor": pairs[0][1].to_json_obj(),  # both square children carry 1
-        "children": children,
-        "value": total.pretty(),
-    }
-    return total, node

@@ -282,7 +282,7 @@ def _chunk_size(W):
     return min(1 << 14, (32 << 20) // (8 * (2 * W - 1)))
 
 
-def _search_component_generic(d, m, target, exponent, budget, support):
+def _search_component_generic(d, m, target, budget, support):
     """Scan candidates with coefficients on the low `support` positions.
 
     Returns (witness coeff tuple or None, tested, exhausted_space).
@@ -302,7 +302,7 @@ def _search_component_generic(d, m, target, exponent, budget, support):
         stop = min(space, start + chunk, start + (budget - tested))
         ids = np.arange(start, stop, dtype=np.int64)
         digits = _ids_to_digits(ids, m, ring.W, support)
-        powered = ring.pow(digits, exponent)
+        powered = ring.pow(digits, d)
         hits = np.nonzero((powered == target_arr).all(axis=1))[0]
         tested += stop - start
         if hits.size:
@@ -342,16 +342,16 @@ def _mod2_product(d):
     return redmul
 
 
-def _mod2_powers(d, exponent, support, count):
-    """Yield (start, x^e for ids start, start+1, ...) over ids [0, count).
+def _mod2_powers(d, support, count):
+    """Yield (start, x^e for ids start, start+1, ...) over ids [0, count),
+    where e = d must be 2^a + 2^b with a >= b.
 
     Id x is the element with bit i at window position i, supported on the
-    low `support` bits; e is `exponent`, which must be 2^a + 2^b with
-    a >= b.  Blocks start at multiples of 2^20 and hold at most 2^20 ids,
-    as rows h (the bits above the lowest min(12, support)) by columns l
-    (the lowest bits): x^e = h^e + l^e + C_h(l), where doubling the
-    images of C_h on the basis bits of l gives C_h(l) for every l as
-    XORs (see `_search_component_mod2`).
+    low `support` bits.  Blocks start at multiples of 2^20 and hold at
+    most 2^20 ids, as rows h (the bits above the lowest min(12, support))
+    by columns l (the lowest bits): x^e = h^e + l^e + C_h(l), where
+    doubling the images of C_h on the basis bits of l gives C_h(l) for
+    every l as XORs (see `_search_component_mod2`).
 
     F^a, F^b and h -> C_h are GF(2)-linear too, so they are taken on the
     basis bits once and spread over their XOR spans: the low bits' span
@@ -361,9 +361,9 @@ def _mod2_powers(d, exponent, support, count):
     higher bits.  The ring product `_mod2_product` runs only on basis
     images, on the 2^12 low powers, and once per block for h^e.
     """
-    a = (exponent - 1).bit_length() - 1
-    rest = exponent - (1 << a)
-    assert rest & (rest - 1) == 0, "exponent must have at most two bits set"
+    a = (d - 1).bit_length() - 1
+    rest = d - (1 << a)
+    assert rest & (rest - 1) == 0, "d must have at most two bits set"
     b = rest.bit_length() - 1
     redmul = _mod2_product(d)
 
@@ -410,7 +410,7 @@ def _mod2_powers(d, exponent, support, count):
         yield start, table.ravel()[: stop - start]
 
 
-def _search_component_mod2(d, target, exponent, budget, support):
+def _search_component_mod2(d, target, budget, support):
     """Bit-packed scan of a mod-2 component: the 2^24 space of d = 6 where
     it has a root (one with none is decided, see `_has_root`) or only low
     positions are searched, and d = 2 on a budget below W = 8 (from W on,
@@ -438,7 +438,7 @@ def _search_component_mod2(d, target, exponent, budget, support):
     tgt = np.uint64(sum((c % 2) << i for i, c in enumerate(target)))
     space = 1 << support
     count = min(space, max(budget, 0))
-    for start, powers in _mod2_powers(d, exponent, support, count):
+    for start, powers in _mod2_powers(d, support, count):
         hits = np.flatnonzero(powers == tgt)
         if hits.size:
             w = start + int(hits[0])
@@ -666,23 +666,23 @@ def _has_root(target, d, p, pieces=None):
     return True
 
 
-def _search_component(d, m, target, exponent, budget, support):
+def _search_component(d, m, target, budget, support):
     space = m**support
     cap = min(space, budget)
     # a prime d solves once it has W candidates to test (fewer are scanned
     # by square-and-multiply, with no W x W build) and while the float64
     # W x W Frobenius matrix fits in 32 MiB (d <= 512)
-    if exponent == m and _is_prime(m) and cap >= 4 * d and 8 * (4 * d) ** 2 <= 32 << 20:
+    if d == m and _is_prime(m) and cap >= 4 * d and 8 * (4 * d) ** 2 <= 32 << 20:
         return _solve_component(_ComponentRing(d, m), target, budget, support)
     # a composite d's prime component with no root is decided from its
     # local pieces, with the count the scan would report (cap, exhausted
     # iff cap is the whole space); a root's witness is scanned for
-    if exponent == d != m and _is_prime(m) and support == 4 * d and cap >= 4 * d:
+    if d != m and _is_prime(m) and support == 4 * d and cap >= 4 * d:
         if not _has_root(target, d, m):
             return None, cap, cap == space
     if m == 2 and 8 * d - 2 <= 63:
-        return _search_component_mod2(d, target, exponent, budget, support)
-    return _search_component_generic(d, m, target, exponent, budget, support)
+        return _search_component_mod2(d, target, budget, support)
+    return _search_component_generic(d, m, target, budget, support)
 
 
 def _approx(n):
@@ -723,9 +723,7 @@ def dth_root_search(p, d, budget=DEFAULT_BUDGET, support_limit=None):
     for m in factors:
         target_m = tuple(c % m for c in target_full.coeffs)
         remaining = budget - tested_total
-        witness, tested, exhausted = _search_component(
-            d, m, target_m, d, remaining, support
-        )
+        witness, tested, exhausted = _search_component(d, m, target_m, remaining, support)
         tested_total += tested
         if witness is not None:
             witnesses.append((m, witness))

@@ -21,21 +21,22 @@ from sl3webs.enumerator import (
     all_primes,
     build_catalog,
     circular_primes,
-    dim_inv,
     even_partitions,
     normal_chord_diagrams,
 )
 from sl3webs.planarmap import (
     CombMap,
+    _bonds,
     canonical_key,
     disjoint_union,
     mirror,
     validate,
 )
-from sl3webs.primedec import connected_sum, decompose, find_2_edge_cuts, identity_sides
+from sl3webs.primedec import connected_sum, decompose, identity_sides
 from sl3webs.qlaurent import HalfLaurent, parse_qexpr, qint
-from sl3webs.reducer import clear_memo, invariant, invariant_random_order
+from sl3webs.reducer import clear_memo, invariant
 from sl3webs.symmetry import check_quotient, dth_root_search, verify_witness
+from oracles import dim_inv, invariant_random_order
 from webfixtures import cube_web, theta_web
 
 P61 = parse_qexpr("[2]^4[3]+2[2]^2[3]")
@@ -137,10 +138,10 @@ class TestCriterion4DecompositionIdentity:
             assert sorted(canonical_key(p) for p in rdec.primes) == sorted(
                 canonical_key(p) for p in dec.primes
             ), trial
-            cuts = find_2_edge_cuts(w)
+            cuts = _bonds(w.map)
             if len(cuts) > 1:
                 back = {new: old for old, new in enumerate(perm)}
-                first = {min(back[d], w.map.theta[back[d]]) for d in find_2_edge_cuts(copy)[0]}
+                first = {min(back[d], w.map.theta[back[d]]) for d in _bonds(copy.map)[0]}
                 multi += 1
                 moved += first != set(cuts[0])
         assert (multi, moved) == (92, 53)

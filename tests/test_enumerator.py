@@ -13,27 +13,24 @@ from sl3webs.enumerator import (
     build_catalog,
     circular_primes,
     converse_pushing_moves,
-    dim_inv,
     even_partitions,
-    is_admissible,
     normal_chord_diagrams,
-    pushing_moves,
 )
 from sl3webs.planarmap import (
     CombMap,
     MapError,
+    _circular_witness,
     _drop_and_rewire,
     automorphism_count,
     canonical_key,
-    circular_witness,
     connectivity,
     edge_3_coloring,
-    is_circular,
     isomorphic,
     validate,
 )
 from sl3webs.qlaurent import parse_qexpr
-from sl3webs.reducer import find_all_reducibles, invariant, reduce_at
+from sl3webs.reducer import invariant
+from oracles import dim_inv, find_all_reducibles, is_admissible, polygon_levels, pushing_moves, reduce_at
 from test_planarmap import brute_force_isomorphisms, random_relabel
 from webfixtures import (
     cube_web,
@@ -176,7 +173,7 @@ class TestAssembly:
         web = assemble_web((6, 6, 6), diagram)
         descs = [dec.sizes() for dec in edge_3_coloring(web)]
         assert (6, 6, 6) in descs
-        assert is_circular(web)
+        assert _circular_witness(web.map, edge_3_coloring(web)) is not None
 
 
 def cut_open(web, dec, exterior):
@@ -215,7 +212,7 @@ class TestCutOpenRoundTrip:
     def test_circular_primes_reassemble(self):
         for n in (8, 12, 14, 16, 18):
             for web in circular_primes(n):
-                dec, exterior = circular_witness(web)
+                dec, exterior = _circular_witness(web.map, edge_3_coloring(web))
                 plate, diagram = cut_open(web, dec, exterior)
                 assert sum(plate) == web.n_vertices
                 rebuilt = None
@@ -259,7 +256,7 @@ class TestCircularPrimes:
                 assert w.n_vertices % 2 == 0
                 assert w.is_simple()
                 assert connectivity(w) == 3
-                assert is_circular(w)
+                assert _circular_witness(w.map, edge_3_coloring(w)) is not None
 
     def test_generated_webs_euler_and_even_faces(self):
         for n in (12, 16, 18, 20):
@@ -275,10 +272,8 @@ class TestCircularPrimes:
                 assert (4 * w.n_edges) % automorphism_count(w, True) == 0
 
     def test_noncircular_prime_has_level_two_polygon(self):
-        from sl3webs.planarmap import polygon_levels
-
         for w in all_primes(20):
-            if is_circular(w):
+            if _circular_witness(w.map, edge_3_coloring(w)) is not None:
                 continue
             n_faces = len(w.map.faces())
             best = None
@@ -295,8 +290,6 @@ class TestCircularPrimes:
         # the oracle is the definition: the first (decomposition, face)
         # pair, in order, at which a dual-graph BFS puts every polygon at
         # level 1
-        from sl3webs.planarmap import polygon_levels
-
         rng = random.Random(15)
         noncircular = Counter()
         for n in range(8, 24, 2):
@@ -313,7 +306,7 @@ class TestCircularPrimes:
                         ),
                         None,
                     )
-                    got = circular_witness(w)
+                    got = _circular_witness(w.map, edge_3_coloring(w))
                     assert (None if got is None else (got[0].pair, got[1])) == expect
                 noncircular[n] += expect is None
         assert +noncircular == {20: 3, 22: 1}
@@ -367,7 +360,7 @@ class TestPushingMoves:
         noncirc = [
             w
             for w in all_primes(20)
-            if not is_circular(w)
+            if _circular_witness(w.map, edge_3_coloring(w)) is None
         ]
         assert len(noncirc) == 3
         for w in noncirc:
@@ -510,7 +503,7 @@ class TestAllPrimes:
     def test_twenty(self):
         webs = all_primes(20)
         assert len(webs) == 8
-        assert sum(1 for w in webs if is_circular(w)) == 5
+        assert sum(1 for w in webs if _circular_witness(w.map, edge_3_coloring(w)) is not None) == 5
 
     def test_upward_matches_downward_closure_from_30(self):
         down = {m: set(found) for m, found in downward_layers(30, 8)}

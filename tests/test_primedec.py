@@ -6,6 +6,7 @@ import pytest
 
 from sl3webs.planarmap import (
     CombMap,
+    _bonds,
     MapError,
     canonical_key,
     connectivity,
@@ -17,7 +18,6 @@ from sl3webs.planarmap import (
 from sl3webs.primedec import (
     connected_sum,
     decompose,
-    find_2_edge_cuts,
     identity_sides,
     simplify,
     split,
@@ -113,14 +113,14 @@ class TestConnectedSum:
 
 class TestFindCuts:
     def test_cube_has_none(self):
-        assert find_2_edge_cuts(cube_web()) == []
+        assert _bonds(cube_web().map) == []
 
     def test_hex_prism_has_none(self):
-        assert find_2_edge_cuts(hex_prism_web()) == []
+        assert _bonds(hex_prism_web().map) == []
 
     def test_sum_has_constructed_cut(self):
         w = cube_sum_cube()
-        cuts = find_2_edge_cuts(w)
+        cuts = _bonds(w.map)
         assert cuts
         for cut in cuts:
             a, b = split(w, cut)
@@ -128,13 +128,16 @@ class TestFindCuts:
 
     def test_chain_of_three(self):
         w = connected_sum(cube_sum_cube(), 0, cube_web(), 0)
-        assert len(find_2_edge_cuts(w)) >= 2
+        assert len(_bonds(w.map)) >= 2
 
     def test_needs_connected_web_with_vertices(self):
+        # the bond scan reads one component; its callers check for that
         for web, described in ((validate(CombMap([], [])), "got 0 vertices in 0 components"),
                                (disjoint_union(cube_web(), cube_web()), "got 16 vertices in 2 components")):
-            with pytest.raises(MapError, match=f"cut search needs a connected web with vertices, {described}"):
-                find_2_edge_cuts(web)
+            for caller in (connectivity, decompose):
+                need = f"{caller.__name__} needs a connected web with vertices, {described}"
+                with pytest.raises(MapError, match=need):
+                    caller(web)
 
     def test_matches_naive_pair_scan(self):
         def disconnects(w, edges):
@@ -178,7 +181,7 @@ class TestFindCuts:
             assert not any(disconnects(w, (e,)) for e in edge_ids)
             pairs = list(itertools.combinations(edge_ids, 2))
             naive = sorted(p for p in pairs if disconnects(w, p))
-            assert find_2_edge_cuts(w) == naive
+            assert _bonds(w.map) == naive
             if w.is_simple():
                 assert connectivity(w) == (2 if naive else 3)
 
@@ -186,7 +189,7 @@ class TestFindCuts:
 class TestSplit:
     def test_cube_sum_splits_to_cubes(self):
         w = cube_sum_cube()
-        cut = min(find_2_edge_cuts(w))
+        cut = min(_bonds(w.map))
         a, b = split(w, cut)
         a, la = simplify(a)
         b, lb = simplify(b)
@@ -196,7 +199,7 @@ class TestSplit:
 
     def test_split_then_sum_roundtrip(self):
         w = cube_sum_cube()
-        cut = min(find_2_edge_cuts(w))
+        cut = min(_bonds(w.map))
         a, b = split(w, cut)
         # rejoin at the fresh edges (the cut darts themselves)
         rejoined_values = set()
@@ -215,7 +218,7 @@ class TestSplit:
 
     def test_non_bond_pairs_of_a_sum_rejected(self):
         w = connected_sum(cube_sum_cube(), 5, hex_prism_web(), 3)
-        bonds = set(find_2_edge_cuts(w))
+        bonds = set(_bonds(w.map))
         edge_ids = [d for d, _ in w.map.edges()]
         pairs = [p for p in itertools.combinations(edge_ids, 2) if p not in bonds]
         assert pairs and bonds
@@ -249,7 +252,7 @@ class TestSplit:
             webs += [w, validate(w.map.relabel(perm))]
         h = hashlib.sha256()
         for w in webs:
-            for cut in find_2_edge_cuts(w):
+            for cut in _bonds(w.map):
                 for side in split(w, cut):
                     h.update(serialize_web(side).encode())
             dec = decompose(w)
@@ -357,7 +360,7 @@ class TestDecompose:
         assert dec.k == 3
         for p in dec.primes:
             assert connectivity(p) == 3
-            assert find_2_edge_cuts(p) == []
+            assert _bonds(p.map) == []
 
     def test_product_identity_simple_cases(self):
         for w in (cube_web(), cube_sum_cube(), connected_sum(cube_web(), 2, hex_prism_web(), 7)):
@@ -406,7 +409,7 @@ class TestDecompose:
             assert_identity(w, dec)
             for p in dec.primes:
                 assert p.is_simple()
-                assert find_2_edge_cuts(p) == []
+                assert _bonds(p.map) == []
 
     def test_non_simple_rejected(self):
         with pytest.raises(MapError):

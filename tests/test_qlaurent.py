@@ -9,9 +9,9 @@ from sl3webs.qlaurent import (
     ideal_generator,
     mod_reduce,
     parse_qexpr,
-    parse_qpoly,
     qint,
 )
+from oracles import parse_qpoly
 
 
 def is_prime_power(m):

@@ -6,7 +6,7 @@ import zlib
 import pytest
 
 from sl3webs import planarmap, reducer
-from sl3webs.enumerator import _prime_layers, all_primes, circular_primes, converse_pushing_moves, pushing_moves
+from sl3webs.enumerator import _prime_layers, all_primes, circular_primes, converse_pushing_moves
 from sl3webs.planarmap import (
     CombMap,
     MapError,
@@ -19,19 +19,16 @@ from sl3webs.planarmap import (
     serialize_web,
     validate,
 )
-from sl3webs.primedec import connected_sum, find_2_edge_cuts, split
+from sl3webs.primedec import connected_sum, split
 from sl3webs.qlaurent import HalfLaurent, parse_qexpr, qint
-from sl3webs.reducer import (
-    Reducible,
+from sl3webs.reducer import Reducible, clear_memo, find_reducible, invariant
+from oracles import (
+    Site,
     apply_bigon,
-    apply_circle,
     apply_square,
-    clear_memo,
     find_all_reducibles,
-    find_reducible,
-    invariant,
     invariant_random_order,
-    invariant_trace,
+    pushing_moves,
     reduce_at,
 )
 from test_primedec import random_sums
@@ -67,7 +64,7 @@ class TestFindReducible:
 
 class TestApplyCircle:
     def test_single(self):
-        w, factor = apply_circle(empty_web(1))
+        ((w, factor),) = reduce_at(empty_web(1), Site("circle"))
         assert w.is_empty()
         assert factor == qint(3)
 
@@ -75,13 +72,13 @@ class TestApplyCircle:
         assert invariant(empty_web(2)) == qint(3) ** 2
 
     def test_beside_cube(self):
-        w, factor = apply_circle(cube_web().with_circles(1))
+        ((w, factor),) = reduce_at(cube_web().with_circles(1), Site("circle"))
         assert w.circles == 0 and w.n_vertices == 8
         assert factor == qint(3)
 
     def test_no_circle_raises(self):
         with pytest.raises(MapError):
-            apply_circle(cube_web())
+            reduce_at(cube_web(), Site("circle"))
 
 
 class TestApplyBigon:
@@ -150,6 +147,27 @@ class TestTrustedChildren:
         assert any(reducer._plane_components(c.map) > 1 for c in children)
         assert any(c.map.n_darts == 0 for c in children)
 
+    def test_engine_children_pass_validation(self, empty_memo, monkeypatch):
+        # the oracles build their children checked; the engine's own, every
+        # web its cascade returns while these webs are valued, are unchecked
+        children = []
+        cascade = reducer._cascade
+
+        def spy(*args):
+            result = cascade(*args)
+            children.append(result[0])
+            return result
+
+        monkeypatch.setattr(reducer, "_cascade", spy)
+        webs = [cube_web(), theta_web(), digon_prism_web(), hex_prism_web()]
+        webs += [fixture_web("omni_tetrahedron"), fixture_web("omni_cube")] + split_sums()
+        for w in webs:
+            invariant(w)
+        for child in children:
+            assert_as_validated(child)
+        # the theta's bigons contract to a circle alone
+        assert len(children) == 54 and any(c.map.n_darts == 0 for c in children)
+
     def test_sides_and_components_pass_validation(self):
         # splitting and restricting build unchecked too: every side of
         # every cut of seeded sums, each also dart-shuffled, and every
@@ -158,7 +176,7 @@ class TestTrustedChildren:
         sums = []
         for w in random_sums(20261019, 12):
             sums += [w, shuffled(w, rng)]
-        sides = [side for w in sums for cut in find_2_edge_cuts(w) for side in split(w, cut)]
+        sides = [side for w in sums for cut in planarmap._bonds(w.map) for side in split(w, cut)]
         webs = [cube_web(), theta_web(), digon_prism_web(), hex_prism_web()]
         webs += [fixture_web("omni_tetrahedron"), fixture_web("omni_cube")] + split_sums()
         parts = [part for c in children_of(webs) if reducer._plane_components(c.map) > 1 for part in c.components()]
@@ -996,25 +1014,3 @@ class TestConservation:
                 assert total == expect
             assert accumulator == expect
 
-
-class TestTrace:
-    def test_theta_tree(self):
-        value, tree = invariant_trace(theta_web())
-        assert value == invariant(theta_web())
-        assert tree["relation"] == "bigon"
-        assert tree["children"][0]["relation"] == "circle"
-
-    def test_circle_tree(self):
-        value, tree = invariant_trace(empty_web(1))
-        assert tree["relation"] == "circle"
-        assert tree["children"][0]["relation"] == "empty"
-
-    def test_cube_tree_value_matches(self):
-        value, tree = invariant_trace(cube_web())
-        assert value == invariant(cube_web())
-        assert tree["relation"] == "square"
-
-        def depth(node):
-            return 1 + max((depth(c) for c in node.get("children", [])), default=0)
-
-        assert depth(tree) <= 2 * cube_web().n_edges

@@ -168,9 +168,7 @@ class TestCrtConsistency:
     def _direct_full_ring(self, p, d, support):
         # independent oracle: scan the full composite ring directly
         target = tuple(mod_reduce(p, d).coeffs)
-        witness, tested, exhausted = _search_component_generic(
-            d, d, target, d, 10**7, support
-        )
+        witness, tested, exhausted = _search_component_generic(d, d, target, 10**7, support)
         assert exhausted
         return witness
 
@@ -233,10 +231,10 @@ class TestPrimeSolve:
             budgets |= {i, i + 1}
         for budget in sorted(budgets):
             solved = _solve_component(ring, target, budget, support)
-            assert _search_component(d, d, target, d, budget, support) == solved
-            scans = [_search_component_generic(d, d, target, d, budget, support)]
+            assert _search_component(d, d, target, budget, support) == solved
+            scans = [_search_component_generic(d, d, target, budget, support)]
             if d == 2:
-                scans.append(_search_component_mod2(d, target, d, budget, support))
+                scans.append(_search_component_mod2(d, target, budget, support))
             for scanned in scans:
                 assert scanned == solved, (d, target, support, budget)
         return least is not None
@@ -286,7 +284,7 @@ class TestPrimeSolve:
         )
         assert 8 * (4 * 521) ** 2 > 32 << 20 >= 8 * (4 * 512) ** 2
         for d in (509, 521):
-            _search_component(d, d, (0,) * (4 * d), d, 4 * d, 4 * d)
+            _search_component(d, d, (0,) * (4 * d), 4 * d, 4 * d)
         assert calls == ["solve", "scan"]
 
     @pytest.mark.parametrize("d, support", [(5, 5), (7, 4)])
@@ -383,7 +381,7 @@ class TestLocalPieces:
         pieces = _local_pieces(6, 2)
         assert sorted((len(g) - 1, e) for g, e in pieces) == [(1, 4), (2, 2), (4, 2), (4, 2)]
         seen = np.zeros(1 << 24, dtype=bool)
-        for _, powers in _mod2_powers(6, 6, 24, 1 << 24):
+        for _, powers in _mod2_powers(6, 24, 1 << 24):
             seen[powers] = True
         sixth = np.flatnonzero(seen)
         assert sixth.size == 216
@@ -445,8 +443,8 @@ class TestMod2Kernel:
 
     def _agree(self, d, target, support):
         for budget in self.BUDGETS:
-            kernel = _search_component_mod2(d, target, d, budget, support)
-            generic = _search_component_generic(d, 2, target, d, budget, support)
+            kernel = _search_component_mod2(d, target, budget, support)
+            generic = _search_component_generic(d, 2, target, budget, support)
             assert kernel == generic, (d, target, support, budget)
         return kernel[0] is not None
 
@@ -471,7 +469,7 @@ class TestMod2Kernel:
         # 2^16 seeded ids of the 2^24 space, against the generic ring's pow
         ids = np.sort(np.random.default_rng(24).choice(1 << 24, size=1 << 16, replace=False))
         kernel = np.empty(ids.size, dtype=np.uint64)
-        for start, powers in _mod2_powers(6, 6, 24, 1 << 24):
+        for start, powers in _mod2_powers(6, 24, 1 << 24):
             inside = (ids >= start) & (ids < start + powers.size)
             kernel[inside] = powers[ids[inside] - start]
         ring = _ComponentRing(6, 2)
