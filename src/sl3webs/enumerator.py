@@ -33,14 +33,15 @@ from __future__ import annotations
 from .planarmap import (
     CombMap,
     MapError,
+    _automorphisms,
     _bonds,
     _circular_witness,
     _drop_and_rewire,
     _IsoStore,
+    _polygonal_decompositions,
     canonical_key,
     connectivity,
     disjoint_union,
-    edge_3_coloring,
     from_rotations,
     validate,
 )
@@ -186,14 +187,35 @@ def circular_primes(n):
     return list(_CIRCULAR_CACHE[n].values())
 
 
+def _push_sites(cmap):
+    """The sites (x, q) of a map's converse pushes, face by face: x and q
+    lie on one face, q after x in the face's tuple, at an odd distance of
+    at least 3 both ways round.  Each unordered pair comes once."""
+    for face in cmap.faces():
+        for i, x in enumerate(face):
+            for q in face[i + 3 : i + len(face) - 2 : 2]:
+                yield x, q
+
+
+def _converse_push(both, x, q):
+    """The converse push at the site (x, q) of a parent, given the parent
+    beside `_THETA` as `both`."""
+    n = both.map.n_darts - 6
+    _, s1, s2, _, t1, t2 = range(n, n + 6)
+    y, p = both.map.theta[x], both.map.theta[q]
+    return _drop_and_rewire(both, (), ((x, s1), (y, t2), (p, s2), (q, t1)), 0)
+
+
 def converse_pushing_moves(web):
-    """Every converse pushing move of a web (+2 vertices per result).
+    """Every converse pushing move of a web (+2 vertices per result), one
+    per site of `_push_sites`, in its order.
 
     Take darts x and q of one face whose distance along it is odd and at
     least 3 both ways round.  The edges x-y and p-q (y = theta x,
     p = theta q) give way to new vertices U, joined to the ends of x and
     p, and V, joined to the ends of y and q, and to the edge U-V across
-    the face.  Pushing U-V gives the parent back.
+    the face.  Pushing U-V gives the parent back.  The site (q, x) gives
+    the same child with U and V swapped, so each pair is taken once.
 
     The face splits into two faces of those distances plus one, so the
     child is bipartite.  It is simple if the face visits no vertex twice,
@@ -203,17 +225,43 @@ def converse_pushing_moves(web):
     this one embeds, so these are all the converse pushes.  Each is the
     theta web `_THETA` beside the parent with four edges re-paired, so
     `_drop_and_rewire`'s no-vertex case builds it, unchecked.
+
+    An automorphism of the parent carries each site to a site whose push
+    is isomorphic, mirror included (`planarmap._automorphisms`): a
+    rotation phi carries {x, q} to {phi x, phi q}, a reflection psi to
+    {theta psi x, theta psi q}.  So the pushes fall into orbits of the
+    parent's automorphisms.  Every push is returned here, with its
+    multiplicity; the census builds one per orbit (`_orbit_pushes`).
+    """
+    both = disjoint_union(web, _THETA)
+    return [_converse_push(both, x, q) for x, q in _push_sites(web.map)]
+
+
+def _orbit_pushes(web):
+    """The first converse push of each orbit of the web's automorphisms
+    on its push sites, in `_push_sites` order.
+
+    Before a site's push is built, the images of the site under every
+    automorphism are marked, each as (a, b) and (b, a): a face tuple
+    starts at its least dart, so an image may be listed either way round.
+    A marked site's push is isomorphic, mirror included, to the push of
+    an earlier site, so it is skipped unbuilt.
     """
     cmap = web.map
+    theta = cmap.theta
     both = disjoint_union(web, _THETA)
-    _, s1, s2, _, t1, t2 = range(cmap.n_darts, cmap.n_darts + 6)
-    results = []
-    for face in cmap.faces():
-        for i, x in enumerate(face):
-            for q in face[i + 3 : i + len(face) - 2 : 2]:
-                y, p = cmap.theta[x], cmap.theta[q]
-                results.append(_drop_and_rewire(both, (), ((x, s1), (y, t2), (p, s2), (q, t1)), 0))
-    return results
+    maps = _automorphisms(cmap)
+    marked = set()
+    for x, q in _push_sites(cmap):
+        if (x, q) in marked:
+            continue
+        for perm, mirror in maps:
+            a, b = perm[x], perm[q]
+            if mirror:
+                a, b = theta[a], theta[b]
+            marked.add((a, b))
+            marked.add((b, a))
+        yield _converse_push(both, x, q)
 
 
 def _prime_layers(n):
@@ -227,12 +275,19 @@ def _prime_layers(n):
     this reaches every prime is not proved: it agrees with the downward
     closure of the circular layers under pushing moves in the tests
     (`pushing_moves` in `tests/oracles.py`).
+
+    Each parent contributes one push per orbit of its automorphisms
+    (`_orbit_pushes`).  A push left out is isomorphic, mirror included, to
+    a push of the same parent built before it, so it has the same bond
+    scan and the same class, and it was never the first of its class:
+    the layers keep the same representatives in the same order as when
+    every push is built.
     """
     below = {}
     for m in range(8, n + 1, 2):
         circular_primes(m)  # fills the cache with the layer's keys
         circular = _CIRCULAR_CACHE[m]
-        pushes = (c for w in below.values() for c in converse_pushing_moves(w) if not _bonds(c.map))
+        pushes = (c for w in below.values() for c in _orbit_pushes(w) if not _bonds(c.map))
         found = dict(circular)
         found.update((canonical_key(c), c) for c in _first_of_each_class(pushes, circular.values()))
         yield m, found
@@ -276,7 +331,8 @@ def build_catalog(n_max):
         for i, key in enumerate(sorted(found), 1):
             w = found[key]
             inv = invariant(w)
-            decs = edge_3_coloring(w)
+            # the layers keep 3-connected webs only: no second bond scan
+            decs = _polygonal_decompositions(w)
             descs = tuple(sorted(dec.sizes() for dec in decs))
             circular = _circular_witness(w.map, decs) is not None
             entries.append(CatalogEntry(f"{m // 2}_{i}", w, inv, descs, circular))

@@ -516,12 +516,10 @@ def _rooted_word(theta, rot, root, lab, ref=None, descend=True):
 
 def _component_canonical(cmap, include_reflections):
     """Least BFS word of a connected map over the roots of its least local
-    class, and the number of roots attaining it.
+    class.
 
     The least class is an invariant, so the least word over its pairs is
-    still a complete one.  The automorphisms act freely on the pairs and
-    preserve the class, so the number of pairs attaining the least word
-    is the group order.  Each root compares with the best word while it
+    still a complete one.  Each root compares with the best word while it
     ties with its prefix and is abandoned at the first larger label; once
     it falls strictly below (and for the first root) it labels the rest
     with no comparisons and becomes the best.  Between roots only the
@@ -530,32 +528,28 @@ def _component_canonical(cmap, include_reflections):
     theta = cmap.theta
     _, roots = _least_roots(_rotations(cmap, include_reflections))
     best = None
-    hits = 0
     lab = [-1] * len(theta)
     order = ()
     for rot, root in roots:
         for d in order:
             lab[d] = -1
         order, word = _rooted_word(theta, rot, root, lab, best)
-        if word is best:
-            hits += 1
-        elif word is not None:
+        if word is not None:
             best = word
-            hits = 1
-    return best, hits
+    return best
 
 
 def _canonical_data(web, include_reflections):
-    """(key bytes, automorphism count, word) per component.  A component
-    of several is read from its restriction, which keeps the dart order,
-    so its roots and words are those it has inside the whole map."""
+    """(key bytes, word) per component.  A component of several is read
+    from its restriction, which keeps the dart order, so its roots and
+    words are those it has inside the whole map."""
     cmap = web.map
     comps = cmap.components()
     parts = [cmap] if len(comps) == 1 else [cmap.restrict(comp) for comp in comps]
     out = []
     for part in parts:
-        word, hits = _component_canonical(part, include_reflections)
-        out.append((array.array("i", word).tobytes(), hits, word))
+        word = _component_canonical(part, include_reflections)
+        out.append((array.array("i", word).tobytes(), word))
     return out
 
 
@@ -563,7 +557,7 @@ def canonical_key(web, include_reflections=True):
     """Byte key equal for two webs iff they are isomorphic maps on the
     sphere (up to reflection when include_reflections is set), with equal
     circle counts."""
-    parts = sorted(k for k, _, _ in _canonical_data(web, include_reflections))
+    parts = sorted(k for k, _ in _canonical_data(web, include_reflections))
     blob = b"".join(len(p).to_bytes(4, "big") + p for p in parts)
     return web.circles.to_bytes(4, "big") + len(parts).to_bytes(4, "big") + blob
 
@@ -580,15 +574,68 @@ def _require_connected(web, need):
         raise MapError(f"{need}, got {web.n_vertices} vertices in {n_comps} components")
 
 
-def automorphism_count(web, include_reflections=True):
-    """Order of the dart-automorphism group of a connected web.
+def _automorphisms(cmap):
+    """Every automorphism of a connected map, mirror ones included, as
+    (perm, mirror) pairs: perm[d] is the image of dart d, and mirror says
+    whether perm reverses the rotation (perm sigma = sigma^-1 perm) rather
+    than keeping it.  The identity comes first.
 
-    Counts the (root, chirality) pairs attaining the canonical minimum;
-    the group acts freely on rooted darts, so this is the group order.
+    An automorphism carries a root of the least local class to a root of
+    that class (`_least_roots`) with the same BFS word, and it is fixed by
+    the image of one dart and the rotation it goes to.  So the
+    automorphisms are the roots, of either rotation, whose word is the
+    first root's: each maps the first root's BFS order onto its own, label
+    by label, and it reverses the rotation iff its rotation is not the
+    first root's.  The roots come rotation by rotation, the first root's
+    first.  The mirror maps, if there are any, are any one of them
+    composed with each map that keeps the rotation, so the other
+    rotation's roots are tried only until one matches.
+
+    A rotation phi keeps every face and the order of its darts, so it
+    carries the converse push site (x, q) of `enumerator` to the site
+    {phi x, phi q} on the image face.  A reflection psi carries sigma to
+    sigma^-1 and commutes with theta, so it conjugates the face
+    permutation sigma theta into sigma^-1 theta = theta (sigma theta)^-1
+    theta: psi x lies on a face of sigma^-1 theta, theta psi x on a face
+    of sigma theta walked backwards.  So x and q, on one face at odd
+    distances k and len - k, go to theta psi x and theta psi q, on one
+    face at distances len - k and k, and the edges x-theta x and
+    q-theta q go to the edges of those darts: the site {x, q} goes to
+    {theta psi x, theta psi q}.  Either way the push at the image is
+    isomorphic to the push at the site, mirror included, so the census,
+    which keeps the first push of each class, keeps the same ones when
+    it builds one push per orbit (`enumerator._prime_layers`).
     """
+    theta = cmap.theta
+    _, roots = _least_roots(_rotations(cmap, True))
+    lab = [-1] * len(theta)
+    rot0, root0 = roots[0]
+    order, word = _rooted_word(theta, rot0, root0, lab)
+    place = lab[:]  # each dart's place in the first root's BFS order
+    kept = [tuple(range(len(theta)))]
+    mirror = None
+    for rot, root in roots[1:]:
+        for d in order:
+            lab[d] = -1
+        order, got = _rooted_word(theta, rot, root, lab, word, descend=False)
+        if got is word:
+            perm = tuple(map(order.__getitem__, place))
+            if rot is not rot0:
+                mirror = perm
+                break
+            kept.append(perm)
+    out = [(perm, False) for perm in kept]
+    if mirror is not None:
+        out += [(tuple(map(mirror.__getitem__, perm)), True) for perm in kept]
+    return out
+
+
+def automorphism_count(web, include_reflections=True):
+    """Order of the dart-automorphism group of a connected web: the number
+    of maps `_automorphisms` lists, or of those that keep the rotation."""
     _require_connected(web, "automorphism_count needs a connected web with vertices")
-    _, hits, _ = _canonical_data(web, include_reflections)[0]
-    return hits
+    maps = _automorphisms(web.map)
+    return len(maps) if include_reflections else sum(1 for _, mirror in maps if not mirror)
 
 
 def canonical_form(web, include_reflections=True):
@@ -600,7 +647,7 @@ def canonical_form(web, include_reflections=True):
     """
     sigma_out = []
     theta_out = []
-    for _, _, word in sorted(_canonical_data(web, include_reflections), key=lambda t: t[0]):
+    for _, word in sorted(_canonical_data(web, include_reflections), key=lambda t: t[0]):
         off = len(sigma_out)
         sigma_out.extend(l + off for l in word[0::2])
         theta_out.extend(l + off for l in word[1::2])
@@ -998,6 +1045,12 @@ def edge_3_coloring(web):
     """
     if connectivity(web) != 3:
         raise MapError("polygonal decompositions need a 3-connected web")
+    return _polygonal_decompositions(web)
+
+
+def _polygonal_decompositions(web):
+    """`edge_3_coloring` of a web its caller knows to be simple and
+    3-connected; nothing is checked."""
     cmap = web.map
     face_color = _face_coloring(web)
     fof = cmap.face_table()

@@ -15,6 +15,9 @@ file's imports and calls for that.
 - `dim_inv` and `is_admissible`, the Clebsch-Gordan dimension recursion
   that the chord-diagram count is tested against;
 - `polygon_levels`, the dual-graph BFS that defines circularity;
+- `isomorphisms`, every isomorphism between two webs (automorphisms
+  included) by extending each image of dart 0, with no rooting and no
+  BFS word;
 - `parse_qpoly`, the inverse of `HalfLaurent.pretty`.
 """
 
@@ -243,6 +246,42 @@ def polygon_levels(web, dec, exterior_face):
                 dist[g] = dist[f] + 1
                 queue.append(g)
     return {p: dist[p] for p in dec.polygon_faces}
+
+
+def isomorphisms(w1, w2, include_reflections=True):
+    """Every isomorphism of a connected web onto another as (perm, mirror)
+    pairs, by brute force: dart 0 goes to each dart of w2 in turn, and the
+    map is extended along sigma and theta, or along sigma^-1 and theta for
+    a mirror map.  An extension that contradicts itself or is no
+    bijection is dropped.  isomorphisms(w, w) are w's automorphisms."""
+    m1, m2 = w1.map, w2.map
+    if w1.circles != w2.circles or m1.n_darts != m2.n_darts:
+        return []
+    n = m1.n_darts
+    if n == 0:
+        return [((), False)]
+    inverse = [0] * n
+    for d, s in enumerate(m2.sigma):
+        inverse[s] = d
+    rotations = ((False, m2.sigma), (True, inverse)) if include_reflections else ((False, m2.sigma),)
+    out = []
+    for mirror, rot in rotations:
+        for image in range(n):
+            perm = {0: image}
+            stack = [0]
+            ok = True
+            while stack and ok:
+                d = stack.pop()
+                for a, b in ((m1.sigma[d], rot[perm[d]]), (m1.theta[d], m2.theta[perm[d]])):
+                    if a not in perm:
+                        perm[a] = b
+                        stack.append(a)
+                    elif perm[a] != b:
+                        ok = False
+                        break
+            if ok and len(perm) == n and len(set(perm.values())) == n:
+                out.append((tuple(perm[d] for d in range(n)), mirror))
+    return out
 
 
 # -- polynomials ---------------------------------------------------------------

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from sl3webs import enumerator
+from sl3webs import enumerator, planarmap
 from sl3webs.enumerator import (
     _prime_layers,
     all_primes,
@@ -19,6 +19,7 @@ from sl3webs.enumerator import (
 from sl3webs.planarmap import (
     CombMap,
     MapError,
+    _bonds,
     _circular_witness,
     _drop_and_rewire,
     automorphism_count,
@@ -26,12 +27,21 @@ from sl3webs.planarmap import (
     connectivity,
     edge_3_coloring,
     isomorphic,
+    serialize_web,
     validate,
 )
 from sl3webs.qlaurent import parse_qexpr
 from sl3webs.reducer import invariant
-from oracles import dim_inv, find_all_reducibles, is_admissible, polygon_levels, pushing_moves, reduce_at
-from test_planarmap import brute_force_isomorphisms, random_relabel
+from oracles import (
+    dim_inv,
+    find_all_reducibles,
+    is_admissible,
+    isomorphisms,
+    polygon_levels,
+    pushing_moves,
+    reduce_at,
+)
+from test_planarmap import random_relabel
 from webfixtures import (
     cube_web,
     digon_expand,
@@ -336,7 +346,7 @@ class TestCircularPrimes:
         keys = [canonical_key(w) for w in pool]
         for i, a in enumerate(pool):
             for j in range(i, len(pool)):
-                brute = brute_force_isomorphisms(a, pool[j], True) > 0
+                brute = bool(isomorphisms(a, pool[j], True))
                 assert (keys[i] == keys[j]) == brute
 
 
@@ -491,6 +501,53 @@ class TestConversePushingMoves:
             assert got == converse_pushes_all_orientations(w)
 
 
+def layers_and_pushes(n):
+    """The layers of `_prime_layers(n)` and the number of converse pushes
+    built for each."""
+    built = []
+    push = enumerator._converse_push
+
+    def spy(*args):
+        built.append(None)
+        return push(*args)
+
+    layers, counts = {}, {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumerator, "_converse_push", spy)
+        for m, found in _prime_layers(n):
+            layers[m] = found
+            counts[m] = len(built) - sum(counts.values())
+    return layers, counts
+
+
+class TestOrbitPushes:
+    def test_same_layers_as_every_push(self, monkeypatch):
+        layers, counts = layers_and_pushes(26)
+        assert counts == {8: 0, 10: 0, 12: 0, 14: 1, 16: 2, 18: 3, 20: 13, 22: 35, 24: 118, 26: 404}
+        monkeypatch.setattr(enumerator, "_automorphisms", lambda cmap: [(tuple(range(cmap.n_darts)), False)])
+        every, counts = layers_and_pushes(26)
+        assert counts == {8: 0, 10: 0, 12: 0, 14: 6, 16: 9, 18: 28, 20: 32, 22: 168, 24: 198, 26: 936}
+        # the same keys and the same representatives, in the same order
+        assert list(layers) == list(every)
+        for m, found in every.items():
+            assert [(k, serialize_web(w)) for k, w in layers[m].items()] == [
+                (k, serialize_web(w)) for k, w in found.items()
+            ]
+
+    def test_one_push_per_orbit_covers_every_class(self):
+        # the pushes for the layers through 22 vertices, counted per parent
+        counts = Counter()
+        for _, found in _prime_layers(20):
+            for w in found.values():
+                pushes = list(enumerator._orbit_pushes(w))
+                keys = [canonical_key(c) for c in pushes]
+                assert set(keys) == {canonical_key(c) for c in converse_pushing_moves(w)}
+                prime = [k for c, k in zip(pushes, keys) if not _bonds(c.map)]
+                counts.update(orbits=len(keys), classes=len(set(keys)))
+                counts.update(prime_orbits=len(prime), prime_classes=len(set(prime)))
+        assert counts == {"orbits": 54, "classes": 51, "prime_orbits": 46, "prime_classes": 43}
+
+
 class TestAllPrimes:
     def test_eight_vertices(self):
         webs = all_primes(8)
@@ -511,8 +568,10 @@ class TestAllPrimes:
             assert {canonical_key(w) for w in all_primes(n)} == down[n], n
 
     def test_counts_24_to_30(self):
-        layers = dict(_prime_layers(30))
+        layers, built = layers_and_pushes(30)
         assert {m: len(layers[m]) for m in range(24, 32, 2)} == {24: 32, 26: 57, 28: 185, 30: 466}
+        # one push per orbit: 4794 of the 6974 pushes of layer 28
+        assert built[30] == 4794
         digest = hashlib.sha256(b"".join(sorted(layers[30])))
         assert digest.hexdigest() == "8ce2e53038a5a56ce84eb9ea751f941009df3705ba1b77e9c41388085112739d"
         # the prime a downward closure from 34 vertices missed
@@ -529,7 +588,7 @@ class TestAllPrimes:
             webs = all_primes(n)
             for i, a in enumerate(webs):
                 for b in webs[i + 1 :]:
-                    assert brute_force_isomorphisms(a, b) == 0
+                    assert not isomorphisms(a, b)
 
 
 class TestCatalog:
@@ -571,6 +630,18 @@ class TestCatalog:
         assert Counter(w.n_vertices for w in keyed) == {8: 1, 12: 1, 14: 1, 16: 2, 18: 2, 20: 8, 22: 8, 24: 32}
         assert len({key(w) for w in keyed}) == 55
         assert {id(w) for w in at_24} <= {id(w) for w in keyed}
+
+    def test_no_prime_scanned_for_bonds_again(self, monkeypatch):
+        # the layers keep 3-connected webs only, so with the circular
+        # layers cached the catalog reads its primes' decompositions
+        # without a connectivity check
+        all_primes(22)
+
+        def connectivity(web):
+            raise AssertionError("a prime was scanned for bonds again")
+
+        monkeypatch.setattr(planarmap, "connectivity", connectivity)
+        assert len(build_catalog(22)) == 23
 
     def test_catalog_agrees_with_all_primes_at_24(self):
         at_24 = [e for e in build_catalog(24) if e.vertex_count == 24]

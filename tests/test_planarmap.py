@@ -29,7 +29,7 @@ from sl3webs.planarmap import (
     serialize_web,
     validate,
 )
-from oracles import find_all_reducibles, polygon_levels, reduce_at
+from oracles import find_all_reducibles, isomorphisms, polygon_levels, reduce_at
 from webfixtures import (
     FIXTURES,
     cube_web,
@@ -44,48 +44,6 @@ from webfixtures import (
     theta_web,
     triangle_prism_web_map,
 )
-
-
-def _invert(perm):
-    inv = [0] * len(perm)
-    for d, s in enumerate(perm):
-        inv[s] = d
-    return inv
-
-
-def brute_force_isomorphisms(w1, w2, include_reflections=True):
-    """Count structure-preserving dart bijections by trying every image of
-    dart 0; independent of the canonical-labeling code."""
-    m1, m2 = w1.map, w2.map
-    if w1.circles != w2.circles or m1.n_darts != m2.n_darts:
-        return 0
-    if m1.n_darts == 0:
-        return 1
-    rotations = [m2.sigma]
-    if include_reflections:
-        rotations.append(tuple(_invert(m2.sigma)))
-    count = 0
-    for sig2 in rotations:
-        for r2 in range(m2.n_darts):
-            phi = {0: r2}
-            stack = [0]
-            ok = True
-            while stack and ok:
-                d = stack.pop()
-                for nb1, nb2 in (
-                    (m1.sigma[d], sig2[phi[d]]),
-                    (m1.theta[d], m2.theta[phi[d]]),
-                ):
-                    if nb1 in phi:
-                        if phi[nb1] != nb2:
-                            ok = False
-                            break
-                    else:
-                        phi[nb1] = nb2
-                        stack.append(nb1)
-            if ok and len(phi) == m1.n_darts and len(set(phi.values())) == m1.n_darts:
-                count += 1
-    return count
 
 
 def random_relabel(web, rng):
@@ -290,7 +248,7 @@ class TestCanonicalKey:
         for i, a in enumerate(webs):
             for j in range(i, len(webs)):
                 for refl in (True, False):
-                    brute = brute_force_isomorphisms(a, webs[j], refl) > 0
+                    brute = bool(isomorphisms(a, webs[j], refl))
                     assert (keys[refl][i] == keys[refl][j]) == brute
 
     def test_matches_brute_force_iso_mid_reduction(self):
@@ -316,7 +274,7 @@ class TestCanonicalKey:
             for j in range(i, len(children)):
                 b = children[j]
                 for refl in (True, False):
-                    brute = faces[i] == faces[j] and brute_force_isomorphisms(a, b, refl) > 0
+                    brute = faces[i] == faces[j] and bool(isomorphisms(a, b, refl))
                     assert (keys[refl][i] == keys[refl][j]) == brute
         rng = random.Random(17)
         for i, c in enumerate(children):
@@ -415,12 +373,12 @@ class TestAutomorphisms:
 
     def test_theta_matches_brute_force(self):
         w = theta_web()
-        assert automorphism_count(w, False) == brute_force_isomorphisms(w, w, False) == 6
-        assert automorphism_count(w, True) == brute_force_isomorphisms(w, w, True) == 12
+        assert automorphism_count(w, False) == len(isomorphisms(w, w, False)) == 6
+        assert automorphism_count(w, True) == len(isomorphisms(w, w, True)) == 12
 
     def test_hex_prism(self):
         w = hex_prism_web()
-        assert automorphism_count(w, False) == brute_force_isomorphisms(w, w, False) == 12
+        assert automorphism_count(w, False) == len(isomorphisms(w, w, False)) == 12
         assert automorphism_count(w, True) == 24
 
     @pytest.mark.parametrize(
@@ -442,6 +400,30 @@ class TestAutomorphisms:
         for w in (cube_web(), theta_web(), hex_prism_web(), digon_prism_web()):
             n = automorphism_count(w, True)
             assert (4 * w.n_edges) % n == 0
+
+    def test_listed_maps_match_brute_force_on_primes(self):
+        # every prime of 8-24 vertices and a seeded relabelling of each
+        rng = random.Random(32)
+        primes = [w for n in range(8, 26, 2) for w in all_primes(n)]
+        webs = primes + [random_relabel(w, rng) for w in primes]
+        assert len(webs) == 110
+        for w in webs:
+            sigma, theta = w.map.sigma, w.map.theta
+            got = planarmap._automorphisms(w.map)
+            assert got[0] == (tuple(range(w.map.n_darts)), False)
+            assert len(set(got)) == len(got)
+            assert set(got) == set(isomorphisms(w, w))
+            for perm, mirrored in got:
+                rot = [sigma[s] for s in sigma] if mirrored else sigma
+                assert all(perm[theta[d]] == theta[perm[d]] for d in range(len(perm)))
+                assert all(perm[sigma[d]] == rot[perm[d]] for d in range(len(perm)))
+            assert automorphism_count(w, True) == len(got)
+            assert automorphism_count(w, False) == sum(1 for _, m in got if not m)
+
+    def test_listed_maps_on_multigraphs(self):
+        for w in (theta_web(), digon_prism_web(), hex_prism_web(), cube_web()):
+            got = planarmap._automorphisms(w.map)
+            assert sorted(got) == sorted(isomorphisms(w, w))
 
 
 class TestMirror:
