@@ -24,14 +24,7 @@ from .planarmap import (
     serialize_web,
     validate,
 )
-from .enumerator import (
-    all_primes,
-    assemble_web,
-    build_catalog,
-    circular_primes,
-    even_partitions,
-    normal_chord_diagrams,
-)
+from .enumerator import all_primes, build_catalog
 from .primedec import Decomposition, connected_sum, decompose, simplify, split
 from .qlaurent import (
     HalfLaurent,

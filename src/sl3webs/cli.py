@@ -14,9 +14,11 @@ import json
 import sys
 from collections import defaultdict
 
-from .enumerator import all_primes, build_catalog, circular_primes
+from .enumerator import all_primes, build_catalog
 from .planarmap import (
     MapError,
+    _circular_witness,
+    _polygonal_decompositions,
     canonical_form,
     canonical_key,
     parse_web,
@@ -82,7 +84,9 @@ def _cmd_decompose(args):
 
 def _cmd_enumerate(args):
     n = args.vertices
-    webs = circular_primes(n) if args.circular_only else all_primes(n)
+    webs = all_primes(n)
+    if args.circular_only:
+        webs = [w for w in webs if _circular_witness(w.map, _polygonal_decompositions(w)) is not None]
     if args.count:
         _emit(len(webs), str(len(webs)), args.pretty)
         return 0

@@ -10,6 +10,9 @@ file's imports and calls for that.
   `apply_bigon`, `apply_square`) and `invariant_random_order`, which
   reduces at a uniformly random site with no memo, no component
   splitting and no connected-sum factoring;
+- the paper's plates: `even_partitions`, `normal_chord_diagrams`,
+  `assemble_web` and `circular_primes`, which the census's circular
+  primes are tested against;
 - `pushing_moves`, the paper's move, by which the tests close the
   circular layers downward;
 - `dim_inv` and `is_admissible`, the Clebsch-Gordan dimension recursion
@@ -150,6 +153,142 @@ def invariant_random_order(web, rand):
 # -- the census ----------------------------------------------------------------
 
 
+def even_partitions(n):
+    """Plates of total size n: cyclic tuples of even parts >= 4, up to
+    rotation and reflection.  Two-sided plates only exist with equal sides
+    (no normal diagram otherwise), one-sided plates not at all.
+    """
+    if n < 0 or n % 2:
+        raise ValueError("plate sizes are even and non-negative")
+    plates = set()
+
+    def canon(seq):
+        best = None
+        for s in (seq, tuple(reversed(seq))):
+            for i in range(len(s)):
+                rot = s[i:] + s[:i]
+                if best is None or rot < best:
+                    best = rot
+        return best
+
+    def extend(prefix, remaining):
+        if remaining == 0:
+            if len(prefix) >= 3:
+                plates.add(canon(tuple(prefix)))
+            return
+        for part in range(4, remaining + 1, 2):
+            if remaining - part != 0 and remaining - part < 4:
+                continue
+            prefix.append(part)
+            extend(prefix, remaining - part)
+            prefix.pop()
+
+    extend([], n)
+    if n >= 8 and (n // 2) % 2 == 0:
+        plates.add((n // 2, n // 2))
+    return sorted(plates)
+
+
+def normal_chord_diagrams(plate):
+    """All non-crossing perfect matchings of the plate boundary with no
+    chord inside one side; the count is dim Inv(V_a1 x ... x V_aN) for the
+    plate's sides a1, ..., aN (`dim_inv`).
+
+    The matchings of each interval [lo, hi) are memoized per plate, so an
+    interval that admits none is ruled out once.  A matching of [lo, hi)
+    is the chord (lo, q), then a matching of (lo, q), then one of
+    (q, hi): every diagram comes out as a sorted chord tuple, ordered by
+    q, then by the inner matching, then by the outer one.
+    """
+    side = [i for i, a in enumerate(plate) for _ in range(a)]
+    return list(_matchings(side, 0, len(side), {}))
+
+
+def _matchings(side, lo, hi, memo):
+    if lo == hi:
+        return ((),)
+    found = memo.get((lo, hi))
+    if found is None:
+        found = memo[lo, hi] = tuple(
+            ((lo, q),) + inner + outer
+            for q in range(lo + 1, hi, 2)
+            if side[q] != side[lo]
+            for inner in _matchings(side, lo + 1, q, memo)
+            for outer in _matchings(side, q + 1, hi, memo)
+        )
+    return found
+
+
+def assemble_web(plate, diagram):
+    """Re-glue a plate and a normal chord diagram into a web.
+
+    Each side's points close back into a polygon (the cut edge restored);
+    chords become the connector edges.  Boundary point p is a vertex with
+    darts 3p, 3p + 1 and 3p + 2, rotating ccw to the next point of its
+    polygon, the chord partner and the previous point, which reproduces
+    the disk drawing: chords inside, cut edges through the exterior face.
+    """
+    total = sum(plate)
+    partner = {}
+    for p, q in diagram:
+        partner[p] = q
+        partner[q] = p
+    if sorted(partner) != list(range(total)):
+        raise MapError("diagram is not a perfect matching of the plate")
+    sigma, theta = [], []
+    start = 0
+    for a in plate:
+        for j in range(a):
+            p = 3 * (start + j)
+            sigma += [p + 1, p + 2, p]
+            # p is the previous point of its next point, and so on
+            theta += [3 * (start + (j + 1) % a) + 2, 3 * partner[start + j] + 1, 3 * (start + (j - 1) % a)]
+        start += a
+    return validate(CombMap(sigma, theta))
+
+
+def _three_connected(cmap):
+    """Whether a connected cubic plane map is 3-edge-connected, which for
+    a cubic graph is 3-connected: an edge set is a minimal cut iff its
+    dual edges form a cycle, so a bridge has one face on both sides and
+    the two edges of a 2-edge cut separate the same two faces."""
+    fof = cmap.face_table()
+    sides = [frozenset((fof[d], fof[t])) for d, t in cmap.edges()]
+    return min(map(len, sides), default=2) == 2 and len(set(sides)) == len(sides)
+
+
+def _shape(cmap):
+    """An isomorphism invariant that buckets webs: each vertex's sorted
+    face lengths, sorted."""
+    flen = cmap.face_lengths()
+    return tuple(sorted(tuple(sorted(flen[d] for d in v)) for v in cmap.vertices()))
+
+
+# n -> the circular primes of n vertices, in plate order
+_CIRCULAR_CACHE = {}
+
+
+def circular_primes(n):
+    """The circular primes of n vertices: the connected 3-connected plate
+    webs, one per isomorphism class (mirror included, told apart by
+    `isomorphisms`), the first of each in the order of the plates and
+    their diagrams."""
+    if n not in _CIRCULAR_CACHE:
+        classes = {}
+        found = []
+        for plate in even_partitions(n):
+            for diagram in normal_chord_diagrams(plate):
+                w = assemble_web(plate, diagram)
+                if len(w.map.components()) != 1 or not _three_connected(w.map):
+                    continue
+                bucket = classes.setdefault(_shape(w.map), [])
+                if not any(next(_isomorphisms(w, b), None) for b in bucket):
+                    bucket.append(w)
+                    found.append(w)
+        _CIRCULAR_CACHE[n] = found
+    return list(_CIRCULAR_CACHE[n])
+
+
 def pushing_moves(web):
     """Apply the pushing move at every edge; -2 vertices per result.
 
@@ -254,17 +393,21 @@ def isomorphisms(w1, w2, include_reflections=True):
     map is extended along sigma and theta, or along sigma^-1 and theta for
     a mirror map.  An extension that contradicts itself or is no
     bijection is dropped.  isomorphisms(w, w) are w's automorphisms."""
+    return list(_isomorphisms(w1, w2, include_reflections))
+
+
+def _isomorphisms(w1, w2, include_reflections=True):
     m1, m2 = w1.map, w2.map
     if w1.circles != w2.circles or m1.n_darts != m2.n_darts:
-        return []
+        return
     n = m1.n_darts
     if n == 0:
-        return [((), False)]
+        yield (), False
+        return
     inverse = [0] * n
     for d, s in enumerate(m2.sigma):
         inverse[s] = d
     rotations = ((False, m2.sigma), (True, inverse)) if include_reflections else ((False, m2.sigma),)
-    out = []
     for mirror, rot in rotations:
         for image in range(n):
             perm = {0: image}
@@ -280,8 +423,7 @@ def isomorphisms(w1, w2, include_reflections=True):
                         ok = False
                         break
             if ok and len(perm) == n and len(set(perm.values())) == n:
-                out.append((tuple(perm[d] for d in range(n)), mirror))
-    return out
+                yield tuple(perm[d] for d in range(n)), mirror
 
 
 # -- polynomials ---------------------------------------------------------------

@@ -318,12 +318,13 @@ class TestCatalogCommand:
         assert lines[1]["descriptions"] == [[4, 4, 4], [4, 4, 4], [6, 6]]
 
     def test_catalog_bytes_pinned(self, capsys):
-        # every name, invariant, description and circularity flag of the
-        # primes through 22 vertices, byte for byte
+        # every name, invariant, description, circularity flag and
+        # representative's dart labels of the primes through 22 vertices,
+        # byte for byte
         rc, out, _ = run(capsys, "catalog", "--max-vertices", "22")
         assert rc == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "0101c83262bce0095b5768362f3628d092ae07b75c9e9161723a8cb35ade4d61"
+        assert digest == "faf67778cf59895c0b38e4565ee12eeb6343eb878244c045069940cc6f7571ca"
 
     def test_bad_slack_messages(self, capsys):
         # every layer is built upward from the one below; there is no seed

@@ -6,26 +6,21 @@ from collections import Counter
 import pytest
 
 from sl3webs import enumerator, planarmap
-from sl3webs.enumerator import (
-    _prime_layers,
-    all_primes,
-    assemble_web,
-    build_catalog,
-    circular_primes,
-    converse_pushing_moves,
-    even_partitions,
-    normal_chord_diagrams,
-)
+from sl3webs.enumerator import _prime_layers, all_primes, build_catalog
 from sl3webs.planarmap import (
     CombMap,
     MapError,
     _bonds,
     _circular_witness,
     _drop_and_rewire,
+    _IsoStore,
+    _polygonal_decompositions,
     automorphism_count,
     canonical_key,
     connectivity,
+    disjoint_union,
     edge_3_coloring,
+    from_rotations,
     isomorphic,
     serialize_web,
     validate,
@@ -33,10 +28,14 @@ from sl3webs.planarmap import (
 from sl3webs.qlaurent import parse_qexpr
 from sl3webs.reducer import invariant
 from oracles import (
+    assemble_web,
+    circular_primes,
     dim_inv,
+    even_partitions,
     find_all_reducibles,
     is_admissible,
     isomorphisms,
+    normal_chord_diagrams,
     polygon_levels,
     pushing_moves,
     reduce_at,
@@ -251,6 +250,20 @@ class TestCircularPrimes:
         # (see the acceptance suite, which carries the published assertion)
         assert len(circular_primes(22)) == 7
 
+    def test_plates_are_the_census_circular_primes_to_30(self):
+        # the plates' 3-connected webs, deduplicated by brute-force
+        # isomorphism, against the census primes the witness calls circular
+        counts = {}
+        for m, found in _prime_layers(30):
+            census = {k for k, w in found.items() if _circular_witness(w.map, _polygonal_decompositions(w)) is not None}
+            plates = [canonical_key(w) for w in circular_primes(m)]
+            assert set(plates) == census, m
+            assert len(set(plates)) == len(plates), m
+            counts[m] = len(plates)
+        assert counts == {
+            8: 1, 10: 0, 12: 1, 14: 1, 16: 2, 18: 2, 20: 5, 22: 7, 24: 19, 26: 28, 28: 75, 30: 136,
+        }
+
     def test_eighteen_has_distinct_keys_and_invariants(self):
         webs = circular_primes(18)
         assert canonical_key(webs[0]) != canonical_key(webs[1])
@@ -382,7 +395,7 @@ class TestPushingMoves:
         for w in circular_primes(16) + circular_primes(18):
             key = canonical_key(w)
             for child in pushing_moves(w):
-                assert any(canonical_key(b) == key for b in converse_pushing_moves(child))
+                assert any(canonical_key(b) == key for b in every_push(child))
                 checked += 1
         assert checked == 15
 
@@ -464,8 +477,16 @@ class TestPushSimplicity:
         assert self.assert_exact(parents) == 88
 
 
+def every_push(web):
+    """Every converse push of a web, one per site of
+    `enumerator._push_sites`, in its order, with the multiplicity that
+    `enumerator._orbit_pushes` leaves out."""
+    both = disjoint_union(web, enumerator._THETA)
+    return [enumerator._converse_push(both, x, q) for x, q in enumerator._push_sites(web.map)]
+
+
 def converse_pushes_all_orientations(web):
-    """Oracle for converse_pushing_moves: Counter of the canonical keys of
+    """Oracle for every_push: Counter of the canonical keys of
     the simple children, built at every pair of edges in all four ways to
     attach the new vertices, whether or not the edges share a face."""
     cmap = web.map
@@ -495,7 +516,7 @@ class TestConversePushingMoves:
         webs = [w for _, found in _prime_layers(22) for w in found.values()]
         assert len(webs) == 23
         for w in webs:
-            children = converse_pushing_moves(w)
+            children = every_push(w)
             assert all(simple_by_vertex_pairs(c) for c in children)
             got = Counter(canonical_key(c) for c in children)
             assert got == converse_pushes_all_orientations(w)
@@ -541,11 +562,105 @@ class TestOrbitPushes:
             for w in found.values():
                 pushes = list(enumerator._orbit_pushes(w))
                 keys = [canonical_key(c) for c in pushes]
-                assert set(keys) == {canonical_key(c) for c in converse_pushing_moves(w)}
+                assert set(keys) == {canonical_key(c) for c in every_push(w)}
                 prime = [k for c, k in zip(pushes, keys) if not _bonds(c.map)]
                 counts.update(orbits=len(keys), classes=len(set(keys)))
                 counts.update(prime_orbits=len(prime), prime_classes=len(set(prime)))
         assert counts == {"orbits": 54, "classes": 51, "prime_orbits": 46, "prime_classes": 43}
+
+
+K4_ROTATIONS = [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]
+
+
+def edge_insertions(cmap):
+    """Every edge insertion into a 3-connected cubic plane map (+2
+    vertices), one per pair of distinct edges of one face, face by face.
+
+    Edge x-y (y = theta x) becomes x-U-y and edge q-p (p = theta q)
+    becomes q-V-p, with U-V drawn across the face.  U and V rotate the
+    same way, so one of the two senses is plane: the child is built
+    through `CombMap` in one sense, and in the other when its genus is
+    not 0, so that no convention of face orientation is assumed.  A
+    3-connected map has no bridge, so no face holds both darts of an
+    edge."""
+    sigma, theta = cmap.sigma, cmap.theta
+    n = cmap.n_darts
+    u = (n, n + 1, n + 2)  # joined to x, to y, to V
+    v = (n + 3, n + 4, n + 5)  # joined to q, to p, to U
+    for face in cmap.faces():
+        for i, x in enumerate(face):
+            for q in face[i + 1 :]:
+                y, p = theta[x], theta[q]
+                new_theta = list(theta) + [x, y, v[2], q, p, u[2]]
+                new_theta[x], new_theta[y], new_theta[q], new_theta[p] = u[0], u[1], v[0], v[1]
+                for turn in ((1, 2, 0), (2, 0, 1)):
+                    new_sigma = list(sigma) + [u[t] for t in turn] + [v[t] for t in turn]
+                    child = CombMap(new_sigma, new_theta)
+                    if child.genus_by_component() == [(0, 0)]:
+                        yield child
+                        break
+                else:
+                    raise AssertionError("neither sense of the insertion is plane")
+
+
+@pytest.fixture(scope="module")
+def insertion_census():
+    """{m: one map per isomorphism class, mirror included, of the
+    3-connected cubic plane graphs of m vertices} for m = 4, 6, ..., 18.
+
+    A census with no theory in common with pushes: the layers grow from
+    K4 by edge insertions, each deduplicated through its own `_IsoStore`.
+    An insertion into a 3-connected cubic graph is 3-connected, and every
+    such plane graph but K4 is an insertion into a smaller one: dually,
+    every triangulation but K4 has an edge whose contraction leaves a
+    triangulation.
+    """
+    layers = {4: [from_rotations(K4_ROTATIONS)]}
+    for m in range(6, 20, 2):
+        store = _IsoStore()
+        layers[m] = []
+        for w in layers[m - 2]:
+            for child in edge_insertions(w):
+                entry = store.entry(child)
+                if entry.value is None:
+                    entry.value = child
+                    layers[m].append(child)
+    return layers
+
+
+def insertion_primes(maps):
+    """{canonical key: web} of the maps with every face even: the
+    bipartite ones, which are webs."""
+    webs = [validate(c) for c in maps if all(len(f) % 2 == 0 for f in c.faces())]
+    return {canonical_key(w): w for w in webs}
+
+
+class TestEdgeInsertionCensus:
+    def test_class_counts(self, insertion_census):
+        counts = {m: len(maps) for m, maps in insertion_census.items()}
+        assert counts == {4: 1, 6: 1, 8: 2, 10: 5, 12: 14, 14: 50, 16: 233, 18: 1249}
+
+    def test_even_faced_classes_are_the_primes(self, insertion_census):
+        for m in range(8, 20, 2):
+            assert set(insertion_primes(insertion_census[m])) == {canonical_key(w) for w in all_primes(m)}, m
+
+    def test_unreached_primes_are_the_prisms(self, insertion_census):
+        # the primes of m vertices that no bond-free converse push of the
+        # primes of m - 2 vertices reaches, both from the insertion census
+        below = []
+        for m in range(8, 20, 2):
+            primes = insertion_primes(insertion_census[m])
+            reached = {canonical_key(c) for w in below for c in every_push(w) if not _bonds(c.map)}
+            unreached = [w for key, w in primes.items() if key not in reached]
+            k = m // 2
+            if m % 4:
+                assert unreached == [], m
+            else:
+                (prism,) = unreached
+                assert canonical_key(prism) == canonical_key(enumerator._prism(k))
+                # k squares and two k-gons: six squares at 8, the cube
+                assert Counter(len(f) for f in prism.map.faces()) == Counter({4: k}) + Counter({k: 2})
+            below = list(primes.values())
 
 
 class TestAllPrimes:
@@ -619,9 +734,8 @@ class TestCatalog:
         assert len(keys) == len(family)
 
     def test_keys_only_the_primes_kept(self, monkeypatch):
-        # the layers deduplicate through isomorphism stores, so with no
-        # circular layer cached each prime of 8-24 vertices is keyed once
-        monkeypatch.setattr(enumerator, "_CIRCULAR_CACHE", {})
+        # the layers deduplicate through isomorphism stores, so each prime
+        # of 8-24 vertices is keyed once
         keyed = []
         key = enumerator.canonical_key
         monkeypatch.setattr(enumerator, "canonical_key", lambda web: keyed.append(web) or key(web))
@@ -632,11 +746,8 @@ class TestCatalog:
         assert {id(w) for w in at_24} <= {id(w) for w in keyed}
 
     def test_no_prime_scanned_for_bonds_again(self, monkeypatch):
-        # the layers keep 3-connected webs only, so with the circular
-        # layers cached the catalog reads its primes' decompositions
-        # without a connectivity check
-        all_primes(22)
-
+        # the layers keep 3-connected webs only, so the catalog reads its
+        # primes' decompositions without a connectivity check
         def connectivity(web):
             raise AssertionError("a prime was scanned for bonds again")
 

@@ -498,7 +498,7 @@ class TestPolygonalDecompositions:
                 for dec in edge_3_coloring(w):
                     digest.update(repr((dec.pair, dec.connector_color, sorted(dec.coloring.items()))).encode())
                     digest.update(repr((dec.polygon_faces, dec.polygons)).encode())
-        assert digest.hexdigest() == "43e480560f1e6e4dfbdcb911df0ed9cd27dcc3401d80b0ab84278cec7d3c8780"
+        assert digest.hexdigest() == "1883b1618bb4ad63c714949ecd49ddcf73af7f86364f213339258cc04d7c638b"
 
 
 class TestLevelsAndCircularity:
