@@ -14,7 +14,7 @@ import json
 import sys
 from collections import defaultdict
 
-from .enumerator import all_primes, build_catalog
+from .enumerator import _last_layer, all_primes, build_catalog
 from .planarmap import (
     MapError,
     _circular_witness,
@@ -84,7 +84,8 @@ def _cmd_decompose(args):
 
 def _cmd_enumerate(args):
     n = args.vertices
-    webs = all_primes(n)
+    # a count needs no order, so its primes are not keyed
+    webs = _last_layer(n) if args.count else all_primes(n)
     if args.circular_only:
         webs = [w for w in webs if _circular_witness(w.map, _polygonal_decompositions(w)) is not None]
     if args.count:

@@ -6,8 +6,8 @@ are built upward from the cube instead: layer m holds the (m/2)-gonal
 prism when 4 divides m (the cube at 8), then the 3-connected converse
 pushes, across a face, of layer m - 2.  No web above m is built.  Each
 layer is deduplicated through a `planarmap` isomorphism store, and only
-the primes kept are keyed: the canonical key orders them and names them
-in the catalog.
+the layer printed is keyed; `--count` keys none: the canonical key
+orders the primes and names them in the catalog.
 
 The plates are a test oracle, which checks the census instead of
 feeding it.  Cut open along the exterior edges of its polygons, a
@@ -32,12 +32,12 @@ from itertools import chain
 
 from .planarmap import (
     CombMap,
-    _automorphisms,
     _bonds,
     _circular_witness,
     _drop_and_rewire,
     _IsoStore,
     _polygonal_decompositions,
+    _root_search,
     canonical_key,
     disjoint_union,
     from_rotations,
@@ -103,45 +103,61 @@ def _orbit_pushes(web):
     """The first converse push of each orbit of the web's automorphisms
     on its push sites, in `_push_sites` order.
 
-    An automorphism of the parent carries each site to a site whose push
-    is isomorphic, mirror included (`planarmap._automorphisms`): a
-    rotation phi carries {x, q} to {phi x, phi q}, a reflection psi to
-    {theta psi x, theta psi q}.  Before a site's push is built, the
-    images of the site under every automorphism are marked, each as
-    (a, b) and (b, a): a face tuple starts at its least dart, so an image
-    may be listed either way round.  A marked site's push is isomorphic
-    to the push of an earlier site, so it is skipped unbuilt.
+    A rotation phi keeps every face and the order of its darts, so it
+    carries the site (x, q) to the site {phi x, phi q} on the image face.
+    A reflection psi carries sigma to sigma^-1 and commutes with theta,
+    so it conjugates the face permutation sigma theta into
+    sigma^-1 theta = theta (sigma theta)^-1 theta: psi x lies on a face
+    of sigma^-1 theta, theta psi x on a face of sigma theta walked
+    backwards.  So x and q, on one face at odd distances k and len - k,
+    go to theta psi x and theta psi q, on one face at distances len - k
+    and k, and the edges x-theta x and q-theta q go to the edges of those
+    darts: the site {x, q} goes to {theta psi x, theta psi q}.  Either
+    way the push at the image is isomorphic to the push at the site,
+    mirror included.
+
+    Before a site's push is built, its orbit is marked by a search over
+    the generators of the automorphism group (`planarmap._root_search`),
+    each site as (a, b) and (b, a): a face tuple starts at its least
+    dart, so an image may be listed either way round.  A marked site's
+    push is isomorphic to the push of an earlier site, so it is skipped
+    unbuilt.
     """
     cmap = web.map
     theta = cmap.theta
     both = disjoint_union(web, _THETA)
-    maps = _automorphisms(cmap)
+    gens = _root_search(cmap, True)[1]
     marked = set()
-    for x, q in _push_sites(cmap):
-        if (x, q) in marked:
+    for site in _push_sites(cmap):
+        if site in marked:
             continue
-        for perm, mirror in maps:
-            a, b = perm[x], perm[q]
-            if mirror:
-                a, b = theta[a], theta[b]
-            marked.add((a, b))
-            marked.add((b, a))
-        yield _converse_push(both, x, q)
+        marked.update((site, site[::-1]))
+        todo = [site]
+        for x, q in todo:
+            for perm, mirror in gens:
+                a, b = perm[x], perm[q]
+                if mirror:
+                    a, b = theta[a], theta[b]
+                if (a, b) not in marked:
+                    marked.update(((a, b), (b, a)))
+                    todo.append((a, b))
+        yield _converse_push(both, *site)
 
 
 def _prime_layers(n):
-    """Yield (m, {canonical key: web}) for m = 8, 10, ..., n.
+    """Yield (m, primes of m vertices) for m = 8, 10, ..., n, each layer a
+    list in discovery order.
 
     Layer m holds the (m/2)-gonal prism when 4 divides m, then the first
     3-connected converse push of each class new to it among the pushes of
-    layer m - 2; only the webs kept are keyed.  The converse pushes of
-    primes are connected and simple, so a bond scan decides.  That the
-    prisms are the only primes no such push reaches is not proved: it is
-    measured through 32 vertices and checked by the tests' edge-insertion
-    census through 18.  The plates are a test oracle (`tests/oracles.py`):
-    the tests check the layers against the plates' circular primes
-    through 30 vertices, and against their downward closure under
-    pushing moves.
+    layer m - 2.  No prime is keyed here: only the layer printed is keyed;
+    `--count` keys none.  The converse pushes of primes are connected and
+    simple, so a bond scan decides.  That the prisms are the only primes
+    no such push reaches is not proved: it is measured through 32
+    vertices and checked by the tests' edge-insertion census through 18.
+    The plates are a test oracle (`tests/oracles.py`): the tests check the
+    layers against the plates' circular primes through 30 vertices, and
+    against their downward closure under pushing moves.
 
     Each parent contributes one push per orbit of its automorphisms
     (`_orbit_pushes`).  A push left out is isomorphic, mirror included, to
@@ -150,28 +166,33 @@ def _prime_layers(n):
     the layers keep the same representatives in the same order as when
     every push is built.
     """
-    below = {}
+    below = []
     for m in range(8, n + 1, 2):
         prism = [_prism(m // 2)] if m % 4 == 0 else []
-        pushes = (c for w in below.values() for c in _orbit_pushes(w) if not _bonds(c.map))
+        pushes = (c for w in below for c in _orbit_pushes(w) if not _bonds(c.map))
         store = _IsoStore()
-        found = {}
+        found = []
         for w in chain(prism, pushes):
             entry = store.entry(w.map)
             if entry.value is None:
                 entry.value = w
-                found[canonical_key(w)] = w
+                found.append(w)
         yield m, found
         below = found
 
 
-def all_primes(n):
-    """All prime webs with n vertices, sorted by canonical key."""
+def _last_layer(n):
+    """The primes with n vertices, unkeyed, in discovery order."""
     _check_size("the vertex count", n)
-    final = {}
+    final = []
     for _, final in _prime_layers(n):
         pass
-    return [final[k] for k in sorted(final)]
+    return final
+
+
+def all_primes(n):
+    """All prime webs with n vertices, sorted by canonical key."""
+    return sorted(_last_layer(n), key=canonical_key)
 
 
 class CatalogEntry:
@@ -199,8 +220,7 @@ def build_catalog(n_max):
     _check_size("the maximum vertex count", n_max)
     entries = []
     for m, found in _prime_layers(n_max):
-        for i, key in enumerate(sorted(found), 1):
-            w = found[key]
+        for i, w in enumerate(sorted(found, key=canonical_key), 1):
             inv = invariant(w)
             # the layers keep 3-connected webs only: no second bond scan
             decs = _polygonal_decompositions(w)

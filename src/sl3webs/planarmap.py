@@ -514,9 +514,10 @@ def _rooted_word(theta, rot, root, lab, ref=None, descend=True):
     return order, word
 
 
-def _component_canonical(cmap, include_reflections):
+def _root_search(cmap, include_reflections):
     """Least BFS word of a connected map over the roots of its least local
-    class.
+    class, generators of its automorphism group and the group's order:
+    (word, generators, order).
 
     The least class is an invariant, so the least word over its pairs is
     still a complete one.  Each root compares with the best word while it
@@ -524,19 +525,64 @@ def _component_canonical(cmap, include_reflections):
     it falls strictly below (and for the first root) it labels the rest
     with no comparisons and becomes the best.  Between roots only the
     darts the previous root labeled are reset.
+
+    The search is pruned by the automorphisms it finds (B. D. McKay,
+    "Practical graph isomorphism", 1981).
+    Equal words mean an automorphism: the map from the best root's BFS
+    order onto a tying root's, label by label, commutes with theta and
+    carries the best root's rotation to the tying root's, so it is an
+    automorphism, mirror iff the two rotations differ.  It is kept as a
+    (perm, mirror) generator, and every root is united with its image in
+    a union-find over the roots, each class under its least root.  A
+    root's word is the word of its whole orbit, since an automorphism
+    carries the BFS of a root onto the BFS of its image; so a root whose
+    class holds an earlier root, one tried or in a class with one tried,
+    would repeat a tried word and is skipped.
+
+    The generators generate the whole group.  An automorphism carries the
+    best root to a root with the best word, which was tried and tied, or
+    skipped for a class holding a root of that word; either way it joined
+    the best root's class.  Only the identity fixes a root, as an
+    automorphism is fixed by the image of one dart and the rotation it
+    goes to, so the best root's class has the group's order.
     """
     theta = cmap.theta
+    n = len(theta)
     _, roots = _least_roots(_rotations(cmap, include_reflections))
-    best = None
-    lab = [-1] * len(theta)
+    mirrored = [rot is not cmap.sigma for rot, _ in roots]
+    up = list(range(len(roots)))
+
+    def find(i):
+        while up[i] != i:
+            up[i] = i = up[up[i]]
+        return i
+
+    best = index = None
+    gens = []
+    lab = [-1] * n
     order = ()
-    for rot, root in roots:
+    for i, (rot, root) in enumerate(roots):
+        if up[i] != i:  # an earlier root shares i's class
+            continue
         for d in order:
             lab[d] = -1
         order, word = _rooted_word(theta, rot, root, lab, best)
-        if word is not None:
-            best = word
-    return best
+        if word is None:
+            continue
+        if word is not best:
+            best, first, place = word, i, lab[:]
+            continue
+        perm = tuple(map(order.__getitem__, place))
+        flip = mirrored[i] != mirrored[first]
+        gens.append((perm, flip))
+        if index is None:
+            index = {(m, d): j for j, (m, (_, d)) in enumerate(zip(mirrored, roots))}
+        for j, (_, d) in enumerate(roots):
+            a, b = find(j), find(index[mirrored[j] != flip, perm[d]])
+            if a != b:
+                up[max(a, b)] = min(a, b)
+    top = find(first)
+    return best, gens, sum(1 for j in range(len(roots)) if find(j) == top)
 
 
 def _canonical_data(web, include_reflections):
@@ -548,7 +594,7 @@ def _canonical_data(web, include_reflections):
     parts = [cmap] if len(comps) == 1 else [cmap.restrict(comp) for comp in comps]
     out = []
     for part in parts:
-        word = _component_canonical(part, include_reflections)
+        word = _root_search(part, include_reflections)[0]
         out.append((array.array("i", word).tobytes(), word))
     return out
 
@@ -574,68 +620,12 @@ def _require_connected(web, need):
         raise MapError(f"{need}, got {web.n_vertices} vertices in {n_comps} components")
 
 
-def _automorphisms(cmap):
-    """Every automorphism of a connected map, mirror ones included, as
-    (perm, mirror) pairs: perm[d] is the image of dart d, and mirror says
-    whether perm reverses the rotation (perm sigma = sigma^-1 perm) rather
-    than keeping it.  The identity comes first.
-
-    An automorphism carries a root of the least local class to a root of
-    that class (`_least_roots`) with the same BFS word, and it is fixed by
-    the image of one dart and the rotation it goes to.  So the
-    automorphisms are the roots, of either rotation, whose word is the
-    first root's: each maps the first root's BFS order onto its own, label
-    by label, and it reverses the rotation iff its rotation is not the
-    first root's.  The roots come rotation by rotation, the first root's
-    first.  The mirror maps, if there are any, are any one of them
-    composed with each map that keeps the rotation, so the other
-    rotation's roots are tried only until one matches.
-
-    A rotation phi keeps every face and the order of its darts, so it
-    carries the converse push site (x, q) of `enumerator` to the site
-    {phi x, phi q} on the image face.  A reflection psi carries sigma to
-    sigma^-1 and commutes with theta, so it conjugates the face
-    permutation sigma theta into sigma^-1 theta = theta (sigma theta)^-1
-    theta: psi x lies on a face of sigma^-1 theta, theta psi x on a face
-    of sigma theta walked backwards.  So x and q, on one face at odd
-    distances k and len - k, go to theta psi x and theta psi q, on one
-    face at distances len - k and k, and the edges x-theta x and
-    q-theta q go to the edges of those darts: the site {x, q} goes to
-    {theta psi x, theta psi q}.  Either way the push at the image is
-    isomorphic to the push at the site, mirror included, so the census,
-    which keeps the first push of each class, keeps the same ones when
-    it builds one push per orbit (`enumerator._prime_layers`).
-    """
-    theta = cmap.theta
-    _, roots = _least_roots(_rotations(cmap, True))
-    lab = [-1] * len(theta)
-    rot0, root0 = roots[0]
-    order, word = _rooted_word(theta, rot0, root0, lab)
-    place = lab[:]  # each dart's place in the first root's BFS order
-    kept = [tuple(range(len(theta)))]
-    mirror = None
-    for rot, root in roots[1:]:
-        for d in order:
-            lab[d] = -1
-        order, got = _rooted_word(theta, rot, root, lab, word, descend=False)
-        if got is word:
-            perm = tuple(map(order.__getitem__, place))
-            if rot is not rot0:
-                mirror = perm
-                break
-            kept.append(perm)
-    out = [(perm, False) for perm in kept]
-    if mirror is not None:
-        out += [(tuple(map(mirror.__getitem__, perm)), True) for perm in kept]
-    return out
-
-
 def automorphism_count(web, include_reflections=True):
-    """Order of the dart-automorphism group of a connected web: the number
-    of maps `_automorphisms` lists, or of those that keep the rotation."""
+    """Order of the dart-automorphism group of a connected web, or of its
+    subgroup that keeps the rotation: the size of the least root's class
+    in `_root_search`."""
     _require_connected(web, "automorphism_count needs a connected web with vertices")
-    maps = _automorphisms(web.map)
-    return len(maps) if include_reflections else sum(1 for _, mirror in maps if not mirror)
+    return _root_search(web.map, include_reflections)[2]
 
 
 def canonical_form(web, include_reflections=True):
@@ -1190,8 +1180,7 @@ def _parse_dart(lines):
             pairs.append((ds, no))
             continue
         raise FormatError(f"unrecognized line {ln!r}", no)
-    if n_darts is None:
-        raise FormatError("missing 'darts:' header")
+    # parse_map sends only text whose first line is the header
     listed = sum(len(ds) for ds, _ in rotations)
     if n_darts != listed:
         raise FormatError(f"'darts: {n_darts}' but the rotation lines list {listed} darts", header_no)
@@ -1212,9 +1201,8 @@ def _parse_dart(lines):
                 raise FormatError(f"dart {d} appears in two edges", no)
         theta[d1] = d2
         theta[d2] = d1
+    # n_darts distinct darts below n_darts were listed, so each has a rotation
     for d in range(n_darts):
-        if sigma[d] is None:
-            raise FormatError(f"dart {d} missing from all rotations")
         if theta[d] is None:
             raise FormatError(f"dart {d} missing from all edges")
     try:

@@ -66,9 +66,6 @@ class HalfLaurent:
         """Term items sorted by descending half-exponent."""
         return sorted(self._terms.items(), key=lambda kv: -kv[0])
 
-    def coefficient(self, k: int) -> int:
-        return self._terms.get(k, 0)
-
     def is_zero(self) -> bool:
         return not self._terms
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -61,6 +62,16 @@ class TestInvariantCommand:
     def test_simple_format_input(self, capsys, webdir):
         rc, out, _ = run(capsys, "invariant", webdir["cube_simple"], "--pretty")
         assert rc == 0 and out.strip() == "2q^2+6q+8+6q^-1+2q^-2"
+
+    def test_web_from_stdin(self, capsys, monkeypatch, webdir):
+        with open(webdir["cube"]) as fh:
+            text = fh.read()
+        for pretty in ((), ("--pretty",)):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            rc, out, _ = run(capsys, "invariant", "-", *pretty)
+            assert rc == 0
+            assert out == run(capsys, "invariant", webdir["cube"], *pretty)[1]
+        assert out.strip() == "2q^2+6q+8+6q^-1+2q^-2"
 
     def test_missing_file_is_domain_error(self, capsys, webdir):
         rc, out, err = run(capsys, "invariant", webdir["cube"] + ".nope")
@@ -233,6 +244,10 @@ class TestSymmetryCommands:
         assert rc == 0
         assert obj["candidates"][0]["congruent"] is False
 
+    def test_check_order_one_skipped(self, capsys, webdir):
+        rc, out, _ = run(capsys, "symmetry-check", webdir["hexprism"], webdir["digon"], "1", "--pretty")
+        assert rc == 0 and out == "d=1: skipped\n"
+
     def test_root_expr(self, capsys):
         rc, out, _ = run(
             capsys, "symmetry-root", "--expr", "[2]^4[3]+2[2]^2[3]", "2"
@@ -326,6 +341,15 @@ class TestCatalogCommand:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "faf67778cf59895c0b38e4565ee12eeb6343eb878244c045069940cc6f7571ca"
 
+    def test_catalog_pretty(self, capsys):
+        rc, out, _ = run(capsys, "catalog", "--max-vertices", "14", "--pretty")
+        assert rc == 0
+        assert out.splitlines() == [
+            "4_1: 2q^2+6q+8+6q^-1+2q^-2  [4+4 / 4+4 / 4+4]  circular",
+            "6_1: q^3+7q^2+17q+22+17q^-1+7q^-2+q^-3  [4+4+4 / 4+4+4 / 6+6]  circular",
+            "7_1: -4q^(5/2)-16q^(3/2)-28q^(1/2)-28q^(-1/2)-16q^(-3/2)-4q^(-5/2)  [4+4+6 / 4+4+6 / 4+4+6]  circular",
+        ]
+
     def test_bad_slack_messages(self, capsys):
         # every layer is built upward from the one below; there is no seed
         # budget above the requested size to set
@@ -341,6 +365,27 @@ class TestVerifyPaper:
         assert report["summary"]["rows_total"] == 3
         assert report["summary"]["exact_invariants"] == 3
         assert report["unlisted_webs"] == []
+
+    def test_pretty_text(self, capsys):
+        rc, out, _ = run(capsys, "verify-paper", "--max-vertices", "14", "--pretty")
+        assert rc == 0
+        assert out.splitlines() == [
+            "size histogram: 8:1 10:0 12:1 14:1",
+            "4_1: exact (as 4_1)",
+            "6_1: exact (as 6_1)",
+            "7_1: exact (as 7_1)",
+            "3/3 rows exact, 0 suspect rows reported, 3 structural matches",
+        ]
+        # a suspect row prints both invariants
+        rc, out, _ = run(capsys, "verify-paper", "--pretty")
+        lines = out.splitlines()
+        assert rc == 0 and len(lines) == 17
+        assert lines[0] == "size histogram: 8:1 10:0 12:1 14:1 16:2 18:2 20:8"
+        assert lines[9] == (
+            "10_2: SUSPECT (as 10_3) transcribed=8q^4+48q^3+136q^2+240q+288+240q^-1+136q^-2+48q^-3+8q^-4"
+            " computed=8q^3+40q^2+88q+112+88q^-1+40q^-2+8q^-3"
+        )
+        assert lines[-1] == "12/15 rows exact, 3 suspect rows reported, 15 structural matches"
 
     def test_each_row_parsed_once(self, monkeypatch):
         parsed = []

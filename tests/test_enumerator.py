@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from sl3webs import enumerator, planarmap
+from sl3webs import cli, enumerator, planarmap
 from sl3webs.enumerator import _prime_layers, all_primes, build_catalog
 from sl3webs.planarmap import (
     CombMap,
@@ -255,7 +255,7 @@ class TestCircularPrimes:
         # isomorphism, against the census primes the witness calls circular
         counts = {}
         for m, found in _prime_layers(30):
-            census = {k for k, w in found.items() if _circular_witness(w.map, _polygonal_decompositions(w)) is not None}
+            census = {canonical_key(w) for w in found if _circular_witness(w.map, _polygonal_decompositions(w)) is not None}
             plates = [canonical_key(w) for w in circular_primes(m)]
             assert set(plates) == census, m
             assert len(set(plates)) == len(plates), m
@@ -513,7 +513,7 @@ def converse_pushes_all_orientations(web):
 
 class TestConversePushingMoves:
     def test_face_rule_matches_all_orientations(self):
-        webs = [w for _, found in _prime_layers(22) for w in found.values()]
+        webs = [w for _, found in _prime_layers(22) for w in found]
         assert len(webs) == 23
         for w in webs:
             children = every_push(w)
@@ -545,21 +545,22 @@ class TestOrbitPushes:
     def test_same_layers_as_every_push(self, monkeypatch):
         layers, counts = layers_and_pushes(26)
         assert counts == {8: 0, 10: 0, 12: 0, 14: 1, 16: 2, 18: 3, 20: 13, 22: 35, 24: 118, 26: 404}
-        monkeypatch.setattr(enumerator, "_automorphisms", lambda cmap: [(tuple(range(cmap.n_darts)), False)])
+        # no generators: every site is its own orbit
+        monkeypatch.setattr(enumerator, "_root_search", lambda cmap, refl: (None, [], 1))
         every, counts = layers_and_pushes(26)
         assert counts == {8: 0, 10: 0, 12: 0, 14: 6, 16: 9, 18: 28, 20: 32, 22: 168, 24: 198, 26: 936}
         # the same keys and the same representatives, in the same order
         assert list(layers) == list(every)
         for m, found in every.items():
-            assert [(k, serialize_web(w)) for k, w in layers[m].items()] == [
-                (k, serialize_web(w)) for k, w in found.items()
+            assert [(canonical_key(w), serialize_web(w)) for w in layers[m]] == [
+                (canonical_key(w), serialize_web(w)) for w in found
             ]
 
     def test_one_push_per_orbit_covers_every_class(self):
         # the pushes for the layers through 22 vertices, counted per parent
         counts = Counter()
         for _, found in _prime_layers(20):
-            for w in found.values():
+            for w in found:
                 pushes = list(enumerator._orbit_pushes(w))
                 keys = [canonical_key(c) for c in pushes]
                 assert set(keys) == {canonical_key(c) for c in every_push(w)}
@@ -687,12 +688,13 @@ class TestAllPrimes:
         assert {m: len(layers[m]) for m in range(24, 32, 2)} == {24: 32, 26: 57, 28: 185, 30: 466}
         # one push per orbit: 4794 of the 6974 pushes of layer 28
         assert built[30] == 4794
-        digest = hashlib.sha256(b"".join(sorted(layers[30])))
+        keys = [canonical_key(w) for w in layers[30]]
+        digest = hashlib.sha256(b"".join(sorted(keys)))
         assert digest.hexdigest() == "8ce2e53038a5a56ce84eb9ea751f941009df3705ba1b77e9c41388085112739d"
         # the prime a downward closure from 34 vertices missed
         (missed,) = [
             key
-            for key, w in layers[30].items()
+            for key, w in zip(keys, layers[30])
             if Counter(len(f) for f in w.map.faces()) == {4: 6, 6: 11}
             and automorphism_count(w) == 12
         ]
@@ -733,17 +735,35 @@ class TestCatalog:
         keys = {canonical_key(e.web) for e in family}
         assert len(keys) == len(family)
 
-    def test_keys_only_the_primes_kept(self, monkeypatch):
-        # the layers deduplicate through isomorphism stores, so each prime
-        # of 8-24 vertices is keyed once
+    def test_keys_only_the_primes_kept(self, monkeypatch, capsys):
+        # the layers deduplicate through isomorphism stores and key
+        # nothing: all_primes keys the layer it returns, each prime once,
+        # the catalog every layer, and a count none
         keyed = []
         key = enumerator.canonical_key
-        monkeypatch.setattr(enumerator, "canonical_key", lambda web: keyed.append(web) or key(web))
+
+        def spy(web, include_reflections=True):
+            keyed.append(web)
+            return key(web, include_reflections)
+
+        monkeypatch.setattr(enumerator, "canonical_key", spy)
+        monkeypatch.setattr(cli, "canonical_key", spy)
         at_24 = all_primes(24)
-        assert len(keyed) == 55
+        assert len(keyed) == 32
+        assert Counter(w.n_vertices for w in keyed) == {24: 32}
+        assert len({key(w) for w in keyed}) == 32
+        assert {id(w) for w in at_24} == {id(w) for w in keyed}
+        for argv, count in ((["--count"], 8), (["--count", "--circular-only"], 7)):
+            del keyed[:]
+            assert cli.main(["enumerate", "--vertices", "22", *argv]) == 0
+            assert capsys.readouterr().out == f"{count}\n"
+            assert keyed == []
+        del keyed[:]
+        assert len(all_primes(22)) == len(keyed) == 8
+        del keyed[:]
+        assert len(build_catalog(24)) == len(keyed) == 55
         assert Counter(w.n_vertices for w in keyed) == {8: 1, 12: 1, 14: 1, 16: 2, 18: 2, 20: 8, 22: 8, 24: 32}
         assert len({key(w) for w in keyed}) == 55
-        assert {id(w) for w in at_24} <= {id(w) for w in keyed}
 
     def test_no_prime_scanned_for_bonds_again(self, monkeypatch):
         # the layers keep 3-connected webs only, so the catalog reads its

@@ -21,6 +21,7 @@ from sl3webs.planarmap import (
     connectivity,
     disjoint_union,
     edge_3_coloring,
+    from_rotations,
     isomorphic,
     mirror,
     parse_map,
@@ -402,28 +403,45 @@ class TestAutomorphisms:
             assert (4 * w.n_edges) % n == 0
 
     def test_listed_maps_match_brute_force_on_primes(self):
-        # every prime of 8-24 vertices and a seeded relabelling of each
+        # every prime of 8-24 vertices and a seeded relabelling of each:
+        # the generators the canonical search keeps close to the group
         rng = random.Random(32)
         primes = [w for n in range(8, 26, 2) for w in all_primes(n)]
         webs = primes + [random_relabel(w, rng) for w in primes]
         assert len(webs) == 110
         for w in webs:
             sigma, theta = w.map.sigma, w.map.theta
-            got = planarmap._automorphisms(w.map)
-            assert got[0] == (tuple(range(w.map.n_darts)), False)
-            assert len(set(got)) == len(got)
-            assert set(got) == set(isomorphisms(w, w))
-            for perm, mirrored in got:
-                rot = [sigma[s] for s in sigma] if mirrored else sigma
-                assert all(perm[theta[d]] == theta[perm[d]] for d in range(len(perm)))
-                assert all(perm[sigma[d]] == rot[perm[d]] for d in range(len(perm)))
-            assert automorphism_count(w, True) == len(got)
-            assert automorphism_count(w, False) == sum(1 for _, m in got if not m)
+            brute = isomorphisms(w, w)
+            for refl in (True, False):
+                _, gens, order = planarmap._root_search(w.map, refl)
+                for perm, mirrored in gens:
+                    assert mirrored <= refl
+                    rot = [sigma[s] for s in sigma] if mirrored else sigma
+                    assert all(perm[theta[d]] == theta[perm[d]] for d in range(len(perm)))
+                    assert all(perm[sigma[d]] == rot[perm[d]] for d in range(len(perm)))
+                group = closure(gens, w.map.n_darts)
+                assert group == {g for g in brute if refl or not g[1]}
+                assert automorphism_count(w, refl) == order == len(group)
 
     def test_listed_maps_on_multigraphs(self):
         for w in (theta_web(), digon_prism_web(), hex_prism_web(), cube_web()):
-            got = planarmap._automorphisms(w.map)
-            assert sorted(got) == sorted(isomorphisms(w, w))
+            for refl in (True, False):
+                group = closure(planarmap._root_search(w.map, refl)[1], w.map.n_darts)
+                assert group == set(isomorphisms(w, w, refl))
+
+
+def closure(gens, n):
+    """The group the (perm, mirror) generators generate, as a set of
+    (perm, mirror) pairs, by a search from the identity."""
+    group = {(tuple(range(n)), False)}
+    todo = list(group)
+    for perm, mirrored in todo:
+        for g, m in gens:
+            image = (tuple(map(g.__getitem__, perm)), mirrored != m)
+            if image not in group:
+                group.add(image)
+                todo.append(image)
+    return group
 
 
 class TestMirror:
@@ -635,6 +653,73 @@ class TestFormats:
                 with pytest.raises(FormatError) as exc:
                     parse_map(f"{prefix}circles: {bad}\n")
                 assert str(bad) in str(exc.value)
+
+
+# the two rotations of a theta web's DART text, and its three edges
+THETA_ROTATIONS = "darts: 6\nv 1: 0 2 4\nv 2: 1 3 5\n"
+THETA_EDGES = "e: 0 1\ne: 2 3\ne: 4 5\n"
+
+
+class TestParserErrors:
+    """Each parser error by its exact message and line (None where the
+    error names no line)."""
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("\n# only a comment\n", "empty map file", None),
+            # without its header, DART text is read as SIMPLE
+            ("v 1: 0 2 4\nv 2: 1 3 5\n" + THETA_EDGES, "line 1: bad vertex id 'v 1'", 1),
+            ("darts: 6\nv 1: 0 2 x\nv 2: 1 3 5\n", "line 2: expected integers", 2),
+            ("darts: 6\nv 1: 0 2 4\nv 2: 1 3 6\n" + THETA_EDGES, "line 3: dart 6 out of range", 3),
+            (THETA_ROTATIONS + "e: 0 1\ne: 2 3\ne: 4 6\n", "line 6: dart 6 out of range", 6),
+            ("darts: 6\nv 1: 0 2 4\nv 2: 1 3 4\n" + THETA_EDGES, "line 3: dart 4 appears in two rotations", 3),
+            (THETA_ROTATIONS + "e: 0 1\ne: 2 3\ne: 4 1\n", "line 6: dart 1 appears in two edges", 6),
+            # a dart left out of every rotation is caught by the count
+            (
+                "darts: 6\nv 1: 0 2 4\nv 2: 1 3\n" + THETA_EDGES,
+                "line 1: 'darts: 6' but the rotation lines list 5 darts",
+                1,
+            ),
+            (THETA_ROTATIONS + "e: 0 1\ne: 2 3\n", "dart 4 missing from all edges", None),
+            (THETA_ROTATIONS + "e: 0 1\ne: 2 3 4\n", "line 5: edge line needs exactly two darts", 5),
+        ],
+    )
+    def test_dart(self, text, message, line):
+        with pytest.raises(FormatError) as exc:
+            parse_map(text)
+        assert str(exc.value) == message
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("1: 2 3 4\n2: 1\n1: 2\n", "line 3: vertex 1 listed twice", 3),
+            ("1: 2\nv2: 1\n", "line 2: bad vertex id 'v2'", 2),
+            ("1: 3\n3: 1\n", "vertex ids must be 1..2, got [1, 3]", None),
+            ("1: 2\n2: 3\n", "line 2: vertex 2 names unknown neighbor 3", 2),
+            # from_rotations' errors pass through, naming no line
+            ("1: 2 2\n2: 1 1\n", "vertex 0: duplicate neighbor (multi-edges need DART form)", None),
+        ],
+    )
+    def test_simple(self, text, message, line):
+        with pytest.raises(FormatError) as exc:
+            parse_map(text)
+        assert str(exc.value) == message
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize(
+        "neighbors, message",
+        [
+            ([[1, 1], [0, 0]], "vertex 0: duplicate neighbor (multi-edges need DART form)"),
+            ([[0, 1], [0]], "vertex 0: loop"),
+            ([[1], []], "edge 0-1 has no reciprocal entry at vertex 1"),
+        ],
+    )
+    def test_from_rotations(self, neighbors, message):
+        with pytest.raises(MapError) as exc:
+            from_rotations(neighbors)
+        assert str(exc.value) == message
 
 
 class TestEuler:

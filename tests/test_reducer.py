@@ -246,7 +246,7 @@ class TestTrustedChildren:
         # every converse push of every prime of 8-22 vertices is built
         # unchecked, and the census keeps a push on its bond scan alone, so
         # each must also be connected and simple
-        pushes = [c for _, found in _prime_layers(22) for w in found.values() for c in every_push(w)]
+        pushes = [c for _, found in _prime_layers(22) for w in found for c in every_push(w)]
         for child in pushes:
             assert_as_validated(child)
             assert len(child.map.components()) == 1 and child.is_simple()
@@ -633,7 +633,7 @@ class TestMemo:
         # each layer's store, seeded with its prism when 4 divides m,
         # against a set of keys: every 3-connected converse push that
         # _prime_layers meets is a hit exactly when its key was seen
-        below = {}
+        below = []
         hits = 0
         for m, found in _prime_layers(24):
             store = planarmap._IsoStore()
@@ -642,7 +642,7 @@ class TestMemo:
                 prism = enumerator._prism(m // 2)
                 store.entry(prism.map).value = prism
                 keys.add(canonical_key(prism, True))
-            for w in below.values():
+            for w in below:
                 for child in every_push(w):
                     if connectivity(child) != 3:
                         continue
@@ -654,7 +654,7 @@ class TestMemo:
                     else:
                         hits += 1
                     keys.add(key)
-            assert keys == set(found)
+            assert keys == {canonical_key(w, True) for w in found}
             below = found
         # only the prisms seed the stores: each of the 33 circular primes of
         # 14-24 vertices that is no prism is first met as a push, a miss
