@@ -34,7 +34,7 @@ from .qlaurent import (
     parse_qexpr,
     qint,
 )
-from .reducer import Reducible, find_reducible, invariant
+from .reducer import invariant
 from .symmetry import RootSearchResult, check_quotient, dth_root_search, symmetry_report
 
 __all__ = [name for name in dir() if not name.startswith("_")]

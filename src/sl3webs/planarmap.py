@@ -1205,11 +1205,8 @@ def _parse_dart(lines):
     for d in range(n_darts):
         if theta[d] is None:
             raise FormatError(f"dart {d} missing from all edges")
-    try:
-        cmap = CombMap(sigma, theta)
-    except MapError as exc:
-        raise FormatError(str(exc)) from None
-    return cmap, circles
+    # so sigma is a permutation and theta a fixed-point-free involution
+    return CombMap(sigma, theta), circles
 
 
 def serialize_map(cmap, circles=0, fmt="dart"):

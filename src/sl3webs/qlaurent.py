@@ -345,15 +345,11 @@ class IdealResidue:
     def __init__(self, d: int, coeffs):
         if d < 2:
             raise ValueError("modulus must be at least 2")
-        coeffs = tuple(int(c) % d for c in coeffs)
+        coeffs = tuple([c % d for c in map(int, coeffs)])
         if len(coeffs) != 4 * d:
             raise ValueError(f"residue needs exactly {4 * d} coefficients")
         self.d = d
         self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, d: int) -> "IdealResidue":
-        return cls(d, (0,) * (4 * d))
 
     @classmethod
     def one(cls, d: int) -> "IdealResidue":
@@ -378,7 +374,7 @@ class IdealResidue:
         return f"IdealResidue(d={self.d}, {self.to_poly().pretty()!r})"
 
     def to_poly(self) -> HalfLaurent:
-        return HalfLaurent({i - 2 * self.d: c for i, c in enumerate(self.coeffs) if c})
+        return HalfLaurent._of({i - 2 * self.d: c for i, c in enumerate(self.coeffs) if c})
 
     def _check_same_ring(self, other):
         if not isinstance(other, IdealResidue) or other.d != self.d:
@@ -394,16 +390,17 @@ class IdealResidue:
         return mod_reduce(self.to_poly() * other.to_poly(), self.d)
 
     def __pow__(self, n):
+        """self^n, square-and-multiply from the lowest set bit of n."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = IdealResidue.one(self.d)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return IdealResidue.one(self.d) if result is None else result
 
 
 def mod_reduce(p: HalfLaurent, d: int) -> IdealResidue:
@@ -419,23 +416,24 @@ def mod_reduce(p: HalfLaurent, d: int) -> IdealResidue:
     """
     if d < 2:
         raise ValueError("modulus must be at least 2")
-    g = ideal_generator(d, d)._terms
+    g = ideal_generator(d, d)._terms.items()
     hi, lo = 2 * d, -2 * d
     terms = p._terms
     low = min([lo, *terms])
     work = [0] * (max([hi, *terms]) + 1 - low)
     for k, c in terms.items():
         work[k - low] = c % d
-    # eliminating at k subtracts c q^(shift/2) g, whose term at k is c;
-    # a coefficient is reduced mod d when it is read
-    top = [(j - hi, gc) for j, gc in g.items() if j != hi]
-    bottom = [(j - lo, gc) for j, gc in g.items() if j != lo]
+    # eliminating at k subtracts c g, shifted to put its end term (1) at k,
+    # which is not read again; a coefficient is reduced mod d when it is read
     for k in [*range(len(work) - 1, hi - low - 1, -1), *range(lo - low)]:
         c = work[k] % d
         if c:
-            for j, gc in top if k >= hi - low else bottom:
-                work[k + j] -= c * gc
-    return IdealResidue(d, work[lo - low : hi - low])
+            shift = k - hi if k >= hi - low else k - lo
+            for j, gc in g:
+                work[shift + j] -= c * gc
+    r = IdealResidue.__new__(IdealResidue)  # its window is reduced here
+    r.d, r.coeffs = d, tuple([c % d for c in work[lo - low : hi - low]])
+    return r
 
 
 def congruent_mod(p: HalfLaurent, r: HalfLaurent, d: int) -> bool:

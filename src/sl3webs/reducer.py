@@ -51,7 +51,9 @@ ends in a circle).  No side of a bigon-free web
 collapses to a circle: a side holds one edge that is not the web's own,
 and so does each contraction's result, so a theta side would join its
 two vertices by two of the web's edges, a bigon.  So V = sum V(prime) +
-2l.  Only a bond-free web is smoothed at a square.
+2l.  Only a bond-free web is smoothed at a square: its least-dart
+square, which `_reduce` reads off the face list (faces are listed by
+least dart).
 
 Values are memoized up to isomorphism, mirror included (sound, as the
 invariant is mirror-invariant), in a `planarmap` isomorphism store.  A
@@ -67,61 +69,12 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
 
-from .planarmap import MapError, _bonds, _drop_and_rewire, _IsoStore, split
+from .planarmap import _bonds, _drop_and_rewire, _IsoStore, split
 from .qlaurent import HalfLaurent, qint
 
 CIRCLE_FACTOR = qint(3)
 BIGON_FACTOR = -qint(2)
-
-
-class Reducible(NamedTuple):
-    """A reduction site: a circle, or a dart on a bigon/square face."""
-
-    kind: str
-    site: int | None = None
-
-    def __repr__(self):
-        return f"Reducible({self.kind}, site={self.site})"
-
-
-def find_reducible(web):
-    """Highest-priority site: circle, else bigon, else square (least dart);
-    None exactly when the web is empty."""
-    if web.circles > 0:
-        return Reducible("circle")
-    for kind, size in (("bigon", 2), ("square", 4)):
-        site = _least_dart_on(web.map, size)
-        if site is not None:
-            return Reducible(kind, site)
-    if web.map.n_darts:
-        raise MapError("no reducible face; input was not a valid closed web")
-    return None
-
-
-def _least_dart_on(cmap, size):
-    """The least dart on a face of `size` darts, or None if there is none.
-    Faces are listed by least dart, so the first face of a size holds it."""
-    faces = cmap.faces()
-    sizes = list(map(len, faces))
-    return faces[sizes.index(size)][0] if size in sizes else None
-
-
-def _disk(web, site, kind, size):
-    """The darts of the face through `site` and its outside legs.
-
-    Walking the face cycle d_0..d_(size-1), vertex k carries the leg
-    sigma(d_k): its rotation runs theta(d_(k-1)) -> d_k -> sigma(d_k), and
-    the first two lie on edges of the face.  The face's vertices are
-    distinct: a web has no bridge, a bridgeless cubic graph is
-    2-connected, and every face of a 2-connected plane graph is a cycle.
-    """
-    cmap = web.map
-    face = cmap.faces()[cmap.face_of(site)]
-    if len(face) != size:
-        raise MapError(f"dart {site} does not lie on a {kind} face")
-    return face, tuple(cmap.sigma[d] for d in face)
 
 
 _MEMO = _IsoStore()
@@ -235,10 +188,14 @@ def _reduce(web):
     primes, uses = factorize(web)
     if primes != (web,):
         return sum_value(math.prod(map(invariant, primes), start=_bigon_power(uses)), len(primes))
-    face, legs = _disk(web, find_reducible(web).site, "square", 4)
-    # a leg's partner is off the square: a second edge between square
-    # vertices would be a bigon, or join two vertices of one colour
-    t0, t1, t2, t3 = map(web.map.theta.__getitem__, legs)
+    cmap = web.map
+    faces = cmap.faces()
+    face = faces[list(map(len, faces)).index(4)]  # the least-dart square
+    # its vertices are distinct (a web has no bridge, so its faces are
+    # cycles); vertex k carries the leg sigma(d_k), whose partner is off
+    # the square: a second edge between square vertices would be a bigon,
+    # or join two vertices of one colour
+    t0, t1, t2, t3 = (cmap.theta[cmap.sigma[d]] for d in face)
     smoothings = (((t0, t1), (t2, t3)), ((t1, t2), (t3, t0)))
     return sum(_scaled(*_cascade(web, face, pairs, [pairs[0][0], pairs[1][0]])) for pairs in smoothings)
 

@@ -2,12 +2,15 @@
 
 A degree-d symmetry candidate is tested through the congruence
 P(G) = P(G/Gamma_d)^d modulo the ideal (d, [3]^d - [3]); independently,
-the d-th power residue search decides whether ANY alpha^d hits P(G) in the
-finite quotient ring.  Composite d splits by CRT into prime-power
-component rings which are searched smallest first, so an obstruction in a
-small component settles the question without touching the big one.  Every
-witness is re-verified exactly before being reported, and running out of
-budget is reported as such, never as non-existence.
+the d-th power residue search decides whether ANY alpha^d hits P(G) in
+the finite quotient ring.  Congruences and witnesses are checked by powering
+in the residue ring: reduction mod the ideal is a ring homomorphism, so
+reducing after every product gives the residue of the full power.
+Composite d splits by CRT into prime-power component rings which are
+searched smallest first, so an obstruction in a small component settles
+the question without touching the big one.  Every witness is re-verified
+exactly before being reported, and running out of budget is reported as
+such, never as non-existence.
 
 A component ring with prime modulus p has characteristic p, so the
 Frobenius F(x) = x^p is F_p-linear.  For prime d the one component is
@@ -43,7 +46,7 @@ from math import gcd, isqrt
 from random import Random
 
 from .planarmap import _require_connected, automorphism_count
-from .qlaurent import IdealResidue, ideal_generator, mod_reduce, congruent_mod
+from .qlaurent import IdealResidue, ideal_generator, mod_reduce
 from .reducer import invariant
 
 DEFAULT_BUDGET = 1 << 25
@@ -65,17 +68,18 @@ np = _Numpy()
 
 
 def check_quotient(p_g, p_quotient, d):
-    """P(G) = P(quotient)^d mod (d, [3]^d - [3])?"""
-    if d < 2:
-        raise ValueError("modulus must be at least 2")
-    return congruent_mod(p_g, p_quotient**d, d)
+    """P(G) = P(quotient)^d mod (d, [3]^d - [3])?  The d-th power is
+    taken in the residue ring (`mod_reduce` raises for d < 2)."""
+    return mod_reduce(p_quotient, d) ** d == mod_reduce(p_g, d)
 
 
 def verify_witness(p, d, witness):
-    """Exact check that witness^d matches p in the quotient ring."""
+    """Exact check that witness^d matches p, powered in the residue ring:
+    each `IdealResidue` product multiplies `HalfLaurent`s and reduces with
+    `mod_reduce`, sharing no code with the numpy ring or the solve."""
     if not isinstance(witness, IdealResidue) or witness.d != d:
         return False
-    return congruent_mod(witness.to_poly() ** d, p, d)
+    return witness**d == mod_reduce(p, d)
 
 
 class RootSearchResult:
@@ -785,7 +789,7 @@ def symmetry_report(web, candidates):
             continue
         p_q = invariant(quotient)
         entry["quotient_invariant"] = p_q.to_json_obj()
-        power_residue = mod_reduce(p_q**d, d)
+        power_residue = mod_reduce(p_q, d) ** d
         entry["power_residue"] = power_residue.to_poly().to_json_obj()
         entry["congruent"] = power_residue == mod_reduce(p_g, d)
         report["candidates"].append(entry)

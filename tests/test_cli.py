@@ -7,6 +7,7 @@ import random
 import pytest
 
 import sl3webs
+from sl3webs import cli
 from sl3webs.cli import main, verify_paper
 from sl3webs.planarmap import CombMap, disjoint_union, serialize_web, validate
 from sl3webs.qlaurent import parse_qexpr
@@ -386,6 +387,19 @@ class TestVerifyPaper:
             " computed=8q^3+40q^2+88q+112+88q^-1+40q^-2+8q^-3"
         )
         assert lines[-1] == "12/15 rows exact, 3 suspect rows reported, 15 structural matches"
+
+    def test_pretty_mismatch(self, capsys, monkeypatch):
+        # a row whose transcribed invariant differs from the computed one
+        rows = [TableRow("7_1", "4[2]^3[3]", [[4, 4, 6]] * 3, True) if r.name == "7_1" else r for r in cli.TABLE_ROWS]
+        monkeypatch.setattr(cli, "TABLE_ROWS", rows)
+        rc, out, _ = run(capsys, "verify-paper", "--max-vertices", "14", "--pretty")
+        assert rc == 0
+        assert out.splitlines()[3:] == [
+            "7_1: MISMATCH (as 7_1)"
+            " transcribed=4q^(5/2)+16q^(3/2)+28q^(1/2)+28q^(-1/2)+16q^(-3/2)+4q^(-5/2)"
+            " computed=-4q^(5/2)-16q^(3/2)-28q^(1/2)-28q^(-1/2)-16q^(-3/2)-4q^(-5/2)",
+            "2/3 rows exact, 0 suspect rows reported, 3 structural matches",
+        ]
 
     def test_each_row_parsed_once(self, monkeypatch):
         parsed = []

@@ -15,6 +15,7 @@ from sl3webs.planarmap import (
     NonPlanarEmbedding,
     NotBipartite,
     NotCubic,
+    Web,
     automorphism_count,
     canonical_form,
     canonical_key,
@@ -30,6 +31,7 @@ from sl3webs.planarmap import (
     serialize_web,
     validate,
 )
+from sl3webs.primedec import connected_sum
 from oracles import find_all_reducibles, isomorphisms, polygon_levels, reduce_at
 from webfixtures import (
     FIXTURES,
@@ -99,6 +101,30 @@ class TestValidate:
             validate(m)
         assert exc.value.genus == 1
         assert exc.value.dart in m.components()[1]
+
+
+class TestConstructorChecks:
+    @pytest.mark.parametrize(
+        "sigma, theta, message",
+        [
+            ((1, 0), (1,), "sigma and theta must act on the same darts"),
+            ((0,), (0,), "odd number of darts"),
+            ((0, 0), (1, 0), "sigma is not a permutation of the darts"),
+            ((1, 0), (0, 1), "theta is not a fixed-point-free involution at dart 0"),
+        ],
+    )
+    def test_comb_map(self, sigma, theta, message):
+        with pytest.raises(MapError) as exc:
+            CombMap(sigma, theta)
+        assert str(exc.value) == message
+
+    def test_web_needs_a_checked_map(self):
+        with pytest.raises(MapError, match=r"^Webs must be built by validate\(\) or by trusted skein surgery$"):
+            Web(cube_web().map, 0)
+
+    def test_negative_circle_count(self):
+        with pytest.raises(MapError, match=r"^negative circle count$"):
+            cube_web().with_circles(-1)
 
 
 class TestIsSimple:
@@ -506,6 +532,11 @@ class TestPolygonalDecompositions:
     def test_requires_three_connected(self):
         with pytest.raises(MapError):
             edge_3_coloring(theta_web())
+        # a connected sum is simple and only 2-connected
+        w = connected_sum(cube_web(), 0, cube_web(), 0)
+        assert w.is_simple() and connectivity(w) == 2
+        with pytest.raises(MapError, match=r"^polygonal decompositions need a 3-connected web$"):
+            edge_3_coloring(w)
 
     def test_pinned_colorings_to_22(self):
         # which face gets which colour, and so which edge gets which, is
@@ -592,6 +623,14 @@ class TestFormats:
         text = serialize_web(theta_web().with_circles(2))
         w = parse_web(text)
         assert w.circles == 2
+        text = serialize_web(cube_web().with_circles(3), "simple")
+        assert text.endswith("\n8: 1 7 5\ncircles: 3\n")
+        w = parse_web(text)
+        assert isomorphic(w, cube_web().with_circles(3))
+
+    def test_unknown_format(self):
+        with pytest.raises(ValueError, match=r"^unknown format 'svg'$"):
+            serialize_map(cube_web().map, 0, "svg")
 
     def test_dangling_dart_named(self):
         bad = "darts: 6\nv 1: 0 2 4\nv 2: 1 5 3\ne: 0 1\ne: 2 3\ne: 4 7\n"
@@ -683,6 +722,7 @@ class TestParserErrors:
             ),
             (THETA_ROTATIONS + "e: 0 1\ne: 2 3\n", "dart 4 missing from all edges", None),
             (THETA_ROTATIONS + "e: 0 1\ne: 2 3 4\n", "line 5: edge line needs exactly two darts", 5),
+            (THETA_ROTATIONS + "e: 0 1\nf: 2 3\n", "line 5: unrecognized line 'f: 2 3'", 5),
         ],
     )
     def test_dart(self, text, message, line):

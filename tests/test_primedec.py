@@ -216,6 +216,11 @@ class TestSplit:
         with pytest.raises(MapError):
             split(cube_web(), (0, 2))
 
+    def test_circles_rejected(self):
+        w = cube_sum_cube()
+        with pytest.raises(MapError, match=r"^split acts on webs without circles$"):
+            split(w.with_circles(1), min(_bonds(w.map)))
+
     def test_non_bond_pairs_of_a_sum_rejected(self):
         w = connected_sum(cube_sum_cube(), 5, hex_prism_web(), 3)
         bonds = set(_bonds(w.map))
@@ -414,3 +419,7 @@ class TestDecompose:
     def test_non_simple_rejected(self):
         with pytest.raises(MapError):
             decompose(theta_web())
+
+    def test_circles_rejected(self):
+        with pytest.raises(MapError, match=r"^decompose acts on webs without circles$"):
+            decompose(cube_sum_cube().with_circles(1))

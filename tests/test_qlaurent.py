@@ -4,6 +4,7 @@ import pytest
 
 from sl3webs.qlaurent import (
     HalfLaurent,
+    IdealResidue,
     QExprError,
     congruent_mod,
     ideal_generator,
@@ -104,6 +105,19 @@ class TestArithmetic:
         assert (2 * qint(2) ** 2 * qint(3)).eval_at_one() == 24
         assert HalfLaurent.zero().eval_at_one() == 0
 
+    def test_checks_by_message(self):
+        with pytest.raises(TypeError, match=r"^half-exponents and coefficients must be int$"):
+            HalfLaurent({0: 1.5})
+        with pytest.raises(ValueError, match=r"^exponent must be a non-negative integer$"):
+            qint(2) ** -1
+        with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \+: 'HalfLaurent' and 'str'$"):
+            qint(2) + "x"
+
+    def test_mixed_comparisons(self):
+        assert 1 - qint(2) == HalfLaurent({1: -1, 0: 1, -1: -1})
+        assert HalfLaurent.one() == 1 and qint(2) != 2
+        assert qint(2) != "[2]"
+
     def test_hash_consistency(self):
         rng = random.Random(5)
         for _ in range(30):
@@ -143,6 +157,19 @@ class TestParseQExpr:
             parse_qexpr("2[2")
         with pytest.raises(QExprError):
             parse_qexpr("[2] [3] x")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 3", "expected '+' or '-' between terms at position 2"),
+            ("[2]+-[3]", "expected a term at position 4"),
+            ("[2]+", "expected a term at position 4"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(QExprError) as exc:
+            parse_qexpr(text)
+        assert str(exc.value) == message
 
 
 class TestPretty:
@@ -244,8 +271,24 @@ class TestIdealResidue:
 
     def test_residue_pow_matches_poly_pow(self):
         p = parse_qexpr("[2][3]")
-        for d in (2, 3):
-            assert mod_reduce(p, d) ** 4 == mod_reduce(p**4, d)
+        for d in (2, 3, 5):
+            x = mod_reduce(p, d)
+            assert x**0 == IdealResidue.one(d) and x**1 is x
+            for n in range(2, 9):
+                assert x**n == mod_reduce(p**n, d), (d, n)
+
+    def test_residue_checks_by_message(self):
+        with pytest.raises(ValueError, match=r"^modulus must be at least 2$"):
+            IdealResidue(1, [0] * 4)
+        with pytest.raises(ValueError, match=r"^residue needs exactly 8 coefficients$"):
+            IdealResidue(2, [0] * 7)
+        for other in (IdealResidue.one(3), qint(2)):
+            with pytest.raises(ValueError, match=r"^residues from different rings$"):
+                IdealResidue.one(2) + other
+            with pytest.raises(ValueError, match=r"^residues from different rings$"):
+                IdealResidue.one(2) * other
+        with pytest.raises(ValueError, match=r"^exponent must be a non-negative integer$"):
+            IdealResidue.one(2) ** -1
 
     def test_small_modulus_rejected(self):
         with pytest.raises(ValueError):

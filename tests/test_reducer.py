@@ -21,7 +21,7 @@ from sl3webs.planarmap import (
 )
 from sl3webs.primedec import connected_sum, split
 from sl3webs.qlaurent import HalfLaurent, parse_qexpr, qint
-from sl3webs.reducer import Reducible, clear_memo, find_reducible, invariant
+from sl3webs.reducer import clear_memo, invariant
 from oracles import (
     Site,
     apply_bigon,
@@ -41,27 +41,14 @@ def empty_web(circles=0):
     return validate(CombMap((), ()), circles)
 
 
+def first_site(web, kind):
+    """The least dart on a face of `kind` ("bigon" or "square")."""
+    return next(red.site for red in find_all_reducibles(web) if red.kind == kind)
+
+
 def pinned_solid(name):
     pinned = json.loads((FIXTURES / "pinned.json").read_text())["solids"][name]["invariant"]
     return HalfLaurent({int(e): int(c) for e, c in pinned.items()})
-
-
-class TestFindReducible:
-    def test_empty_web(self):
-        assert find_reducible(empty_web()) is None
-
-    def test_single_circle(self):
-        assert find_reducible(empty_web(1)).kind == "circle"
-
-    def test_cube_square(self):
-        red = find_reducible(cube_web())
-        assert red.kind == "square"
-
-    def test_theta_bigon(self):
-        assert find_reducible(theta_web()).kind == "bigon"
-
-    def test_circle_beats_faces(self):
-        assert find_reducible(theta_web().with_circles(1)).kind == "circle"
 
 
 class TestApplyCircle:
@@ -86,16 +73,13 @@ class TestApplyCircle:
 class TestApplyBigon:
     def test_theta_collapses_to_circle(self):
         w = theta_web()
-        red = find_reducible(w)
-        child, factor = apply_bigon(w, red.site)
+        child, factor = apply_bigon(w, first_site(w, "bigon"))
         assert factor == -qint(2)
         assert child.n_vertices == 0 and child.circles == 1
 
     def test_digon_prism_becomes_theta(self):
         w = digon_prism_web()
-        red = find_reducible(w)
-        assert red.kind == "bigon"
-        child, factor = apply_bigon(w, red.site)
+        child, factor = apply_bigon(w, first_site(w, "bigon"))
         assert child.n_vertices == w.n_vertices - 2
         assert factor == -qint(2)
         from sl3webs.planarmap import isomorphic
@@ -234,7 +218,7 @@ class TestTrustedChildren:
     def test_faces_have_distinct_vertices(self):
         # a web has no bridge, so each component is a 2-connected cubic
         # plane graph and every face boundary is a cycle; the surgery in
-        # reducer._disk relies on this
+        # reducer._reduce relies on this
         webs = fixture_webs() + split_sums()
         webs += children_of(webs)
         for w in webs:
@@ -305,8 +289,7 @@ class TestTrustedChildren:
 class TestApplySquare:
     def test_cube_children(self):
         w = cube_web()
-        red = find_reducible(w)
-        a, b = apply_square(w, red.site)
+        a, b = apply_square(w, first_site(w, "square"))
         assert a.n_vertices == 4 and b.n_vertices == 4
         assert invariant(a) + invariant(b) == parse_qexpr("2[2]^2[3]")
 
@@ -480,7 +463,7 @@ class TestMemo:
             w = fixture_web(name)
             value = invariant(w)
             calls = []
-            monkeypatch.setattr(reducer, "find_reducible", lambda web: calls.append(web))
+            monkeypatch.setattr(reducer, "_reduce", lambda web: calls.append(web))
             assert invariant(relabelled_mirror(w, zlib.crc32(name.encode()))) == value
             assert calls == []
             monkeypatch.undo()
@@ -902,7 +885,7 @@ class TestReduceAt:
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
-            reduce_at(cube_web(), Reducible("hexagon", 0))
+            reduce_at(cube_web(), Site("hexagon", 0))
 
     def test_children_pinned(self):
         # the exact dart labels of every child, not only its isomorphism
@@ -936,13 +919,13 @@ class TestProgress:
         steps = 0
         while stack:
             w = stack.pop()
-            red = find_reducible(w)
-            if red is None:
+            sites = find_all_reducibles(w)
+            if not sites:
                 continue
             steps += 1
             assert steps < 10000
             before = (w.n_vertices, w.circles)
-            for c, _ in reduce_at(w, red):
+            for c, _ in reduce_at(w, sites[0]):
                 assert (c.n_vertices, c.circles) < before
                 stack.append(c)
 
@@ -1008,11 +991,11 @@ class TestConservation:
             accumulator = HalfLaurent.zero()
             while terms:
                 web, coeff = terms.pop(rng.randrange(len(terms)))
-                red = find_reducible(web)
-                if red is None:
+                sites = find_all_reducibles(web)
+                if not sites:
                     accumulator = accumulator + coeff
                 else:
-                    terms += [(child, coeff * factor) for child, factor in reduce_at(web, red)]
+                    terms += [(child, coeff * factor) for child, factor in reduce_at(web, sites[0])]
                 total = sum((coeff * invariant(web) for web, coeff in terms), accumulator)
                 assert total == expect
             assert accumulator == expect

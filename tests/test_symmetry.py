@@ -80,6 +80,40 @@ class TestRootSearch:
         coeffs[0] = (coeffs[0] + 1) % 2
         assert not verify_witness(P61, 2, IdealResidue(2, coeffs))
 
+    def test_witness_of_another_ring_rejected(self):
+        w = dth_root_search(P61, 2).witness
+        assert verify_witness(P61, 2, w)
+        assert not verify_witness(P61, 3, w)
+        assert not verify_witness(P61, 2, w.to_poly())
+
+    def test_residue_power_agrees_with_the_unreduced_power(self):
+        # verify_witness powers in the residue ring; reducing only after
+        # the full power over Z must give the same verdict
+        rng = random.Random(97)
+        outcomes = []
+        for d in range(2, 12):
+            generator = qint(3) ** d - qint(3)
+            for _ in range(4):
+                coeffs = [0] * (4 * d)
+                for _ in range(rng.randrange(1, 6)):
+                    coeffs[rng.randrange(4 * d)] = rng.randrange(d)
+                w = IdealResidue(d, coeffs)
+                p = random_poly(rng)
+                if rng.randrange(2):
+                    p = w.to_poly() ** d + d * p + generator * random_poly(rng)
+                got = verify_witness(p, d, w)
+                assert got == congruent_mod(w.to_poly() ** d, p, d), (d, coeffs)
+                outcomes.append(got)
+        assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+
+    def test_prime_web_at_order_97(self):
+        # the solve over F_97 takes 0.1 s; the witness's check took about
+        # a minute when it raised the polynomial to the 97th power over Z
+        target = invariant(fixture_web("prime_7_1"))
+        res = dth_root_search(target, 97, budget=10**1000)
+        assert res.outcome == "found" and res.detail == "verified witness"
+        assert res.witness.d == 97
+
     def test_not_found_verified_independently(self):
         # scan for a target with no square root mod (2, [3]^2-[3]) and
         # confirm the verdict by direct enumeration of all 256 residues
