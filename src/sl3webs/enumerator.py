@@ -117,7 +117,8 @@ def _orbit_pushes(web):
     mirror included.
 
     Before a site's push is built, its orbit is marked by a search over
-    the generators of the automorphism group (`planarmap._root_search`),
+    the generators of the automorphism group (`planarmap._root_search`,
+    read off the map if the web was keyed with reflections),
     each site as (a, b) and (b, a): a face tuple starts at its least
     dart, so an image may be listed either way round.  A marked site's
     push is isomorphic to the push of an earlier site, so it is skipped
@@ -126,7 +127,7 @@ def _orbit_pushes(web):
     cmap = web.map
     theta = cmap.theta
     both = disjoint_union(web, _THETA)
-    gens = _root_search(cmap, True)[1]
+    gens = _root_search(cmap, True)[1] if cmap._gens is None else cmap._gens
     marked = set()
     for site in _push_sites(cmap):
         if site in marked:

@@ -16,10 +16,11 @@ mid-reduction); loops never pass validation since they are odd cycles.
 from __future__ import annotations
 
 import array
+import bisect
 import itertools
 import struct
 from collections import Counter
-from operator import itemgetter
+from operator import itemgetter, mul
 
 
 class MapError(ValueError):
@@ -78,7 +79,7 @@ class CombMap:
 
     __slots__ = (
         "sigma", "theta", "_vertices", "_vertex_of", "_faces", "_face_of", "_face_len",
-        "_components", "_factors",
+        "_components", "_factors", "_shape", "_face_sums", "_fresh", "_gens",
     )
 
     def __init__(self, sigma, theta):
@@ -116,6 +117,9 @@ class CombMap:
         self._face_len = None
         self._components = None
         self._factors = None  # reducer.factorize's result, kept by it
+        self._shape = self._face_sums = None  # `_shape`'s hash and per-face sums
+        self._fresh = None  # a skein child's new faces, for `_bonds`
+        self._gens = None  # automorphism generators, kept by `canonical_key`
 
     @property
     def n_darts(self):
@@ -588,13 +592,21 @@ def _root_search(cmap, include_reflections):
 def _canonical_data(web, include_reflections):
     """(key bytes, word) per component.  A component of several is read
     from its restriction, which keeps the dart order, so its roots and
-    words are those it has inside the whole map."""
+    words are those it has inside the whole map.
+
+    The automorphism generators that the search with reflections finds on
+    a connected web are kept on its map (`_gens`), where the census reads
+    them: the catalog keys a layer before it pushes from it, so each prime
+    is searched once.
+    """
     cmap = web.map
     comps = cmap.components()
     parts = [cmap] if len(comps) == 1 else [cmap.restrict(comp) for comp in comps]
     out = []
     for part in parts:
-        word = _root_search(part, include_reflections)[0]
+        word, gens, _ = _root_search(part, include_reflections)
+        if include_reflections:
+            part._gens = gens
         out.append((array.array("i", word).tobytes(), word))
     return out
 
@@ -691,18 +703,64 @@ def _pack(n, values):
     return struct.pack(f"{len(values)}{_code(n)}", *values)
 
 
-def _shape(cmap):
-    """Hash of the sorted faces, each given by the sorted lengths of the
-    faces across its edges.
+_SHAPE_MOD = (1 << 61) - 1
+_WEIGHTS = []  # _WEIGHTS[k] == _weight(k), as far as a map has needed
 
-    Equal for isomorphic maps, mirror images included; it hashes ints and
-    tuples only, so it does not depend on PYTHONHASHSEED.  A collision only
-    costs rooted matches, never a wrong answer.
+
+def _weight(k):
+    """The weight of a face of length k: the top 30 bits of splitmix64(k),
+    a fixed mix, short enough that sums of weights stay small ints."""
+    mask = (1 << 64) - 1
+    z = (k + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return (z ^ (z >> 31)) >> 34
+
+
+def _weights(n):
+    """The weights of the face lengths up to n at least (a map of n darts
+    has no longer face).  The table grows by one assignment of a whole
+    recomputed, doubled table, so each index always holds its own weight,
+    whoever else reads or grows it."""
+    if len(_WEIGHTS) <= n:
+        _WEIGHTS[:] = map(_weight, range(2 * n + 2))
+    return _WEIGHTS
+
+
+def _shape(cmap):
+    """The map's shape: the sum mod 2^61 - 1 of hash((k, s, s * s)) over
+    its faces, k the face's length and s its neighbour sum, the sum of the
+    weights (`_weights`) of the lengths of the faces across its edges.
+
+    The faces, each with the multiset of its neighbours' lengths, are
+    invariant under relabelling and mirroring, and so is the shape.  A
+    tuple of ints hashes without PYTHONHASHSEED, by CPython's fixed tuple
+    hash.  Its rounds (multiply, rotate) are nearly additive in each item,
+    so a sum of hash((k, s)) lets two faces trade neighbours unnoticed;
+    the item s * s makes each term nonlinear in s.  Equal shapes of
+    different face multisets are then chance collisions, which cost only
+    rooted matches, never a wrong answer.
+
+    Being a sum of per-face terms, the shape can be updated: a skein child
+    of a known prime (`_child_faces`) carries the neighbour sums
+    (`_face_sums`) and its shape, changed only at the faces its surgery
+    made and their neighbours.  Any other map computes both here, once.
     """
-    flen = cmap.face_lengths()
-    ftheta = list(map(flen.__getitem__, cmap.theta))
-    across = ftheta.__getitem__
-    return hash(tuple(sorted([tuple(sorted(map(across, face))) for face in cmap.faces()])))
+    if cmap._shape is None:
+        flen = cmap.face_lengths()
+        across = itemgetter(*itemgetter(*cmap.theta)(flen))(_weights(len(flen)))
+        faces = cmap.faces()
+        # a face has two darts or more, so itemgetter returns a tuple
+        cmap._face_sums = sums = [sum(itemgetter(*face)(across)) for face in faces]
+        cmap._shape = _sum_shape(faces, sums)
+    return cmap._shape
+
+
+def _sum_shape(faces, sums):
+    """The shape from the faces and their neighbour sums.  Summed in C,
+    the terms of a few dozen faces cost less than subtracting and adding
+    the changed ones."""
+    return sum(map(hash, zip(map(len, faces), sums, map(mul, sums, sums)))) % _SHAPE_MOD
 
 
 def _unpack(entry):
@@ -778,9 +836,12 @@ class _IsoStore(dict):
     so a hash collision only costs the shape path.  A tuple of ints hashes
     without PYTHONHASHSEED.
 
-    Otherwise the shape decides: the shape (the faces, each by the lengths
-    of its neighbouring faces) is invariant under relabelling and
-    mirroring, so a map whose bucket is empty is a certain miss; it is
+    Otherwise the shape decides: the shape (`_shape`, a sum over the faces
+    of a hash of each face's length and its neighbours' lengths) is
+    invariant under relabelling and mirroring, so a map whose bucket is
+    empty is a certain miss.  Being a sum of per-face terms, it is carried
+    by a skein child from its parent, updated where the surgery changed
+    faces, so a probe of such a child costs no scan of the web.  A miss is
     stored as its packed labels and face lengths, which is all that
     rooting it later reads.  An entry a probe meets in a shared bucket is
     rooted once: it keeps its least root class and the BFS word of its
@@ -838,9 +899,22 @@ def _bonds(cmap):
     a face g across several edges groups those edges, read from the
     lesser face of the two (no face meets itself across an edge, which
     would be a bridge).
+
+    A skein child of a known prime (`_child_faces`) lists its new faces,
+    and a bond of it runs through one (see `reducer.factorize`).  So when
+    each new face meets every neighbour across one edge, there is no bond
+    and only the new faces' darts are read.
     """
     fof = cmap.face_table()
     theta = cmap.theta
+    if cmap._fresh is not None:
+        faces = cmap.faces()
+        for i in cmap._fresh:
+            across = itemgetter(*itemgetter(*faces[i])(theta))(fof)
+            if len(set(across)) < len(across):
+                break
+        else:
+            return []
     sides = list(zip(fof, map(fof.__getitem__, theta)))
     if len(set(sides)) == len(sides):
         return []
@@ -868,7 +942,10 @@ def _drop_and_rewire(web, darts, new_pairs, extra_circles):
     Callers join the outside legs of a face (or of an edge) inside its
     disk, or re-pair edges of one web or of a disjoint union in their
     rotation slots, so the child is cubic, bipartite and plane by
-    construction and is built unchecked, its faces inherited from the parent's.
+    construction and is built unchecked.  Its faces are inherited from the
+    parent's, and a child of a known prime, which in the engine is a
+    square's smoothing, inherits its face lengths and memo shape too
+    (`_child_faces`).
     """
     cmap = web.map
     sigma0 = cmap.sigma
@@ -877,10 +954,11 @@ def _drop_and_rewire(web, darts, new_pairs, extra_circles):
         old2new, sigma, theta, start = [], [], [], 0
         # the sentinel n_darts closes the last run; its -1 in old2new is never read
         for k, d in enumerate(dropped + [cmap.n_darts]):
-            old2new.extend(range(start - k, d - k))
+            if start < d:  # a vertex's darts may be adjacent labels
+                old2new += range(start - k, d - k)
+                sigma += sigma0[start:d]
+                theta += cmap.theta[start:d]
             old2new.append(-1)
-            sigma += sigma0[start:d]
-            theta += cmap.theta[start:d]
             start = d + 1
     else:
         old2new, sigma, theta = range(cmap.n_darts), sigma0, list(cmap.theta)
@@ -888,31 +966,54 @@ def _drop_and_rewire(web, darts, new_pairs, extra_circles):
         theta[old2new[a]] = b
         theta[old2new[b]] = a
     if dropped:
-        sigma = tuple(map(old2new.__getitem__, sigma))
-        theta = tuple(map(old2new.__getitem__, theta))
+        # a child has no darts or six at least, and itemgetter of two or
+        # more builds the tuple at its final size, in C
+        sigma, theta = (itemgetter(*sigma)(old2new), itemgetter(*theta)(old2new)) if sigma else ((), ())
         if -1 in theta:
             raise MapError(f"dart {old2new.index(theta.index(-1))} left dangling by surgery")
-    faces = _child_faces(cmap, dropped, old2new, new_pairs, sigma, theta)
-    return Web(CombMap._trusted(sigma, tuple(theta), faces), web.circles + extra_circles, _checked=True)
+    child = CombMap._trusted(sigma, tuple(theta), None)
+    _child_faces(cmap, child, dropped, old2new, new_pairs)
+    return Web(child, web.circles + extra_circles, _checked=True)
 
 
-def _child_faces(cmap, dropped, old2new, new_pairs, sigma, theta):
-    """The child's face orbits, equal to a fresh `faces()`.
+def _child_faces(cmap, child, dropped, old2new, new_pairs):
+    """Give the child its face orbits, equal to a fresh `faces()`.  A child
+    of a known prime (its `_factors` is ()) with a shape, which in the
+    engine is a square's smoothing, also gets its face lengths, its
+    neighbour sums and shape (`_shape`) and the numbers of its new faces
+    (`_fresh`, which `_bonds` reads), each equal to a fresh computation.
 
     A surviving dart that is not re-paired keeps its face successor
     sigma(theta(d)), so a parent face through no dropped or re-paired dart
     survives, and relabelled in order it still starts at its least dart.
     Every other child face passes through a re-paired dart and is walked
     afresh.  With nothing dropped every label is kept.
+
+    So the parent's faces split into the touched ones, which the surgery
+    removes, and the kept ones; a surviving dart of a touched face lies on
+    a new face.  The face lengths are the parent's, sliced along the
+    survivor runs as sigma is, with the new faces' darts overwritten.  A
+    kept face's neighbour sum changes only at its edges to a new face, by
+    the weight of the new length minus that of the old, and a new face's
+    sum is read off its own edges.  So the work is the new faces' darts,
+    not the web; the shape is then summed from the faces' terms in C.  The
+    face table is not carried: renumbering the parent's costs as much as
+    building it, which only a child the memo misses does.
     """
+    sigma, theta = child.sigma, child.theta
     fof = cmap.face_table()
-    touched = {fof[d] for d in itertools.chain(dropped, *new_pairs)}
-    faces = [face for i, face in enumerate(cmap.faces()) if i not in touched]
+    # the touched faces' numbers, highest first, so deleting them in turn
+    # leaves the lower ones in place
+    gone = sorted({fof[d] for d in itertools.chain(dropped, *new_pairs)}, reverse=True)
+    faces = list(cmap.faces())
+    for i in gone:
+        del faces[i]
     if dropped:
         # a face has two or more darts, so itemgetter builds a tuple at its final
         # size; tuple(map(...)) over-allocates, leaving free lists nothing drains
         faces = [itemgetter(*face)(old2new) for face in faces]
     seen = set()
+    new = []
     for pair in new_pairs:
         for d in pair:
             d = old2new[d]
@@ -924,9 +1025,44 @@ def _child_faces(cmap, dropped, old2new, new_pairs, sigma, theta):
                 cycle.append(d)
                 d = sigma[theta[d]]
             k = cycle.index(min(cycle))
-            faces.append(tuple(cycle[k:] + cycle[:k]))
-    faces.sort()
-    return tuple(faces)
+            new.append(tuple(cycle[k:] + cycle[:k]))
+    sums0 = cmap._face_sums
+    if cmap._factors != () or sums0 is None:
+        faces += new
+        faces.sort()
+        child._faces = tuple(faces)
+        return
+    flen0 = cmap.face_lengths()
+    flen, was, start = [], [], 0  # the parent's face lengths and numbers
+    for d in dropped + [cmap.n_darts]:
+        if start < d:
+            flen += flen0[start:d]
+            was += fof[start:d]
+        start = d + 1
+    weight = _weights(len(sigma))
+    sums = list(sums0)
+    for face in new:
+        size = len(face)
+        for d in face:
+            if flen[d] != size:
+                if theta[d] not in seen:
+                    # the kept face across the edge now sees size, not flen[d]
+                    sums[was[theta[d]]] += weight[size] - weight[flen[d]]
+                flen[d] = size
+    for i in gone:
+        del sums[i]
+    child._fresh = fresh = []
+    for face in sorted(new):
+        # faces, sums and fresh stay in order, the earlier new faces in place
+        k = bisect.bisect(faces, face[0], key=itemgetter(0))
+        faces.insert(k, face)
+        across = itemgetter(*itemgetter(*face)(theta))(flen)
+        sums.insert(k, sum(itemgetter(*across)(weight)))
+        fresh.append(k)
+    child._faces = tuple(faces)
+    child._face_len = flen
+    child._face_sums = sums
+    child._shape = _sum_shape(faces, sums)
 
 
 def split(web, cut):

@@ -163,7 +163,15 @@ def factorize(web):
     2-bond, each side's bigons are contracted, l in all, and the last side
     kept is split in turn.  The result is kept on the map of the web and
     of each prime, a prime's as the marker (), which holds no web: each
-    map is scanned for bonds once."""
+    map is scanned for bonds once.
+
+    A square's smoothing of a prime is scanned only across its new faces
+    (`planarmap._bonds` reads them off `_fresh`).  A bond is two edges
+    between the same two faces.  A dart that the surgery did not re-pair
+    keeps its partner, and every re-paired dart lies on a new face, so two
+    faces that are not new and meet across two edges in the child already
+    did so in the parent, which then had a bond.  So a new bond of the
+    child runs through a new face."""
     cmap = web.map
     if cmap._factors is None:
         primes, uses, stack = [], 0, [web]

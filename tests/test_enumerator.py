@@ -765,6 +765,24 @@ class TestCatalog:
         assert Counter(w.n_vertices for w in keyed) == {8: 1, 12: 1, 14: 1, 16: 2, 18: 2, 20: 8, 22: 8, 24: 32}
         assert len({key(w) for w in keyed}) == 55
 
+    def test_one_canonical_search_per_prime(self, monkeypatch, capsys):
+        # verify-paper's catalog keys each layer before pushing from it,
+        # and the pushes read the automorphisms off the keyed map: one
+        # search for each of the 15 primes of 8-20 vertices, not one for
+        # its name and one for its pushes
+        searched = []
+        search = planarmap._root_search
+
+        def spy(cmap, include_reflections):
+            searched.append(cmap.n_darts // 3)
+            return search(cmap, include_reflections)
+
+        monkeypatch.setattr(planarmap, "_root_search", spy)
+        monkeypatch.setattr(enumerator, "_root_search", spy)
+        assert cli.main(["verify-paper", "--max-vertices", "20"]) == 0
+        capsys.readouterr()
+        assert Counter(searched) == {8: 1, 12: 1, 14: 1, 16: 2, 18: 2, 20: 8}
+
     def test_no_prime_scanned_for_bonds_again(self, monkeypatch):
         # the layers keep 3-connected webs only, so the catalog reads its
         # primes' decompositions without a connectivity check

@@ -327,6 +327,29 @@ class TestCanonicalKey:
         assert canonical_key(disjoint_union(a, b)) == canonical_key(disjoint_union(b, a))
 
 
+class TestShape:
+    def test_pinned(self):
+        # the suite runs under two string hash seeds: a shape that hashed
+        # a str would differ between them
+        assert planarmap._shape(fixture_web("omni_cube").map) == 653669989604012126
+
+    @pytest.mark.parametrize("name", ["omni_cube", "omni_antiprism5", "prime_10_8", "prime_9_2"])
+    def test_relabel_and_mirror_invariance(self, name):
+        w = fixture_web(name)
+        shape = planarmap._shape(w.map)
+        rng = random.Random(41)
+        for copy in (random_relabel(w, rng), random_relabel(w, rng), mirror(w), mirror(random_relabel(w, rng))):
+            assert planarmap._shape(copy.map) == shape
+
+    def test_kept_on_the_map(self):
+        # computed once, with the neighbour sums a child carries forward
+        m = fixture_web("omni_tetrahedron").map
+        shape = planarmap._shape(m)
+        assert m._shape == shape and len(m._face_sums) == len(m.faces())
+        m._shape = 7
+        assert planarmap._shape(m) == 7
+
+
 # sha256 of the keys and of the canonical forms below; a change to the
 # canonical labeling that moves any byte must update these on purpose
 KEY_DIGEST = "900ace15877e817fc247157a20e370e5888f4cbff86f74ddb56a2240e6cfd273"

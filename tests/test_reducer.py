@@ -850,6 +850,105 @@ class TestFactoring:
                 reducer._div3(bad)
 
 
+def engine_children(monkeypatch, webs):
+    """Every web the engine's cascade builds while the webs are valued:
+    (child, whether its parent was a known prime, whether it came with a
+    shape)."""
+    children = []
+    cascade = reducer._cascade
+
+    def spy(web, *args):
+        child, uses = cascade(web, *args)
+        children.append((child, web.map._factors == (), child.map._shape is not None))
+        return child, uses
+
+    monkeypatch.setattr(reducer, "_cascade", spy)
+    for w in webs:
+        invariant(w)
+    monkeypatch.undo()
+    return children
+
+
+def assert_carried_as_fresh(children):
+    """A smoothing of a known prime, and only such a web, comes with its
+    face lengths, neighbour sums, shape and new faces; each of these, and
+    the faces, face table and bonds, equals a fresh computation.  Returns
+    how many children carried."""
+    carried = 0
+    for child, of_prime, with_shape in children:
+        assert with_shape == of_prime
+        if not of_prime:
+            continue
+        carried += 1
+        m = child.map
+        if not m.n_darts:  # collapsed to circles: no face to compare
+            assert m.faces() == () and m._shape == 0
+            continue
+        fresh = CombMap(m.sigma, m.theta)
+        assert m.faces() == fresh.faces()
+        assert m.face_lengths() == fresh.face_lengths()
+        assert m.face_table() == fresh.face_table()
+        assert planarmap._shape(m) == planarmap._shape(fresh)
+        assert m._face_sums == fresh._face_sums
+        assert len(set(m._fresh)) == len(m._fresh) and planarmap._bonds(m) == planarmap._bonds(fresh)
+    return carried
+
+
+def random_prime(n, seed):
+    """A seeded random 3-connected prime of n vertices: from the 14-vertex
+    prime, one seeded choice among the 3-connected converse pushes at
+    every site, until n vertices."""
+    rng = random.Random(seed)
+    web = all_primes(14)[0]
+    while web.n_vertices < n:
+        both = disjoint_union(web, enumerator._THETA)
+        pushes = [enumerator._converse_push(both, x, q) for x, q in enumerator._push_sites(web.map)]
+        web = rng.choice([c for c in pushes if connectivity(c) == 3])
+    return web
+
+
+class TestCarriedFaceData:
+    def test_solids_children(self, empty_memo, monkeypatch):
+        webs = [parse_web(path.read_text()) for path in sorted(FIXTURES.glob("omni_*.dart"))]
+        children = engine_children(monkeypatch, webs)
+        # five smoothings collapse to a circle; two webs are contractions
+        # of a split side, whose parent is no prime
+        assert len(children) == 1322 and assert_carried_as_fresh(children) == 1320
+        assert sum(not c.map.n_darts for c, _, _ in children) == 5
+        # a few smoothings have a bond, which the scan across their new
+        # faces must find as the full scan does
+        assert sum(bool(c.map.n_darts and planarmap._bonds(c.map)) for c, of_prime, _ in children if of_prime) == 3
+
+    def test_random_prime_children(self, empty_memo, monkeypatch):
+        web = random_prime(100, 2)
+        assert web.n_vertices == 100
+        children = engine_children(monkeypatch, [web])
+        # the other six contract the bigons of split sides
+        assert len(children) == 414 and assert_carried_as_fresh(children) == 408
+
+    def test_census_and_sums_carry_nothing(self):
+        # a converse push, a connected sum and a split side are built from
+        # no known prime: they pay for no carried face data
+        w = all_primes(14)[0]
+        both = disjoint_union(w, enumerator._THETA)
+        built = [enumerator._converse_push(both, x, q) for x, q in enumerator._push_sites(w.map)]
+        total = connected_sum(w, 0, fixture_web("prime_8_1"), 3)
+        built += [total, *split(total, min(planarmap._bonds(total.map)))]
+        for c in built:
+            m = c.map
+            assert m._shape is None and m._face_len is None and m._fresh is None
+
+    def test_solid_classes_sharing_a_shape(self, empty_memo):
+        # the memo's buckets after the seven solids: two pairs of classes
+        # share a shape, and each pair has equal faces, each with equal
+        # neighbour lengths, which is all a shape reads
+        for path in sorted(FIXTURES.glob("omni_*.dart")):
+            invariant(parse_web(path.read_text()))
+        buckets = list(reducer._MEMO.values())
+        assert sum(map(len, buckets)) == 663
+        assert sorted(len(b) for b in buckets if len(b) > 1) == [2, 2]
+
+
 class TestConfluence:
     def test_randomized_orders_agree(self):
         webs = {
