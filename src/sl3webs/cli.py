@@ -21,6 +21,7 @@ from .planarmap import (
     _polygonal_decompositions,
     canonical_form,
     canonical_key,
+    isomorphic,
     parse_web,
     serialize_web,
 )
@@ -134,7 +135,7 @@ def _cmd_canon(args):
 def _cmd_iso(args):
     w1 = _read_web(args.web1)
     w2 = _read_web(args.web2)
-    same = canonical_key(w1) == canonical_key(w2)
+    same = isomorphic(w1, w2)
     _emit({"isomorphic": same}, "isomorphic" if same else "not isomorphic", args.pretty)
     return 0
 

@@ -169,9 +169,6 @@ class CombMap:
             self._face_of = fof
         return self._face_of
 
-    def face_of(self, dart):
-        return self.face_table()[dart]
-
     def face_lengths(self):
         """The list dart -> length of its face (cached)."""
         if self._face_len is None:
@@ -241,16 +238,6 @@ class CombMap:
                 raise MapError("non-integral genus; corrupt map")
             out.append(((2 - euler) // 2, comp[0]))
         return out
-
-    def relabel(self, newlab):
-        """Apply a dart relabeling d -> newlab[d]."""
-        n = self.n_darts
-        sigma = [0] * n
-        theta = [0] * n
-        for d in range(n):
-            sigma[newlab[d]] = newlab[self.sigma[d]]
-            theta[newlab[d]] = newlab[self.theta[d]]
-        return CombMap(sigma, theta)
 
     def restrict(self, darts):
         """Submap on a dart subset closed under sigma and theta.
@@ -337,9 +324,6 @@ class Web:
     @property
     def n_edges(self):
         return self.map.n_edges
-
-    def is_empty(self):
-        return self.map.n_darts == 0 and self.circles == 0
 
     def is_simple(self):
         """No two edges join the same pair of vertices.
@@ -855,10 +839,6 @@ class _IsoStore(dict):
     def __init__(self):
         super().__init__()
         self.by_labels = {}
-
-    def clear(self):
-        super().clear()
-        self.by_labels.clear()
 
     def entry(self, cmap):
         """The entry of the stored map isomorphic to a connected map, or

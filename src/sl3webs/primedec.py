@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 
-# split and simplify are not called here: the package exports them from
-# this module, which is where perfbench's tracer finds them
+# split and simplify are not called here: this module is where
+# perfbench's tracer finds them
 from .planarmap import MapError, _drop_and_rewire, _require_connected, disjoint_union, split
 from .reducer import CIRCLE_FACTOR, _bigon_power, factorize, simplify, sum_value
 

@@ -55,23 +55,11 @@ class HalfLaurent:
     def one(cls) -> "HalfLaurent":
         return cls({0: 1})
 
-    @classmethod
-    def monomial(cls, k: int, coeff: int = 1) -> "HalfLaurent":
-        """coeff * q^(k/2)."""
-        return cls({k: coeff})
-
     # -- inspection --------------------------------------------------------
 
     def items(self):
         """Term items sorted by descending half-exponent."""
         return sorted(self._terms.items(), key=lambda kv: -kv[0])
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_palindromic(self) -> bool:
-        """True when invariant under q -> q^(-1)."""
-        return all(self._terms.get(-k) == c for k, c in self._terms.items())
 
     def eval_at_one(self) -> int:
         """Specialize q = 1, i.e. the sum of all coefficients."""
@@ -88,8 +76,10 @@ class HalfLaurent:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as that int
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            terms = self._terms
+            self._hash = hash(terms.get(0, 0)) if terms.keys() <= {0} else hash(frozenset(terms.items()))
         return self._hash
 
     # -- arithmetic --------------------------------------------------------
@@ -143,16 +133,7 @@ class HalfLaurent:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = HalfLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, HalfLaurent.one)
 
     # -- rendering ---------------------------------------------------------
 
@@ -188,6 +169,22 @@ class HalfLaurent:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "HalfLaurent":
         return cls({int(k): int(c) for k, c in obj.items()})
+
+
+def _power(base, n, one):
+    """base^n by square-and-multiply from the lowest set bit of n.  The base
+    is not squared after the highest bit, so base^1 costs no product; `one`
+    makes base^0."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one() if result is None else result
 
 
 def qint(n: int) -> HalfLaurent:
@@ -357,9 +354,6 @@ class IdealResidue:
         c[2 * d] = 1
         return cls(d, c)
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __eq__(self, other):
         return (
             isinstance(other, IdealResidue)
@@ -380,27 +374,12 @@ class IdealResidue:
         if not isinstance(other, IdealResidue) or other.d != self.d:
             raise ValueError("residues from different rings")
 
-    def __add__(self, other):
-        self._check_same_ring(other)
-        d = self.d
-        return IdealResidue(d, [(a + b) % d for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other):
         self._check_same_ring(other)
         return mod_reduce(self.to_poly() * other.to_poly(), self.d)
 
     def __pow__(self, n):
-        """self^n, square-and-multiply from the lowest set bit of n."""
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result, base = None, self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return IdealResidue.one(self.d) if result is None else result
+        return _power(self, n, functools.partial(IdealResidue.one, self.d))
 
 
 def mod_reduce(p: HalfLaurent, d: int) -> IdealResidue:
@@ -434,8 +413,3 @@ def mod_reduce(p: HalfLaurent, d: int) -> IdealResidue:
     r = IdealResidue.__new__(IdealResidue)  # its window is reduced here
     r.d, r.coeffs = d, tuple([c % d for c in work[lo - low : hi - low]])
     return r
-
-
-def congruent_mod(p: HalfLaurent, r: HalfLaurent, d: int) -> bool:
-    """True iff p and r fall in the same class mod (d, [3]^d - [3])."""
-    return mod_reduce(p, d) == mod_reduce(r, d)

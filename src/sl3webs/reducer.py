@@ -80,10 +80,6 @@ BIGON_FACTOR = -qint(2)
 _MEMO = _IsoStore()
 
 
-def clear_memo():
-    _MEMO.clear()
-
-
 def simplify(web):
     """Contract bigon faces until none remain; returns (web, uses).
 

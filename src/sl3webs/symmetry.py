@@ -67,12 +67,6 @@ class _Numpy:
 np = _Numpy()
 
 
-def check_quotient(p_g, p_quotient, d):
-    """P(G) = P(quotient)^d mod (d, [3]^d - [3])?  The d-th power is
-    taken in the residue ring (`mod_reduce` raises for d < 2)."""
-    return mod_reduce(p_quotient, d) ** d == mod_reduce(p_g, d)
-
-
 def verify_witness(p, d, witness):
     """Exact check that witness^d matches p, powered in the residue ring:
     each `IdealResidue` product multiplies `HalfLaurent`s and reduces with

@@ -21,7 +21,9 @@ file's imports and calls for that.
 - `isomorphisms`, every isomorphism between two webs (automorphisms
   included) by extending each image of dart 0, with no rooting and no
   BFS word;
-- `parse_qpoly`, the inverse of `HalfLaurent.pretty`.
+- `relabel`, a map with its darts renamed, built checked;
+- `parse_qpoly`, the inverse of `HalfLaurent.pretty`, and
+  `is_palindromic`, the symmetry q -> q^(-1) of a polynomial.
 """
 
 from __future__ import annotations
@@ -49,6 +51,17 @@ def rebuild(web, darts, pairs, circles):
     return validate(cmap, web.circles + circles)
 
 
+def relabel(cmap, newlab):
+    """The map with each dart d renamed newlab[d]."""
+    n = cmap.n_darts
+    sigma = [0] * n
+    theta = [0] * n
+    for d in range(n):
+        sigma[newlab[d]] = newlab[cmap.sigma[d]]
+        theta[newlab[d]] = newlab[cmap.theta[d]]
+    return CombMap(sigma, theta)
+
+
 # -- the skein relations -------------------------------------------------------
 
 
@@ -72,7 +85,7 @@ def _face_and_legs(web, site, kind, size):
     """The darts of the face through `site` and the leg sigma(d) that
     leaves the face at each of its vertices."""
     cmap = web.map
-    face = cmap.faces()[cmap.face_of(site)]
+    face = cmap.faces()[cmap.face_table()[site]]
     if len(face) != size:
         raise MapError(f"dart {site} does not lie on a {kind} face")
     return face, tuple(cmap.sigma[d] for d in face)
@@ -143,7 +156,7 @@ def invariant_random_order(web, rand):
     splitting."""
     sites = find_all_reducibles(web)
     if not sites:
-        if not web.is_empty():
+        if web.map.n_darts or web.circles:
             raise MapError("stuck on a nonempty web")
         return HalfLaurent.one()
     red = sites[rand.randrange(len(sites))]
@@ -373,8 +386,9 @@ def polygon_levels(web, dec, exterior_face):
         raise MapError("exterior face must not be a polygon of the decomposition")
     cmap = web.map
     adj = [set() for _ in cmap.faces()]
+    fof = cmap.face_table()
     for d, t in cmap.edges():
-        f, g = cmap.face_of(d), cmap.face_of(t)
+        f, g = fof[d], fof[t]
         adj[f].add(g)
         adj[g].add(f)
     dist = {exterior_face: 0}
@@ -455,9 +469,15 @@ def parse_qpoly(text):
             k = int(m.group("num"))
         else:
             k = 2 if m.group("q") else 0
-        total = total + HalfLaurent.monomial(k, sign * coeff)
+        total = total + HalfLaurent({k: sign * coeff})
         pos = m.end()
         first = False
     if first:
         raise ValueError("empty expression")
     return total
+
+
+def is_palindromic(p):
+    """True when p is invariant under q -> q^(-1)."""
+    terms = dict(p.items())
+    return all(terms.get(-k) == c for k, c in terms.items())

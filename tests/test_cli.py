@@ -1,8 +1,12 @@
+import ast
 import hashlib
+import inspect
 import io
 import json
 import os
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +16,7 @@ from sl3webs.cli import main, verify_paper
 from sl3webs.planarmap import CombMap, disjoint_union, serialize_web, validate
 from sl3webs.qlaurent import parse_qexpr
 from sl3webs.tables import TableRow
-from webfixtures import cube_web, digon_prism_web, fixture_web, hex_prism_web, theta_web
+from webfixtures import FIXTURES, cube_web, digon_prism_web, fixture_web, hex_prism_web, theta_web
 
 
 @pytest.fixture
@@ -503,3 +507,212 @@ class TestStartup:
             env=_child_env("0"),
         )
         assert proc.returncode == 0, proc.stderr or "numpy was imported"
+
+
+def _reach_run(pkg, fixtures, tmp):
+    """Every command on the fixture webs and a few bad inputs, the README's
+    library example and CI's library calls, under a profiler that notes
+    each function called.  Prints the functions of the package at `pkg`
+    that ran, as JSON [module, first line, name] triples.
+
+    Runs in a fresh interpreter, from this function's source alone, so no
+    cache another test filled (the memo, `_bigon_power`, `ideal_generator`,
+    the parser) hides a function.
+    """
+    import contextlib
+    import io
+    import json
+    import math
+    import os
+    import sys
+
+    seen = set()
+
+    def note(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(note)
+    import sl3webs
+    from sl3webs import cli
+
+    assert os.path.realpath(os.path.dirname(sl3webs.__file__)) == pkg, sl3webs.__file__
+
+    def fixture(name):
+        return os.path.join(fixtures, name + ".dart")
+
+    def write(name, text):
+        path = os.path.join(tmp, name)
+        with open(path, "w") as fh:
+            fh.write(text)
+        return path
+
+    def run(*argv, stdin=""):
+        out = io.StringIO()
+        sys.stdin = io.StringIO(stdin)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                cli.main(list(argv))
+            except SystemExit:  # a usage error
+                pass
+        sys.stdin = sys.__stdin__
+        return out.getvalue()
+
+    def simple(rotations):
+        return "".join(f"{v}: {' '.join(map(str, nbs))}\n" for v, nbs in enumerate(rotations, 1))
+
+    cube_rotations = [(2, 8, 4), (1, 3, 7), (2, 4, 6), (1, 5, 3), (4, 8, 6), (3, 5, 7), (2, 6, 8), (1, 7, 5)]
+    cube = write("cube.web", simple(cube_rotations))
+    names = sorted(n[:-5] for n in os.listdir(fixtures) if n.endswith(".dart"))
+    for web in [fixture(n) for n in names] + [cube]:
+        for pretty in ([], ["--pretty"]):
+            run("invariant", web, *pretty)
+            for fmt in ("dart", "simple"):
+                run("canon", web, "--format", fmt, *pretty)
+                run("decompose", web, "--format", fmt, *pretty)
+    run("iso", fixture("prime_8_1"), fixture("prime_8_1"))
+    run("iso", fixture("prime_8_1"), fixture("prime_8_2"), "--pretty")
+    for pretty in ([], ["--pretty"]):
+        for extra in ([], ["--count"], ["--circular-only"], ["--format", "simple"]):
+            run("enumerate", "--vertices", "22", *extra, *pretty)
+        for fmt in ("dart", "simple"):
+            run("catalog", "--max-vertices", "20", "--format", fmt, *pretty)
+        run("verify-paper", "--max-vertices", "20", *pretty)
+    # a budget of 20000, not 200000, reaches the same functions
+    for d in (2, 3, 4, 5, 6, 9, 10):
+        run("symmetry-root", "--expr", "[2]^4[3]+2[2]^2[3]", str(d), "--budget", "20000")
+    run("symmetry-root", "--expr", "[2]^4[3]+2[2]^2[3]", "3", "--pretty")
+    run("symmetry-root", fixture("prime_7_1"), "6")
+    run("symmetry-root", "--expr", "[2]", "367", "--budget", "2858")
+    run("symmetry-check", fixture("prime_7_1"), fixture("prime_4_1"), "3")
+    run("symmetry-check", fixture("prime_7_1"), fixture("prime_4_1"), "1", "--pretty")
+
+    bad = {
+        "format": "darts: 4\nv 0: 0 1 2\n",
+        "not_cubic": "1: 2\n2: 1\n",
+        "not_bipartite": "1: 2 3 4\n2: 1 4 3\n3: 1 2 4\n4: 1 3 2\n",
+        "genus_one": "1: 4 5 6\n2: 4 5 6\n3: 4 5 6\n4: 1 2 3\n5: 1 2 3\n6: 1 2 3\n",
+        "two_cubes": simple(cube_rotations + [tuple(u + 8 for u in nbs) for nbs in cube_rotations]),
+    }
+    for name, text in bad.items():
+        path = write(name + ".web", text)
+        run("invariant", path)
+        run("decompose", path)
+        run("symmetry-check", path, cube, "2")
+    run("invariant", os.path.join(tmp, "missing.web"))
+    run("invariant")
+    run("enumerate", "--vertices", "-2")
+    run("catalog", "--max-vertices", "-1")
+    run("symmetry-root", "3")
+    run("symmetry-root", cube, "3", "--expr", "[2]")
+    run("symmetry-root", "--expr", "[2", "3")
+    run("symmetry-root", "--expr", "[2]", "3", "--budget", "-1")
+
+    # the README's library example
+    from sl3webs import build_catalog, decompose, dth_root_search, invariant, parse_qexpr, parse_web, qint
+
+    web = parse_web(open(cube).read())
+    assert invariant(web) == parse_qexpr("2[2]^2[3]") == 2 * qint(2) ** 2 * qint(3)
+    assert len(build_catalog(20)) == 15 and decompose(web).k == 1
+    assert dth_root_search(parse_qexpr("[2]^4[3]+2[2]^2[3]"), 3).outcome == "found"
+
+    # CI's library calls: a three-prime sum, decomposed by the command
+    from sl3webs import HalfLaurent, connected_sum, serialize_web
+
+    def prime(n):
+        return parse_web(open(fixture(f"prime_{n}")).read())
+
+    text = serialize_web(connected_sum(connected_sum(prime("4_1"), 0, prime("8_1"), 0), 5, prime("10_1"), 3))
+    got = json.loads(run("decompose", write("sum_3.dart", text)))
+    run("decompose", "-", "--pretty", stdin=text)
+    pinned = json.load(open(os.path.join(fixtures, "pinned.json")))["primes"]
+    want = math.prod(HalfLaurent.from_json_obj(pinned[n]["invariant"]) for n in ("4_1", "8_1", "10_1"))
+    assert got["k"] == 3 and HalfLaurent.from_json_obj(got["identity_lhs"]) == want
+
+    sys.setprofile(None)
+    ran = {(os.path.basename(c.co_filename)[:-3], c.co_firstlineno, c.co_name)
+           for c in seen if os.path.dirname(os.path.realpath(c.co_filename)) == pkg}
+    print(json.dumps(sorted(ran)))
+
+
+def package_functions(pkg):
+    """(module, first line, name, qualified name) of every def in the
+    package; the first line is a decorated def's first decorator's, as in
+    its code object."""
+    out = []
+
+    def walk(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out.append((module, first, child.name, prefix + child.name))
+                walk(child, module, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, module, prefix + child.name + ".")
+            else:
+                walk(child, module, prefix)
+
+    for path in sorted(pkg.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem, "")
+    return out
+
+
+# functions no command, library example or CI call runs, and why each stays
+UNREACHED = (
+    ("enumerator", "CatalogEntry.__repr__", "a __repr__"),
+    ("planarmap", "CombMap.__eq__", "protocol: maps compare by their labels"),
+    ("planarmap", "CombMap.__hash__", "protocol: equal maps hash alike"),
+    ("planarmap", "CombMap.__repr__", "a __repr__"),
+    ("planarmap", "CombMap.n_edges", "read by the __repr__s"),
+    ("planarmap", "PolygonalDecomposition.__repr__", "a __repr__"),
+    ("planarmap", "Web.__repr__", "a __repr__"),
+    ("planarmap", "Web.n_edges", "read by the __repr__s"),
+    ("primedec", "Decomposition.__repr__", "a __repr__"),
+    ("qlaurent", "HalfLaurent.__bool__", "protocol: zero is false"),
+    ("qlaurent", "HalfLaurent.__hash__", "protocol: equal polynomials, and a constant and its int, hash alike"),
+    ("qlaurent", "HalfLaurent.__repr__", "a __repr__"),
+    ("qlaurent", "HalfLaurent.__rsub__", "protocol: int - polynomial"),
+    ("qlaurent", "HalfLaurent.__sub__", "protocol: polynomial - polynomial or int"),
+    ("qlaurent", "IdealResidue.__hash__", "protocol: equal residues hash alike"),
+    ("qlaurent", "IdealResidue.__repr__", "a __repr__"),
+    ("qlaurent", "IdealResidue.one", "protocol: a residue ** 0"),
+    ("symmetry", "RootSearchResult.__repr__", "a __repr__"),
+    ("tables", "TableRow.__repr__", "a __repr__"),
+)
+
+
+class TestReach:
+    def test_every_function_is_reached_promised_or_listed(self, tmp_path):
+        import subprocess
+        import sys
+
+        pkg = Path(sl3webs.__file__).resolve().parent
+        call = f"\n_reach_run({str(pkg)!r}, {str(FIXTURES)!r}, {str(tmp_path)!r})\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", inspect.getsource(_reach_run) + call],
+            capture_output=True,
+            text=True,
+            env=_child_env("0"),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        ran = {tuple(t) for t in json.loads(proc.stdout)}
+        promised = {
+            (obj.__module__.split(".")[-1], name)
+            for name in sl3webs.__all__
+            if inspect.isfunction(obj := getattr(sl3webs, name))
+        }
+        listed = {(module, name) for module, name, _ in UNREACHED}
+        functions = package_functions(pkg)
+        unreached = {(module, qual) for module, line, name, qual in functions if (module, line, name) not in ran}
+        missed = sorted(unreached - promised - listed)
+        assert not missed, "reached by no run, not promised, not listed: " + ", ".join(map(".".join, missed))
+        # the list names only functions that exist and that nothing reaches
+        stale = sorted(listed - unreached)
+        assert not stale, "listed but reached or gone: " + ", ".join(map(".".join, stale))
+
+    def test_all_is_the_readme_library_list(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("\n## Library\n")[1].split("\n## ")[0]
+        assert re.findall(r"^\| `(\w+)` \|", section, re.M) == sl3webs.__all__
+        assert len(set(sl3webs.__all__)) == len(sl3webs.__all__)

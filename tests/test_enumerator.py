@@ -39,6 +39,7 @@ from oracles import (
     polygon_levels,
     pushing_moves,
     reduce_at,
+    relabel,
 )
 from test_planarmap import random_relabel
 from webfixtures import (
@@ -200,7 +201,7 @@ def cut_open(web, dec, exterior):
     for d in faces[exterior]:
         if edge_color(d) == connector:
             continue
-        pf = cmap.face_of(cmap.theta[d])
+        pf = cmap.face_table()[cmap.theta[d]]
         assert pf in dec.polygon_faces
         cyc = faces[pf]
         i = cyc.index(cmap.theta[d])
@@ -353,7 +354,7 @@ class TestCircularPrimes:
         for w in webs:
             perm = list(range(w.map.n_darts))
             rng.shuffle(perm)
-            variants.append(validate(w.map.relabel(perm), w.circles))
+            variants.append(validate(relabel(w.map, perm), w.circles))
             variants.append(mirror(w))
         pool = webs + variants
         keys = [canonical_key(w) for w in pool]

@@ -6,13 +6,12 @@ from sl3webs.qlaurent import (
     HalfLaurent,
     IdealResidue,
     QExprError,
-    congruent_mod,
     ideal_generator,
     mod_reduce,
     parse_qexpr,
     qint,
 )
-from oracles import parse_qpoly
+from oracles import is_palindromic, parse_qpoly
 
 
 def is_prime_power(m):
@@ -34,7 +33,7 @@ def random_poly(rng, max_terms=6, max_halfexp=8, max_coeff=9):
 class TestQInt:
     def test_zero(self):
         assert qint(0) == HalfLaurent.zero()
-        assert qint(0).is_zero()
+        assert not qint(0)
 
     def test_two(self):
         assert qint(2) == HalfLaurent({1: 1, -1: 1})
@@ -48,13 +47,13 @@ class TestQInt:
 
     def test_palindromic(self):
         for n in range(12):
-            assert qint(n).is_palindromic()
+            assert is_palindromic(qint(n))
 
     def test_defining_fraction(self):
         # [n] * (q^(1/2) - q^(-1/2)) == q^(n/2) - q^(-n/2)
         denom = HalfLaurent({1: 1, -1: -1})
         for n in range(12):
-            expect = HalfLaurent.monomial(n) - HalfLaurent.monomial(-n)
+            expect = HalfLaurent({n: 1}) - HalfLaurent({-n: 1})
             assert qint(n) * denom == expect
 
     def test_negative_rejected(self):
@@ -70,11 +69,26 @@ class TestArithmetic:
         rng = random.Random(7)
         for _ in range(50):
             p = random_poly(rng)
-            assert (p + (-p)).is_zero()
+            assert not p + (-p)
 
-    def test_pow_identity(self):
+    def test_pow_identity(self, monkeypatch):
         assert qint(3) ** 1 == qint(3)
         assert qint(3) ** 0 == HalfLaurent.one()
+        assert parse_qexpr("[9999]") == qint(9999)
+        # square-and-multiply from the lowest set bit, with no squaring
+        # after the highest: x ** n costs bit_length(n) - 1 squarings and
+        # popcount(n) - 1 products, so x ** 1 costs none
+        powers = [HalfLaurent.one()]
+        for _ in range(9):
+            powers.append(powers[-1] * qint(3))
+        products = []
+        mul = HalfLaurent.__mul__
+        monkeypatch.setattr(HalfLaurent, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        for n in range(10):
+            products.clear()
+            assert qint(3) ** n == powers[n]
+            want = 0 if n <= 1 else n.bit_length() - 1 + bin(n).count("1") - 1
+            assert len(products) == want, n
 
     def test_int_coercion(self):
         p = qint(2)
@@ -124,6 +138,11 @@ class TestArithmetic:
             p = random_poly(rng)
             q = HalfLaurent(dict(p.items()))
             assert p == q and hash(p) == hash(q)
+        # a constant, zero included, equals its int and so hashes as it
+        for c in (0, 1, 5, -1, -2, 10**30):
+            assert HalfLaurent({0: c}) == c and hash(HalfLaurent({0: c})) == hash(c)
+        assert len({HalfLaurent({0: 5}), 5}) == 1
+        assert len({HalfLaurent.zero(), 0}) == 1
 
 
 class TestParseQExpr:
@@ -183,7 +202,7 @@ class TestPretty:
 
     def test_zero(self):
         assert HalfLaurent.zero().pretty() == "0"
-        assert parse_qpoly("0").is_zero()
+        assert not parse_qpoly("0")
 
     def test_roundtrip_random(self):
         rng = random.Random(99)
@@ -201,7 +220,7 @@ class TestPretty:
 class TestIdealResidue:
     def test_generator_reduces_to_zero(self):
         for d in (2, 3, 5, 6):
-            assert mod_reduce(qint(3) ** d - qint(3), d).is_zero()
+            assert not any(mod_reduce(qint(3) ** d - qint(3), d).coeffs)
 
     def test_generator_reduced_at_every_step(self):
         # against [3]^d - [3] expanded over Z and reduced afterwards, for
@@ -225,7 +244,7 @@ class TestIdealResidue:
 
     def test_coefficient_ideal(self):
         for d in (2, 3, 4):
-            assert mod_reduce(d * qint(2), d).is_zero()
+            assert not any(mod_reduce(d * qint(2), d).coeffs)
 
     def test_window_size(self):
         r = mod_reduce(qint(2), 3)
@@ -240,17 +259,17 @@ class TestIdealResidue:
     def test_example_six_one_mod2(self):
         p_61 = parse_qexpr("[2]^4[3]+2[2]^2[3]")
         sq_root = parse_qexpr("[2]^2[3]")
-        assert congruent_mod(p_61, sq_root**2, 2)
+        assert mod_reduce(p_61, 2) == mod_reduce(sq_root**2, 2)
 
     def test_reflexive(self):
         rng = random.Random(31)
         for _ in range(20):
             p = random_poly(rng)
-            assert congruent_mod(p, p, 3)
+            assert mod_reduce(p, 3) == mod_reduce(p, 3)
 
     def test_generator_relation(self):
         for d in (2, 3, 5):
-            assert congruent_mod(qint(3), qint(3) ** d, d)
+            assert mod_reduce(qint(3), d) == mod_reduce(qint(3) ** d, d)
 
     def test_idempotent(self):
         rng = random.Random(13)
@@ -267,7 +286,7 @@ class TestIdealResidue:
             r = random_poly(rng, max_halfexp=15)
             for d in (2, 3, 5):
                 assert mod_reduce(p * r, d) == mod_reduce(p, d) * mod_reduce(r, d)
-                assert mod_reduce(p + r, d) == mod_reduce(p, d) + mod_reduce(r, d)
+                assert mod_reduce(p + r, d) == mod_reduce(mod_reduce(p, d).to_poly() + mod_reduce(r, d).to_poly(), d)
 
     def test_residue_pow_matches_poly_pow(self):
         p = parse_qexpr("[2][3]")
@@ -283,7 +302,7 @@ class TestIdealResidue:
         with pytest.raises(ValueError, match=r"^residue needs exactly 8 coefficients$"):
             IdealResidue(2, [0] * 7)
         for other in (IdealResidue.one(3), qint(2)):
-            with pytest.raises(ValueError, match=r"^residues from different rings$"):
+            with pytest.raises(TypeError):  # residues add through their polynomials
                 IdealResidue.one(2) + other
             with pytest.raises(ValueError, match=r"^residues from different rings$"):
                 IdealResidue.one(2) * other
@@ -294,4 +313,4 @@ class TestIdealResidue:
         with pytest.raises(ValueError):
             mod_reduce(qint(2), 1)
         with pytest.raises(ValueError):
-            congruent_mod(qint(2), qint(2), 0)
+            mod_reduce(qint(2), 0)
