@@ -18,9 +18,10 @@ from __future__ import annotations
 import array
 import bisect
 import itertools
+import re
 import struct
 from collections import Counter
-from operator import itemgetter, mul
+from operator import itemgetter, lt, mul
 
 
 class MapError(ValueError):
@@ -79,7 +80,7 @@ class CombMap:
 
     __slots__ = (
         "sigma", "theta", "_vertices", "_vertex_of", "_faces", "_face_of", "_face_len",
-        "_components", "_factors", "_shape", "_face_sums", "_fresh", "_gens",
+        "_components", "_factors", "_shape", "_face_sums", "_fresh", "_gens", "_bond_list",
     )
 
     def __init__(self, sigma, theta):
@@ -120,6 +121,7 @@ class CombMap:
         self._shape = self._face_sums = None  # `_shape`'s hash and per-face sums
         self._fresh = None  # a skein child's new faces, for `_bonds`
         self._gens = None  # automorphism generators, kept by `canonical_key`
+        self._bond_list = None  # `_bonds`'s result, kept by it or given by `split`
 
     @property
     def n_darts(self):
@@ -248,15 +250,23 @@ class CombMap:
         preserves dart order, so each face still starts at its least dart.
         A dart whose image leaves the subset raises MapError.
         """
-        darts = sorted(set(darts))
-        lab = {d: i for i, d in enumerate(darts)}
+        return self._restrict(sorted(set(darts)))
+
+    def _restrict(self, darts):
+        """`restrict` to darts listed in ascending order, once each.  Each
+        gather reads two darts or more, as a closed subset with a dart and
+        a web's faces have."""
+        lab = dict(zip(darts, range(len(darts))))
         try:
-            sigma = tuple([lab[self.sigma[d]] for d in darts])
-            theta = tuple([lab[self.theta[d]] for d in darts])
-        except KeyError:
+            gather = itemgetter(*darts)
+            sigma = itemgetter(*gather(self.sigma))(lab)
+            theta = itemgetter(*gather(self.theta))(lab)
+        except (KeyError, TypeError):
+            if not darts:
+                return CombMap._trusted((), (), ())
             d = next(d for d in darts if {self.sigma[d], self.theta[d]} - lab.keys())
             raise MapError(f"dart {d} has an image outside the dart subset") from None
-        faces = tuple(tuple([lab[d] for d in face]) for face in self.faces() if face[0] in lab)
+        faces = tuple([itemgetter(*face)(lab) for face in self.faces() if face[0] in lab])
         return CombMap._trusted(sigma, theta, faces)
 
     def __eq__(self, other):
@@ -884,7 +894,13 @@ def _bonds(cmap):
     and a bond of it runs through one (see `reducer.factorize`).  So when
     each new face meets every neighbour across one edge, there is no bond
     and only the new faces' darts are read.
+
+    The list is kept on the map (`split` gives a side its own); callers
+    do not change it.
     """
+    if cmap._bond_list is not None:
+        return cmap._bond_list
+    out = cmap._bond_list = []
     fof = cmap.face_table()
     theta = cmap.theta
     if cmap._fresh is not None:
@@ -894,12 +910,11 @@ def _bonds(cmap):
             if len(set(across)) < len(across):
                 break
         else:
-            return []
+            return out
     sides = list(zip(fof, map(fof.__getitem__, theta)))
     if len(set(sides)) == len(sides):
-        return []
+        return out
     faces = cmap.faces()
-    out = []
     for (f, g), count in Counter(sides).items():
         if count > 1 and f < g:
             group = sorted(min(d, theta[d]) for d in faces[f] if fof[theta[d]] == g)
@@ -1054,6 +1069,13 @@ def split(web, cut):
     crosses a 2-bond once each way, so a1's partner is the dart of e2 off
     a1's face.  Any other pair leaves a1 and b1 joined, or three
     components, and is rejected.  Returns the side containing a1 first.
+
+    A side keeps its share of the web's bonds (`_bonds`), as a fresh scan
+    finds them: its faces are the web's inside it and the halves f_A, g_A
+    of the faces f, g that the cut edges e1, e2 separate, every old edge
+    separates the faces it did (f, g read as f_A, g_A), and its new edge e'
+    separates f_A from g_A.  So its bonds are the web's inside it and
+    (e', x) for each bond {e1 or e2, x} with x in it.
     """
     if web.circles:
         raise MapError("split acts on webs without circles")
@@ -1067,8 +1089,21 @@ def split(web, cut):
     comps = rewired.map.components()
     if len(comps) != 2 or (a1 in comps[0]) == (b1 in comps[0]):
         raise MapError("cut does not split the web into two sides")
-    sides = rewired.components()
-    return sides if a1 in comps[0] else sides[::-1]
+    if a1 not in comps[0]:
+        comps = comps[::-1]
+    bonds, cut_edges, sides = _bonds(cmap), (min(a1, b1), min(a2, b2)), []
+    for darts, new in zip(comps, (min(a1, a2), min(b1, b2))):
+        side = rewired.map._restrict(darts)  # a component's darts ascend
+        side._components = (tuple(range(len(darts))),)
+        # a cut edge, by least dart, reads as e'; a dart's label is its index in darts
+        kept = set()
+        for pair in bonds:
+            x, y = sorted(new if d in cut_edges else d for d in pair)
+            if x != y and x in darts and y in darts:
+                kept.add((darts.index(x), darts.index(y)))
+        side._bond_list = sorted(kept)
+        sides.append(Web(side, 0, _checked=True))
+    return tuple(sides)
 
 
 def connectivity(web):
@@ -1201,7 +1236,51 @@ def _circular_witness(cmap, decs):
 
 
 def parse_map(text):
-    """Parse SIMPLE or DART format; returns (CombMap, circles)."""
+    """Parse SIMPLE or DART format; returns (CombMap, circles).
+
+    Text in the DART layout `serialize_map` writes is read by one
+    whole-text match, any other text by the line reader `_read_lines`,
+    which also raises the errors: both read the same map from a text.
+    """
+    match = _LAYOUT.fullmatch(text)
+    if match and (read := _read_layout(match)):
+        return read
+    return _read_lines(text)
+
+
+# `serialize_map`'s DART layout of a cubic map, in ASCII digits, single
+# spaces and "\n" line ends
+_LAYOUT = re.compile(r"darts: ([0-9]+)\n((?:v [0-9]+: [0-9]+ [0-9]+ [0-9]+\n)*)"
+                     r"((?:e: [0-9]+ [0-9]+\n)*)(?:circles: ([0-9]+)\n)?")
+
+
+def _read_layout(match):
+    """(CombMap, circles) from a `_LAYOUT` match, or None if the line
+    reader would raise.  N keys, range(N) among them, from N rotation
+    entries and N edge ends list each dart once and pair each once, never
+    with itself, so the map is built unchecked.  Lines that start at their
+    least darts and ascend, as the writer's do, are `_orbits(sigma)`.
+    """
+    n = int(match[1])
+    rot, ends = match[2].split(), match[3].split()
+    a, b, c = (list(map(int, rot[k::5])) for k in (2, 3, 4))
+    x, y = list(map(int, ends[1::3])), list(map(int, ends[2::3]))
+    circles = int(match[4] or 0)
+    sigma, theta = dict(zip(a + b + c, b + c + a)), dict(zip(x + y, y + x))
+    if not (3 * len(a) == 2 * len(x) == len(sigma) == len(theta) == n > 0) or circles > MAX_CIRCLES:
+        return None
+    darts = itemgetter(*range(n))
+    try:  # a key of N or more leaves one of range(N) out
+        cmap = CombMap._trusted(darts(sigma), darts(theta), None)
+    except KeyError:
+        return None
+    if a == sorted(a) and all(map(lt, a, b)) and all(map(lt, a, c)):
+        cmap._vertices = tuple(zip(a, b, c))
+    return cmap, circles
+
+
+def _read_lines(text):
+    """The line reader of `parse_map`; raises FormatError at a fault."""
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
     lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -1345,10 +1424,8 @@ def serialize_map(cmap, circles=0, fmt="dart"):
         return "\n".join(lines) + "\n"
     if fmt == "dart":
         lines = [f"darts: {cmap.n_darts}"]
-        for i, orbit in enumerate(verts):
-            lines.append(f"v {i + 1}: {' '.join(map(str, orbit))}")
-        for d, t in cmap.edges():
-            lines.append(f"e: {d} {t}")
+        lines += [f"v {i}: {' '.join(map(str, orbit))}" for i, orbit in enumerate(verts, 1)]
+        lines += [f"e: {d} {t}" for d, t in enumerate(cmap.theta) if d < t]
         if circles:
             lines.append(f"circles: {circles}")
         return "\n".join(lines) + "\n"

@@ -1,5 +1,7 @@
 import ast
 import hashlib
+import io
+import json
 import random
 from pathlib import Path
 
@@ -799,3 +801,107 @@ class TestEuler:
         w = disjoint_union(cube_web(), theta_web())
         m = w.map
         assert m.n_vertices - m.n_edges + len(m.faces()) == 4
+
+
+def fuzz_texts():
+    """Seeded mutants of DART text in the writer's layout: the 22 fixture
+    files and the census primes through 14 vertices, each with the size
+    of the web it came from."""
+    sources = [(p.read_text(), fixture_web(p.stem).n_vertices) for p in sorted(FIXTURES.glob("*.dart"))]
+    sources += [(serialize_web(w), w.n_vertices) for n in range(8, 15, 2) for w in all_primes(n)]
+    rng = random.Random(20261022)
+
+    def token(lines):
+        # (line index, token index) of a number on a random non-header line
+        i = rng.randrange(1, len(lines))
+        toks = lines[i].split(" ")
+        return i, toks, rng.randrange(len(toks) - 1 if lines[i].startswith("v") else 1, len(toks))
+
+    def mutate(text):
+        lines = text.split("\n")[:-1]
+        n = int(lines[0].split()[1])
+        kind = rng.randrange(14)
+        i = rng.randrange(len(lines))
+        if kind == 0:
+            del lines[i]
+        elif kind == 1:
+            lines.insert(i, lines[i])
+        elif kind == 2:
+            lines[i] = lines[i][: rng.randrange(len(lines[i]))]
+        elif kind in (3, 4):
+            i, toks, j = token(lines)
+            if kind == 3:
+                toks[j] = rng.choice(["-1", "x", "+3", "٣", str(n), str(n + 5)])
+            else:
+                k = rng.randrange(len(toks))
+                toks[j], toks[k] = toks[k], toks[j]
+            lines[i] = " ".join(toks)
+        elif kind == 5:
+            lines[i] += f" {rng.randrange(n)}"
+        elif kind == 6:
+            # a dart of one rotation line written again on another
+            rows = [k for k, ln in enumerate(lines) if ln.startswith("v ")]
+            src, dst = rng.choice(rows), rng.choice(rows)
+            toks = lines[dst].split(" ")
+            toks[rng.randrange(2, len(toks))] = rng.choice(lines[src].split(" ")[2:])
+            lines[dst] = " ".join(toks)
+        elif kind == 7:
+            rows = [k for k, ln in enumerate(lines) if ln.startswith("e: ")]
+            k = rng.choice(rows)
+            d = lines[k].split(" ")[1]
+            lines[k] = f"e: {d} {d}"
+        elif kind == 8:
+            lines.append("circles: 300")
+        elif kind == 9:
+            lines.append(f"circles: {rng.randrange(1, 4)}")
+        elif kind == 10:
+            return "\n".join(lines)
+        elif kind == 11:
+            return "\r\n".join(lines) + "\r\n"
+        elif kind == 12:
+            lines[i] = lines[i].replace(" ", "\t", 1)
+        else:
+            lines.insert(i, "# a comment")
+        return "\n".join(lines) + "\n"
+
+    out = [(text, size) for text, size in sources]
+    for _ in range(12):
+        out += [(mutate(text), size) for text, size in sources]
+    return out
+
+
+def read_outcome(reader, text):
+    try:
+        cmap, circles = reader(text)
+    except MapError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return cmap.sigma, cmap.theta, circles, cmap.vertices()
+
+
+class TestReadPaths:
+    def test_layout_and_line_reader_agree(self):
+        texts = fuzz_texts()
+        assert len(texts) == 25 * 13
+        outcomes = [read_outcome(parse_map, text) for text, _ in texts]
+        assert outcomes == [read_outcome(planarmap._read_lines, text) for text, _ in texts]
+        # the mutants reach both paths and both outcomes
+        failed = sum(isinstance(o[0], type) for o in outcomes)
+        assert 100 < failed < len(texts) - 100
+        laid_out = [text for text, _ in texts if planarmap._LAYOUT.fullmatch(text)]
+        assert 100 < len(laid_out) < len(texts) - 50
+
+    def test_decompose_prints_json_or_one_error(self, capsys):
+        # webs of up to 24 vertices: the larger solids' invariants take seconds
+        from sl3webs import cli
+
+        texts = [text for text, size in fuzz_texts() if size <= 24]
+        assert len(texts) > 200
+        for text in texts:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("sys.stdin", io.StringIO(text))
+                rc = cli.main(["decompose", "-"])
+            out, err = capsys.readouterr()
+            if rc == 0:
+                assert err == "" and json.loads(out)["identity_holds"] is True
+            else:
+                assert rc == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1

@@ -424,3 +424,32 @@ class TestDecompose:
     def test_circles_rejected(self):
         with pytest.raises(MapError, match=r"^decompose acts on webs without circles$"):
             decompose(cube_sum_cube().with_circles(1))
+
+
+class TestCarriedCutData:
+    """What a read or a split hands on equals a fresh computation."""
+
+    def test_writer_layout_read_in_one_match(self, monkeypatch):
+        from sl3webs import planarmap
+        from sl3webs.enumerator import all_primes
+
+        webs = [w for n in range(4, 21, 2) for w in all_primes(n)]
+        webs += [fixture_web(p.stem) for p in sorted(FIXTURES.glob("*.dart"))]
+        assert len(webs) == 15 + 22
+        monkeypatch.setattr(planarmap, "_read_lines", lambda text: pytest.fail("line reader called"))
+        for w in webs:
+            cmap, circles = planarmap.parse_map(serialize_web(w))
+            assert (cmap.sigma, cmap.theta, circles) == (w.map.sigma, w.map.theta, 0)
+            assert cmap._vertices == planarmap._orbits(cmap.sigma)
+
+    def test_split_sides_carry_bonds(self, monkeypatch):
+        from sl3webs import reducer
+
+        sides = []
+        monkeypatch.setattr(reducer, "split", lambda web, cut: sides.extend(split(web, cut)) or sides[-2:])
+        for w in random_sums(20261022, 40):
+            decompose(validate(CombMap(w.map.sigma, w.map.theta)))
+        assert len(sides) > 100 and sum(bool(s.map._bond_list) for s in sides) > 20
+        for side in sides:
+            m = side.map
+            assert m._bond_list == _bonds(CombMap(m.sigma, m.theta))
